@@ -95,6 +95,19 @@ def _require_torsion(ctx: ScalarContext, what: str) -> None:
         raise SystemExit(_usage_error(f"{what} needs --p <int>; generic mode is not enough"))
 
 
+def _check_bounds(args) -> None:
+    """Reject window bounds below 0 and depth or pair counts below 1."""
+    for name in ("kmax", "dmax", "lmax", "reach_kmax", "reach_dmax"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise SystemExit(_usage_error(f"{flag} must be at least 0, got {value}"))
+    for name in ("depth", "pairs"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise SystemExit(_usage_error(f"--{name} must be at least 1, got {value}"))
+
+
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return USAGE_ERROR
@@ -128,6 +141,7 @@ def _single_monomial(x: Element) -> Monomial | None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     ctx = _context(args)
+    _check_bounds(args)
 
     if args.command == "normalize":
         elem = _parse_or_exit(args.expr, ctx)

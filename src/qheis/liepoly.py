@@ -36,12 +36,12 @@ from .heisenberg import (
     commutator,
 )
 from .qscalar import (
-    ContextMismatchError,
     Scalar,
     ScalarContext,
     q_int,
     scalar_text,
 )
+from .torsion import _require_torsion
 
 __all__ = [
     "MonomialClass",
@@ -94,11 +94,6 @@ class MonomialClass(NamedTuple):
     @property
     def tag(self) -> str:
         return "LiePolynomial" if self.is_lie else "NotLie"
-
-
-def _require_torsion(ctx: ScalarContext) -> None:
-    if not ctx.is_torsion:
-        raise ContextMismatchError("Lie-polynomial classification needs a torsion context")
 
 
 def classify_monomial(ctx: ScalarContext, m: Monomial, defn2_literal: bool = False) -> MonomialClass:

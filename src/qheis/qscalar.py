@@ -6,9 +6,11 @@ Two scalar fields are supported, selected by a :class:`ScalarContext`:
   with integer polynomial numerator/denominator, kept in canonical reduced
   form so that equality is structural;
 * torsion mode -- the cyclotomic field generated by a primitive ``p``-th
-  root of unity, represented as rational coordinate vectors over the power
-  basis ``1, q, ..., q^(phi(p)-1)`` modulo the ``p``-th cyclotomic
-  polynomial.
+  root of unity, represented by integer numerators over the power basis
+  ``1, q, ..., q^(phi(p)-1)`` modulo the ``p``-th cyclotomic polynomial,
+  all over one common positive integer denominator.  Arithmetic is
+  integer arithmetic with one gcd normalization per result; ``Fraction``
+  appears only where scalars are built from or written as rationals.
 
 On top of the two fields the module provides the q-combinatorial scalars:
 q-integers, Gaussian (q-)binomial coefficients via the Pascal-type
@@ -107,22 +109,6 @@ def _pcontent(a: IntPoly) -> int:
     for x in a:
         g = math.gcd(g, x)
     return g
-
-
-def _pdivmod_frac(num, den):
-    """Polynomial division over Q. Inputs/outputs are Fraction lists."""
-    num = list(num)
-    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        f = num[i + len(den) - 1] / lead
-        if f:
-            quo[i] = f
-            for j, d in enumerate(den):
-                num[i + j] -= f * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
 
 
 def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -300,9 +286,9 @@ class ScalarContext:
     """
 
     __slots__ = (
-        "mode", "p", "modulus", "phi", "_red", "_qbin", "_qbin_lucas",
-        "_c", "_d", "_qpow", "_qint", "_scaled_c", "_scaled_d", "_pow_word",
-        "_awb",
+        "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
+        "_qbin_lucas", "_c", "_d", "_qpow", "_qint", "_scaled_c", "_scaled_d",
+        "_pow_word", "_awb",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -312,29 +298,32 @@ class ScalarContext:
             if p is None or p < 2:
                 raise ValueError("torsion mode requires an order p >= 2")
             self.modulus = cyclotomic_poly(p)
-            self.phi = len(self.modulus) - 1
-            # reduction table: q^j mod Phi_p for 0 <= j < p
+            phi = self.phi = len(self.modulus) - 1
+            # reduction table: q^j mod Phi_p for 0 <= j < p; Phi_p is monic,
+            # so every entry is an integer vector
             red = []
             for j in range(p):
-                if j < self.phi:
-                    vec = [Fraction(0)] * self.phi
-                    vec[j] = Fraction(1)
-                    red.append(tuple(vec))
+                if j < phi:
+                    vec = [0] * phi
+                    vec[j] = 1
                 else:
-                    prev = list(red[j - 1])
-                    shifted = [Fraction(0)] + prev
-                    top = shifted.pop()
+                    vec = [0] + list(red[j - 1])
+                    top = vec.pop()
                     if top:
-                        for i in range(self.phi):
-                            shifted[i] -= top * self.modulus[i]
-                    red.append(tuple(shifted))
+                        for i in range(phi):
+                            vec[i] -= top * self.modulus[i]
+                red.append(tuple(vec))
             self._red = tuple(red)
+            self._zero = CycloScalar(self, (0,) * phi, 1)
+            self._one = CycloScalar(self, red[0], 1)
         else:
             if p is not None:
                 raise ValueError("generic mode takes no order")
             self.modulus = None
             self.phi = 0
             self._red = ()
+            self._zero = GenericScalar(P_ZERO, P_ONE, _canonical=True)
+            self._one = GenericScalar(P_ONE, P_ONE, _canonical=True)
         self.mode = mode
         self.p = p
         self._qbin: dict = {}
@@ -378,10 +367,10 @@ class ScalarContext:
     # -- constructors -------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return self.from_fraction(Fraction(0))
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.from_fraction(Fraction(1))
+        return self._one
 
     def q(self) -> "Scalar":
         return self.q_power(1)
@@ -390,11 +379,9 @@ class ScalarContext:
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, f: Fraction) -> "Scalar":
-        if self.is_torsion:
-            vec = [Fraction(0)] * self.phi
-            vec[0] = Fraction(f)
-            return CycloScalar(self, tuple(vec))
         f = Fraction(f)
+        if self.is_torsion:
+            return CycloScalar(self, (f.numerator,) + (0,) * (self.phi - 1), f.denominator)
         return GenericScalar((f.numerator,) if f.numerator else P_ZERO,
                              (f.denominator,))
 
@@ -404,7 +391,7 @@ class ScalarContext:
             n %= self.p
             got = self._qpow.get(n)
             if got is None:
-                got = CycloScalar(self, self._red[n])
+                got = CycloScalar(self, self._red[n], 1)
                 self._qpow[n] = got
             return got
         if n >= 0:
@@ -412,7 +399,7 @@ class ScalarContext:
         return GenericScalar(P_ONE, (0,) * (-n) + (1,))
 
     def ensure_same(self, other: "ScalarContext") -> None:
-        if self != other:
+        if other is not self and self != other:
             raise ContextMismatchError(f"context mismatch: {self} vs {other}")
 
 
@@ -516,96 +503,136 @@ class GenericScalar:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic scalars: coordinate vectors modulo Phi_p
+# Cyclotomic scalars: integer vectors over one denominator, modulo Phi_p
 # ---------------------------------------------------------------------------
+
+def _cyclo_mul(a: tuple, b: tuple, ctx: ScalarContext) -> list:
+    """Integer product of two numerator vectors, reduced modulo Phi_p."""
+    phi = ctx.phi
+    prod = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    out = prod[:phi]
+    red, p = ctx._red, ctx.p
+    for e in range(phi, 2 * phi - 1):
+        c = prod[e]
+        if c:
+            for i, r in enumerate(red[e % p]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
+def _cyclo_eval(terms: Iterable, ctx: ScalarContext) -> list:
+    """Integer vector of sum(c * q^e) over (e, c) pairs, reduced modulo Phi_p."""
+    out = [0] * ctx.phi
+    red, p = ctx._red, ctx.p
+    for e, c in terms:
+        if c:
+            for i, r in enumerate(red[e % p]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
+def _cyclo_canonical(ctx: ScalarContext, num: list, den: int) -> "CycloScalar":
+    """The scalar num/den (den != 0) with common factors and the sign moved out."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return CycloScalar(ctx, tuple([x // g for x in num]), den // g)
+    return CycloScalar(ctx, tuple(num), den)
+
 
 class CycloScalar:
     """An element of the cyclotomic field of order p.
 
-    Stored as exactly phi(p) rational coordinates over the power basis,
-    reduced modulo the cyclotomic polynomial, so zero-testing and
-    equality are plain vector comparisons.
+    Stored as ``num / den``: exactly phi(p) integer numerators over the
+    power basis, reduced modulo the cyclotomic polynomial, and one
+    common integer denominator.  The form is canonical -- ``den > 0``,
+    ``gcd(den, *num) == 1``, and zero is ``(0, ..., 0) / 1`` -- so
+    zero-testing and equality are plain tuple comparisons.
     """
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx: ScalarContext, coords: tuple):
+    def __init__(self, ctx: ScalarContext, num: tuple, den: int):
         self.ctx = ctx
-        self.coords = coords
+        self.num = num
+        self.den = den
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CycloScalar)
             and self.ctx == other.ctx
-            and self.coords == other.coords
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.coords))
+        return hash((self.ctx.p, self.num, self.den))
 
     def __add__(self, other: "CycloScalar") -> "CycloScalar":
-        self.ctx.ensure_same(other.ctx)
-        return CycloScalar(self.ctx, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        ctx = self.ctx
+        ctx.ensure_same(other.ctx)
+        da, db = self.den, other.den
+        if da == db:
+            num = [x + y for x, y in zip(self.num, other.num)]
+            if da == 1:
+                return CycloScalar(ctx, tuple(num), 1)
+            return _cyclo_canonical(ctx, num, da)
+        return _cyclo_canonical(ctx, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     def __sub__(self, other: "CycloScalar") -> "CycloScalar":
-        self.ctx.ensure_same(other.ctx)
-        return CycloScalar(self.ctx, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        ctx = self.ctx
+        ctx.ensure_same(other.ctx)
+        da, db = self.den, other.den
+        if da == db:
+            num = [x - y for x, y in zip(self.num, other.num)]
+            if da == 1:
+                return CycloScalar(ctx, tuple(num), 1)
+            return _cyclo_canonical(ctx, num, da)
+        return _cyclo_canonical(ctx, [x * db - y * da for x, y in zip(self.num, other.num)], da * db)
 
     def __neg__(self) -> "CycloScalar":
-        return CycloScalar(self.ctx, tuple(-a for a in self.coords))
+        return CycloScalar(self.ctx, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other: "CycloScalar") -> "CycloScalar":
-        self.ctx.ensure_same(other.ctx)
-        phi = self.ctx.phi
-        a, b = self.coords, other.coords
-        prod = [Fraction(0)] * (2 * phi - 1 if phi else 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        out = [Fraction(0)] * phi
-        red = self.ctx._red
-        p = self.ctx.p
-        for e, c in enumerate(prod):
-            if c:
-                if e < phi:
-                    out[e] += c
-                else:
-                    for i, r in enumerate(red[e % p]):
-                        if r:
-                            out[i] += c * r
-        return CycloScalar(self.ctx, tuple(out))
+        ctx = self.ctx
+        ctx.ensure_same(other.ctx)
+        num = _cyclo_mul(self.num, other.num, ctx)
+        den = self.den * other.den
+        if den == 1:
+            return CycloScalar(ctx, tuple(num), 1)
+        return _cyclo_canonical(ctx, num, den)
 
     def inverse(self) -> "CycloScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
-        # extended Euclid against the cyclotomic modulus over Q;
-        # invariant: r_i == s_i * self (mod Phi_p)
-        r0 = [Fraction(x) for x in self.ctx.modulus]
-        r1 = list(self.coords)
-        s0: list = []
-        s1 = [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if not r1:
-                raise ZeroDivisionError("element not invertible")
-            if len(r1) == 1:
-                break
-            quo, rem = _pdivmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fsub(s0, _fmul(quo, s1))
-        c = r1[0]
-        inv = [f / c for f in s1]
-        inv += [Fraction(0)] * (self.ctx.phi - len(inv))
-        return CycloScalar(self.ctx, tuple(inv[: self.ctx.phi]))
+        ctx, num, den = self.ctx, self.num, self.den
+        if not any(num[1:]):
+            c = num[0]
+            if not c:
+                raise ZeroDivisionError("inverse of zero scalar")
+            return _cyclo_canonical(ctx, [den] + [0] * (ctx.phi - 1), c)
+        # x * prod_{k != 1} sigma_k(x) is the norm N(x), a nonzero integer,
+        # where sigma_k (k a unit mod p) maps q^j to q^(j*k)
+        p = ctx.p
+        others = None
+        for k in range(2, p):
+            if math.gcd(k, p) == 1:
+                conj = _cyclo_eval(((j * k, x) for j, x in enumerate(num)), ctx)
+                others = conj if others is None else _cyclo_mul(others, conj, ctx)
+        norm = _cyclo_mul(num, others, ctx)[0]
+        return _cyclo_canonical(ctx, [den * x for x in others], norm)
 
     def __truediv__(self, other: "CycloScalar") -> "CycloScalar":
         return self * other.inverse()
@@ -620,24 +647,6 @@ class CycloScalar:
 
     def __repr__(self) -> str:
         return f"CycloScalar(p={self.ctx.p}, {format_scalar(self)})"
-
-
-def _fmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _fsub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 Scalar = Union[GenericScalar, CycloScalar]
@@ -666,20 +675,37 @@ def q_binomial(ctx: ScalarContext, n: int, k: int) -> Scalar:
 
     Rules: (n 0) = 1, (0 k+1) = 0, and
     (n+1 k+1) = (n k) + q^(k+1) * (n k+1).  Memoized per context.
+
+    The recursion runs on an explicit stack, so n is not bounded by the
+    interpreter's recursion limit; it fills exactly the memo entries the
+    recursive form would, and stops at entries already in the memo.
     """
     if n < 0 or k < 0:
         raise ValueError("q_binomial needs n, k >= 0")
-    got = ctx._qbin.get((n, k))
+    memo = ctx._qbin
+    got = memo.get((n, k))
     if got is not None:
         return got
-    if k == 0:
-        out = ctx.one()
-    elif n == 0:
-        out = ctx.zero()
-    else:
-        out = q_binomial(ctx, n - 1, k - 1) + ctx.q_power(k) * q_binomial(ctx, n - 1, k)
-    ctx._qbin[(n, k)] = out
-    return out
+    stack = [(n, k)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        row, col = key
+        if col == 0:
+            memo[key] = ctx.one()
+        elif row == 0:
+            memo[key] = ctx.zero()
+        else:
+            left, right = (row - 1, col - 1), (row - 1, col)
+            missing = [c for c in (left, right) if c not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            memo[key] = memo[left] + ctx.q_power(col) * memo[right]
+        stack.pop()
+    return memo[(n, k)]
 
 
 def q_binomial_lucas(ctx: ScalarContext, n: int, k: int) -> Scalar:
@@ -783,13 +809,7 @@ def scaled_struct_d(ctx: ScalarContext, i: int, l: int, e: int, fast: bool = Fal
 # ---------------------------------------------------------------------------
 
 def _eval_poly_cyclo(poly: IntPoly, ctx: ScalarContext) -> CycloScalar:
-    acc = [Fraction(0)] * ctx.phi
-    for e, c in enumerate(poly):
-        if c:
-            for i, r in enumerate(ctx._red[e % ctx.p]):
-                if r:
-                    acc[i] += c * r
-    return CycloScalar(ctx, tuple(acc))
+    return CycloScalar(ctx, tuple(_cyclo_eval(enumerate(poly), ctx)), 1)
 
 
 def specialize(s: GenericScalar, ctx: ScalarContext) -> CycloScalar:
@@ -810,13 +830,20 @@ def specialize(s: GenericScalar, ctx: ScalarContext) -> CycloScalar:
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _rational_text(n: int, d: int) -> str:
+    """n/d in lowest terms, written as ``str(Fraction(n, d))`` writes it."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def format_scalar(s: Scalar):
     """Serialize a scalar: generic to a string, torsion to a list of rationals."""
     if isinstance(s, GenericScalar):
         if s.den == P_ONE:
             return poly_to_str(s.num)
         return f"({poly_to_str(s.num)})/({poly_to_str(s.den)})"
-    return [str(c) for c in s.coords]
+    return [_rational_text(x, s.den) for x in s.num]
 
 
 def scalar_text(s: Scalar) -> str:
@@ -824,19 +851,19 @@ def scalar_text(s: Scalar) -> str:
     if isinstance(s, GenericScalar):
         return format_scalar(s)
     out = ""
-    for e, f in enumerate(s.coords):
-        if f == 0:
+    for e, x in enumerate(s.num):
+        if x == 0:
             continue
-        mag = abs(f)
+        mag = _rational_text(abs(x), s.den)
         if e == 0:
-            body = str(mag)
+            body = mag
         else:
             head = "q" if e == 1 else f"q^{e}"
-            body = head if mag == 1 else f"{mag}*{head}"
+            body = head if mag == "1" else f"{mag}*{head}"
         if not out:
-            out = body if f > 0 else f"-{body}"
+            out = body if x > 0 else f"-{body}"
         else:
-            out += f" + {body}" if f > 0 else f" - {body}"
+            out += f" + {body}" if x > 0 else f" - {body}"
     return out or "0"
 
 
@@ -845,7 +872,9 @@ def parse_scalar(data, ctx: ScalarContext) -> Scalar:
     if ctx.is_torsion:
         if not isinstance(data, (list, tuple)) or len(data) != ctx.phi:
             raise ValueError(f"torsion scalar needs exactly {ctx.phi} coordinates")
-        return CycloScalar(ctx, tuple(Fraction(c) for c in data))
+        coords = [Fraction(c) for c in data]
+        den = math.lcm(*(f.denominator for f in coords))
+        return _cyclo_canonical(ctx, [f.numerator * (den // f.denominator) for f in coords], den)
     if not isinstance(data, str):
         raise ValueError("generic scalar must be a string")
     text = data.strip()

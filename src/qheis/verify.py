@@ -11,10 +11,22 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .heisenberg import Element, Monomial, commutator, multiply
+from .heisenberg import (
+    Element,
+    FreePoly,
+    Monomial,
+    ba_to_cbasis,
+    cbasis_to_free,
+    commutator,
+    multiply,
+    normal_word_product,
+    reduce_word,
+)
 from .liepoly import (
     classify_monomial,
     closure_rows,
@@ -25,7 +37,7 @@ from .liepoly import (
     NotLiePolynomialError,
     ConstructionError,
 )
-from .qscalar import ScalarContext, q_binomial, q_int, struct_c, struct_d
+from .qscalar import ScalarContext, q_binomial, q_int, scalar_text, struct_c, struct_d
 from .torsion import mixed_product_simplified, multiply_fastpath, pow_product_identity
 
 __all__ = [
@@ -312,7 +324,6 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
             else:
                 ok = v.is_zero()
             if not ok:
-                from .qscalar import scalar_text
                 collapse.add_violation({"l": l, "i": i, "value": scalar_text(v)})
     collapse.elapsed = time.time() - t0
     reports.append(collapse)
@@ -326,7 +337,6 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
         cl = struct_c(ctx, l, l)
         dl = struct_d(ctx, l, l)
         if cl != target or dl != target:
-            from .qscalar import scalar_text
             endpoints.add_violation({"l": l, "c_l": scalar_text(cl),
                                      "d_l": scalar_text(dl),
                                      "claimed": scalar_text(target)})
@@ -348,10 +358,6 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
     the memoized letter fold and converted back through the equal-power
     expansion.  Nothing on that route touches the nine-case dispatch.
     """
-    import random
-
-    from .heisenberg import FreePoly, ba_to_cbasis, cbasis_to_free, normal_word_product, reduce_word
-
     t0 = time.time()
     rep = VerifyReport(
         claim="multiply-matches-word-oracle",
@@ -367,7 +373,6 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
             d = rng.randint(-expmax, expmax)
             num = rng.randint(-3, 3) or 1
             den = rng.randint(1, 3)
-            from fractions import Fraction
             coeff = ctx.from_fraction(Fraction(num, den))
             if rng.random() < 0.3:
                 coeff = coeff * ctx.q_power(rng.randint(0, 3))

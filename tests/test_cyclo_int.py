@@ -1,0 +1,147 @@
+"""The torsion scalar representation: integer numerators over one denominator."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from qheis.qscalar import (
+    ScalarContext,
+    cyclotomic_poly,
+    format_scalar,
+    parse_scalar,
+    q_binomial,
+    q_binomial_lucas,
+)
+
+ORDERS = range(2, 13)
+
+
+def random_scalar(ctx, rng, terms=None):
+    """A random element with small rational coordinates, some of them zero."""
+    coords = [Fraction(0)] * ctx.phi
+    for _ in range(terms if terms is not None else rng.randint(1, ctx.phi)):
+        coords[rng.randrange(ctx.phi)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return parse_scalar([str(c) for c in coords], ctx)
+
+
+def assert_canonical(s):
+    assert isinstance(s.den, int) and s.den > 0
+    assert len(s.num) == s.ctx.phi
+    assert all(isinstance(x, int) for x in s.num)
+    assert math.gcd(s.den, *s.num) == 1
+    if not any(s.num):
+        assert s.den == 1
+
+
+@pytest.mark.parametrize("p", ORDERS)
+def test_operations_return_canonical_form(p):
+    ctx = ScalarContext.torsion(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        x, y = random_scalar(ctx, rng), random_scalar(ctx, rng)
+        for s in (x + y, x - y, -x, x * y, x - x, x * ctx.zero()):
+            assert_canonical(s)
+        if x:
+            assert_canonical(x.inverse())
+
+
+@pytest.mark.parametrize("p", ORDERS)
+def test_inverse_is_two_sided(p):
+    ctx = ScalarContext.torsion(p)
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        x = random_scalar(ctx, rng)
+        if not x:
+            continue
+        inv = x.inverse()
+        assert x * inv == ctx.one()
+        assert inv * x == ctx.one()
+        assert inv.inverse() == x
+
+
+def test_rational_inverse_and_zero():
+    ctx = ScalarContext.torsion(5)
+    assert ctx.from_fraction(Fraction(-3, 4)).inverse() == ctx.from_fraction(Fraction(-4, 3))
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero().inverse()
+
+
+def test_shared_constants():
+    ctx = ScalarContext.torsion(5)
+    assert ctx.one() is ctx.one() and ctx.zero() is ctx.zero()
+    assert ctx.one() == ctx.from_int(1) and ctx.zero() == ctx.from_int(0)
+    assert_canonical(ctx.one())
+    assert_canonical(ctx.zero())
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(1, 2), "1/2"),
+    (Fraction(-3), "-3"),
+    (Fraction(0), "0"),
+    (Fraction(-6, 4), "-3/2"),
+])
+def test_format_matches_fraction_text(value, text):
+    ctx = ScalarContext.torsion(5)
+    s = ctx.from_fraction(value)
+    assert format_scalar(s) == [text, "0", "0", "0"]
+    assert parse_scalar(format_scalar(s), ctx) == s
+
+
+@pytest.mark.parametrize("p", ORDERS)
+def test_format_round_trip(p):
+    ctx = ScalarContext.torsion(p)
+    rng = random.Random(200 + p)
+    for _ in range(20):
+        x = random_scalar(ctx, rng) * ctx.q_power(rng.randrange(p))
+        data = format_scalar(x)
+        assert data == [str(Fraction(c, x.den)) for c in x.num]
+        assert parse_scalar(data, ctx) == x
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_binomial_matches_lucas_far_past_recursion_depth(p):
+    ctx = ScalarContext.torsion(p)
+    assert q_binomial(ctx, 1500, 3) == q_binomial_lucas(ctx, 1500, 3)
+
+
+def test_binomial_fills_the_recursion_entries():
+    ctx = ScalarContext.torsion(3)
+    q_binomial(ctx, 6, 2)
+    # the Pascal recursion from (6, 2) visits row 6 - i at columns max(0, 2 - i) .. 2
+    expected = {(6 - i, c) for i in range(7) for c in range(max(0, 2 - i), 3)}
+    assert set(ctx._qbin) == expected
+
+
+# ---------------------------------------------------------------------------
+# cross-check against sympy's polynomial arithmetic modulo Phi_p
+# ---------------------------------------------------------------------------
+
+def _to_sympy(s, x, sympy):
+    return sum(sympy.Rational(c, s.den) * x**e for e, c in enumerate(s.num))
+
+
+def _from_sympy(expr, x, ctx, sympy):
+    poly = sympy.Poly(expr, x)
+    coeffs = [Fraction(0)] * ctx.phi
+    for (e,), c in poly.terms():
+        coeffs[e] = Fraction(int(c.p), int(c.q))
+    return parse_scalar([str(c) for c in coeffs], ctx)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 9, 12])
+def test_mul_and_inverse_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    modulus = sympy.cyclotomic_poly(p, x)
+    assert sympy.Poly(modulus, x).all_coeffs()[::-1] == list(cyclotomic_poly(p))
+    ctx = ScalarContext.torsion(p)
+    rng = random.Random(300 + p)
+    for _ in range(10):
+        a, b = random_scalar(ctx, rng), random_scalar(ctx, rng)
+        sa, sb = _to_sympy(a, x, sympy), _to_sympy(b, x, sympy)
+        product = sympy.rem(sympy.expand(sa * sb), modulus, x)
+        assert a * b == _from_sympy(product, x, ctx, sympy)
+        if a:
+            assert a.inverse() == _from_sympy(sympy.invert(sa, modulus, x), x, ctx, sympy)

@@ -222,3 +222,23 @@ def test_cli_verify_oracle_seed(capsys):
     code, out, _ = run_cli(capsys, "--p", "3", "verify", "oracle",
                            "--pairs", "5", "--seed", "9")
     assert code == 0 and "multiply-matches-word-oracle: ok" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--depth", "0"),
+    ("closure", "--kmax", "-1"),
+    ("closure", "--dmax", "-2"),
+    ("verify", "lemma2", "--kmax", "-1"),
+    ("verify", "lemma2", "--dmax", "-1"),
+    ("verify", "theorem1", "--depth", "0"),
+    ("verify", "theorem1", "--reach-kmax", "-1"),
+    ("verify", "oracle", "--pairs", "0"),
+    ("tables", "--lmax", "-1"),
+])
+def test_cli_rejects_empty_or_invalid_bounds(capsys, argv):
+    code, out, err = run_cli(capsys, "--p", "3", *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
