@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 success (and every verified claim holds), 1 at least one
-verification violation, 2 usage or parse errors.
+verification violation, 2 usage or parse errors, including a verify
+window that gives some claim nothing to check (2 takes precedence over 1).
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
         obj = {"p": ctx.p, "reports": [r.to_json_obj() for r in reports]}
         text = "\n".join(r.summary_line() for r in reports)
         _emit(args, text, obj)
+        vacuous = [r.claim for r in reports if r.vacuous]
+        if vacuous:
+            return _usage_error("vacuous, 0 checks in this window: " + ", ".join(vacuous))
         return 0 if all(r.ok for r in reports) else VIOLATION_ERROR
 
     if args.command == "tables":

@@ -23,7 +23,6 @@ discrepancy, which the verification reports do.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -565,15 +564,13 @@ class SubspaceBasis:
         return "\n".join(r.text() for r in self.rows)
 
 
-def closure_rows(ctx: ScalarContext, depth: int, max_workers: int | None = None):
+def closure_rows(ctx: ScalarContext, depth: int):
     """Echelonized generators of the bracket closure of {A, B} by degree.
 
     Degree counts generator leaves: A, B have degree 1 and a bracket of
     degrees a, b has degree a + b, so depth 6 includes e.g. the bracket
-    of two degree-3 elements.  Returns (degree, row) pairs, unprojected;
-    bracket results of one degree may be evaluated concurrently, while
-    insertion into the shared reduction is a sequential barrier, so the
-    output does not depend on scheduling.
+    of two degree-3 elements.  Returns (degree, row) pairs, unprojected,
+    in a deterministic order.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -597,14 +594,9 @@ def closure_rows(ctx: ScalarContext, depth: int, max_workers: int | None = None)
                 rows_a = by_degree[a]
                 pairs.extend((rows_a[i], rows_a[j])
                              for i in range(len(rows_a)) for j in range(i + 1, len(rows_a)))
-        if max_workers and max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(lambda xy: commutator(xy[0], xy[1]), pairs))
-        else:
-            results = [commutator(x, y) for x, y in pairs]
         fresh = []
-        for res in results:
-            row = reducer.insert(res)
+        for x, y in pairs:
+            row = reducer.insert(commutator(x, y))
             if row is not None:
                 fresh.append(row)
                 out.append((deg, row))
@@ -618,7 +610,6 @@ def lie_closure(
     depth: int,
     kmax: int,
     dmax: int,
-    max_workers: int | None = None,
 ) -> SubspaceBasis:
     """Bracket-closure span of {A, B} up to the given degree, windowed.
 
@@ -628,7 +619,7 @@ def lie_closure(
     """
     _require_torsion(ctx)
     reducer = RowReducer(ctx)
-    for _, row in closure_rows(ctx, depth, max_workers=max_workers):
+    for _, row in closure_rows(ctx, depth):
         projected = Element(
             ctx,
             {m: c for m, c in row.terms.items() if m.k <= kmax and abs(m.d) <= dmax},

@@ -4,7 +4,12 @@ Two scalar fields are supported, selected by a :class:`ScalarContext`:
 
 * generic mode -- the field of rational functions in an indeterminate ``q``
   with integer polynomial numerator/denominator, kept in canonical reduced
-  form so that equality is structural;
+  form so that equality is structural.  Every denominator the algebra
+  produces has the form ``c * q^a * (q-1)^b`` (the structure scalars carry
+  ``(q-1)^(-l)``, inverse powers of q carry ``q^n``), so reduction cancels
+  those two factors directly -- trailing zeros for q, synthetic division
+  at 1 for q-1 -- and runs a polynomial gcd only for a denominator with
+  some other factor;
 * torsion mode -- the cyclotomic field generated by a primitive ``p``-th
   root of unity, represented by integer numerators over the power basis
   ``1, q, ..., q^(phi(p)-1)`` modulo the ``p``-th cyclotomic polynomial,
@@ -104,13 +109,6 @@ def _ppow(a: IntPoly, n: int) -> IntPoly:
     return out
 
 
-def _pcontent(a: IntPoly) -> int:
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-    return g
-
-
 def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     """Exact division of integer polynomials with integral quotient.
 
@@ -182,6 +180,69 @@ def _pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if fa[-1] < 0:
         fa = [-x for x in fa]
     return tuple(fa)
+
+
+def _div_qm1(a: IntPoly) -> IntPoly:
+    """Quotient of a by (q - 1) by synthetic division; a must vanish at 1.
+
+    The coefficient of q^(k-1) in the quotient is a_k + a_(k+1) + ... .
+    """
+    out = []
+    acc = 0
+    for x in reversed(a[1:]):
+        acc += x
+        out.append(acc)
+    out.reverse()
+    return tuple(out)
+
+
+def _is_q_qm1_power(a: IntPoly) -> bool:
+    """True when the nonzero a is c * q^i * (q - 1)^b for integers c, i, b.
+
+    Compares a with c * (q - 1)^b coefficient by coefficient, binomial
+    by binomial from the top, so it costs O(b) integer operations.
+    """
+    i = 0
+    while a[i] == 0:
+        i += 1
+    b = len(a) - 1 - i
+    term = a[-1]  # c * (-1)^(b-k) * binom(b, k) for k = b, b-1, ..., 0
+    for k in range(b, 0, -1):
+        if a[i + k] != term:
+            return False
+        term = -term * k // (b - k + 1)
+    return a[i] == term
+
+
+def _cancel(num: IntPoly, den: IntPoly) -> tuple:
+    """Canonical (num, den) of the fraction num/den; both nonzero.
+
+    Common powers of q and of (q - 1) are cancelled directly.  What is
+    left has no common factor q or q - 1, so when either side is
+    constant, or the denominator is c * q^a * (q-1)^b, the gcd is a
+    constant and no polynomial gcd runs; otherwise ``_pgcd`` removes the
+    remaining common factor.  Last, the integer content and the sign of
+    the denominator's leading coefficient are normalized.
+    """
+    i = 0
+    while num[i] == 0 and den[i] == 0:
+        i += 1
+    if i:
+        num, den = num[i:], den[i:]
+    while sum(num) == 0 and sum(den) == 0:
+        num, den = _div_qm1(num), _div_qm1(den)
+    if len(num) > 1 and not _is_q_qm1_power(den):
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num = _pdiv_exact(num, g)
+            den = _pdiv_exact(den, g)
+    cn = math.gcd(*num, *den)
+    if den[-1] < 0:
+        cn = -cn
+    if cn != 1:
+        num = tuple([x // cn for x in num])
+        den = tuple([x // cn for x in den])
+    return num, den
 
 
 def poly_to_str(a: IntPoly, var: str = "q") -> str:
@@ -383,7 +444,7 @@ class ScalarContext:
         if self.is_torsion:
             return CycloScalar(self, (f.numerator,) + (0,) * (self.phi - 1), f.denominator)
         return GenericScalar((f.numerator,) if f.numerator else P_ZERO,
-                             (f.denominator,))
+                             (f.denominator,), _canonical=True)
 
     def q_power(self, n: int) -> "Scalar":
         """q^n; negative n allowed (inverse power)."""
@@ -395,8 +456,8 @@ class ScalarContext:
                 self._qpow[n] = got
             return got
         if n >= 0:
-            return GenericScalar((0,) * n + (1,), P_ONE)
-        return GenericScalar(P_ONE, (0,) * (-n) + (1,))
+            return GenericScalar((0,) * n + (1,), P_ONE, _canonical=True)
+        return GenericScalar(P_ONE, (0,) * (-n) + (1,), _canonical=True)
 
     def ensure_same(self, other: "ScalarContext") -> None:
         if other is not self and self != other:
@@ -413,6 +474,13 @@ class GenericScalar:
     Canonical form: gcd(num, den) is constant, gcd of the integer
     contents is 1, and the denominator has positive leading coefficient.
     Equality is therefore structural.
+
+    The constructor is the one canonicalizing entry.  Callers whose result
+    is canonical by construction (polynomial sums and products, ``q^n``,
+    rationals, negation, inversion) pass ``_canonical=True``; every other
+    input goes through :func:`_cancel`, which cancels q and (q - 1)
+    without a gcd and reaches the polynomial gcd only for a denominator
+    with a factor other than q and q - 1.
     """
 
     __slots__ = ("num", "den")
@@ -428,19 +496,7 @@ class GenericScalar:
             self.num = P_ZERO
             self.den = P_ONE
             return
-        g = _pgcd(num, den)
-        if len(g) > 1 or g[0] != 1:
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-        cn = math.gcd(_pcontent(num), _pcontent(den))
-        if cn > 1:
-            num = tuple(x // cn for x in num)
-            den = tuple(x // cn for x in den)
-        if den[-1] < 0:
-            num = _pneg(num)
-            den = _pneg(den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _cancel(num, den)
 
     # -- predicates ----------------------------------------------------
 
@@ -483,9 +539,13 @@ class GenericScalar:
         return GenericScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def inverse(self) -> "GenericScalar":
-        if not self.num:
+        num, den = self.num, self.den
+        if not num:
             raise ZeroDivisionError("inverse of zero scalar")
-        return GenericScalar(self.den, self.num)
+        # swapping a canonical pair keeps it reduced; only the sign moves
+        if num[-1] < 0:
+            return GenericScalar(_pneg(den), _pneg(num), _canonical=True)
+        return GenericScalar(den, num, _canonical=True)
 
     def __truediv__(self, other: "GenericScalar") -> "GenericScalar":
         return self * other.inverse()
@@ -749,7 +809,7 @@ def struct_c(ctx: ScalarContext, i: int, l: int, fast: bool = False) -> Scalar:
     if qb.is_zero():
         out = ctx.zero()
     else:
-        qm1_inv = (ctx.q() - ctx.one()).inverse() ** l
+        qm1_inv = ((ctx.q() - ctx.one()) ** l).inverse()
         sign = ctx.one() if (l - i) % 2 == 0 else -ctx.one()
         out = qm1_inv * sign * ctx.q_power(math.comb(i + 1, 2)) * qb
     ctx._c[key] = out
@@ -767,7 +827,7 @@ def struct_d(ctx: ScalarContext, i: int, l: int, fast: bool = False) -> Scalar:
     if qb.is_zero():
         out = ctx.zero()
     else:
-        qm1_inv = (ctx.q() - ctx.one()).inverse() ** l
+        qm1_inv = ((ctx.q() - ctx.one()) ** l).inverse()
         sign = ctx.one() if (l - i) % 2 == 0 else -ctx.one()
         out = (
             ctx.q_power(-math.comb(l, 2))

@@ -66,8 +66,13 @@ class VerifyReport:
     elapsed: float = 0.0
 
     @property
+    def vacuous(self) -> bool:
+        """True when the window gave the claim nothing to check."""
+        return self.pairs_checked == 0
+
+    @property
     def ok(self) -> bool:
-        return self.violations_total == 0
+        return self.violations_total == 0 and not self.vacuous
 
     def add_violation(self, entry: dict) -> None:
         self.violations_total += 1
@@ -88,7 +93,10 @@ class VerifyReport:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
     def summary_line(self) -> str:
-        status = "ok" if self.ok else f"FAILED ({self.violations_total} violations)"
+        if self.violations_total:
+            status = f"FAILED ({self.violations_total} violations)"
+        else:
+            status = "vacuous" if self.vacuous else "ok"
         return f"{self.claim}: {status} [{self.pairs_checked} checks, {self.elapsed:.2f}s]"
 
 

@@ -17,7 +17,7 @@ from qheis.heisenberg import (
     reduce_word,
     reduce_word_rewriting,
 )
-from qheis.qscalar import ContextMismatchError, ScalarContext, q_int, struct_d
+from qheis.qscalar import ContextMismatchError, ScalarContext, q_int, specialize, struct_d
 
 from conftest import letters, mono
 
@@ -299,3 +299,42 @@ def test_element_json_round_trip(mode):
 def test_negative_c_exponent_rejected(generic):
     with pytest.raises(ValueError):
         Element.monomial(generic, Monomial(-1, 0))
+
+
+# ---------------------------------------------------------------------------
+# generic-to-torsion specialization: an oracle independent of both engines
+# ---------------------------------------------------------------------------
+
+def specialize_element(x, ctx):
+    return Element(ctx, {m: specialize(c, ctx) for m, c in x.terms.items()})
+
+
+def random_generic_element(ctx, rng):
+    """At most 3 terms, exponents at most 4, small polynomial coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        m = Monomial(rng.randint(0, 4), rng.randint(-4, 4))
+        coeff = ctx.from_fraction(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+        terms[m] = coeff * ctx.q_power(rng.randint(0, 4)) + ctx.from_int(rng.randint(-2, 2))
+    return Element(ctx, terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+def test_specialized_generic_products_match_torsion(p):
+    g, t = ScalarContext.generic(), ScalarContext.torsion(p)
+    rng = random.Random(300 + p)
+    for _ in range(8):
+        x, y = random_generic_element(g, rng), random_generic_element(g, rng)
+        xt, yt = specialize_element(x, t), specialize_element(y, t)
+        assert specialize_element(multiply(x, y), t) == multiply(xt, yt)
+        assert specialize_element(commutator(x, y), t) == commutator(xt, yt)
+
+
+@pytest.mark.parametrize("n", [24, 32])
+@pytest.mark.parametrize("p", [3, 5])
+def test_specialized_generic_power_products_match_torsion(n, p):
+    g, t = ScalarContext.generic(), ScalarContext.torsion(p)
+    a, b = mono(g, 0, -n), mono(g, 0, n)
+    got = specialize_element(multiply(a, b), t)
+    assert got == multiply(mono(t, 0, -n), mono(t, 0, n))
+    assert not got.is_zero()

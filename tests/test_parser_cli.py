@@ -154,6 +154,20 @@ def test_cli_verify_finds_documented_violations(capsys):
     assert "fastpath-equivalence: ok" in out
 
 
+def test_cli_verify_vacuous_claim_is_usage_error(capsys):
+    # at p = 5 a letter-exponent window of 3 never reaches exponent p, so
+    # simplified-mixed-products has nothing to check; that is not "ok"
+    code, out, err = run_cli(capsys, "--p", "5", "verify", "torsion-paths",
+                             "--kmax", "3", "--dmax", "3")
+    assert code == 2
+    assert "simplified-mixed-products: vacuous [0 checks" in out
+    assert "simplified-power-product: FAILED" in out
+    assert "simplified-mixed-products: ok" not in out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "simplified-mixed-products" in lines[0]
+
+
 def test_cli_verify_json_payload_is_stable(capsys, tmp_path):
     def payload():
         code, out, _ = run_cli(capsys, "--p", "2", "--format", "json",
