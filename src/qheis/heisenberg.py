@@ -253,7 +253,7 @@ class Element:
 # Structure-constant multiplication (the nine monomial-pair cases)
 # ---------------------------------------------------------------------------
 
-def _mono_product(ctx: ScalarContext, x: Monomial, y: Monomial, fast: bool):
+def _mono_product(ctx: ScalarContext, x: Monomial, y: Monomial):
     """Product of two basis monomials as (Monomial, Scalar) pairs."""
     m, d1 = x
     k, d2 = y
@@ -276,27 +276,27 @@ def _mono_product(ctx: ScalarContext, x: Monomial, y: Monomial, fast: bool):
         n, l = -d1, d2
         if n >= l:
             return tuple(
-                (Monomial(m + i + k, -(n - l)), scaled_struct_c(ctx, i, l, (i + k) * (n - l), fast))
+                (Monomial(m + i + k, -(n - l)), scaled_struct_c(ctx, i, l, (i + k) * (n - l)))
                 for i in range(l + 1)
             )
         return tuple(
-            (Monomial(m + i + k, l - n), scaled_struct_c(ctx, i, n, (m + i) * (l - n), fast))
+            (Monomial(m + i + k, l - n), scaled_struct_c(ctx, i, n, (m + i) * (l - n)))
             for i in range(n + 1)
         )
     # d1 > 0 and d2 < 0: B^n C^m . C^k A^l through B^j A^j = sum d_i(j) C^i
     n, l = d1, -d2
     if n >= l:
         return tuple(
-            (Monomial(m + k + i, n - l), scaled_struct_d(ctx, i, l, -(m + k) * l, fast))
+            (Monomial(m + k + i, n - l), scaled_struct_d(ctx, i, l, -(m + k) * l))
             for i in range(l + 1)
         )
     return tuple(
-        (Monomial(m + k + i, -(l - n)), scaled_struct_d(ctx, i, n, -(m + k) * n, fast))
+        (Monomial(m + k + i, -(l - n)), scaled_struct_d(ctx, i, n, -(m + k) * n))
         for i in range(n + 1)
     )
 
 
-def multiply(x: Element, y: Element, fast: bool = False) -> Element:
+def multiply(x: Element, y: Element) -> Element:
     """Bilinear extension of the nine basis-monomial product cases."""
     x.ctx.ensure_same(y.ctx)
     ctx = x.ctx
@@ -306,7 +306,7 @@ def multiply(x: Element, y: Element, fast: bool = False) -> Element:
             cxy = cx * cy
             if cxy.is_zero():
                 continue
-            for mono, coef in _mono_product(ctx, mx, my, fast):
+            for mono, coef in _mono_product(ctx, mx, my):
                 if coef.is_zero():
                     continue
                 add = cxy * coef
@@ -319,9 +319,9 @@ def multiply(x: Element, y: Element, fast: bool = False) -> Element:
     return Element(ctx, out, _clean=True)
 
 
-def commutator(x: Element, y: Element, fast: bool = False) -> Element:
+def commutator(x: Element, y: Element) -> Element:
     """Lie bracket [x, y] = xy - yx."""
-    return multiply(x, y, fast) - multiply(y, x, fast)
+    return multiply(x, y) - multiply(y, x)
 
 
 def graded_components(x: Element) -> dict[int, Element]:

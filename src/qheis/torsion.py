@@ -1,5 +1,5 @@
 """Root-of-unity specializations: reduced exponents, simplified products,
-the fast multiplication path, and centrality tests.
+the torsion-checked product, and centrality tests.
 
 The simplified product identities stated for torsion order p come in two
 flavours here:
@@ -8,11 +8,12 @@ flavours here:
   documented simplified formulas literally, so the verification suite
   can compare them against the general structure-constant path and
   report exactly where they hold.  They are claims, not shortcuts.
-* `multiply_fastpath` is a verified optimization: it runs the general
-  nine-case dispatch but computes torsion q-binomials through the
-  root-of-unity factorization (`q_binomial_lucas`) and reduces all
-  q-exponents modulo p.  Its output is identical to `multiply` by
-  construction and the equivalence suite exercises it exhaustively.
+* `multiply_fastpath` is `multiply` for a torsion context.  There is one
+  product route: in torsion mode the structure scalars always take their
+  Gaussian binomials through the root-of-unity factorization
+  (`q_binomial_lucas`) and reduce q-exponents modulo p.  The
+  ``fastpath-equivalence`` claim checks that factorization against the
+  Pascal recursion on every binomial a window product uses.
 
 The comparison (see the verification reports) shows the literal mixed
 formulas and the power-product identity hold only at letter exponent
@@ -128,16 +129,14 @@ def mixed_product_simplified(ctx: ScalarContext, x: Monomial, y: Monomial) -> El
 
 
 def multiply_fastpath(x: Element, y: Element) -> Element:
-    """Torsion-optimized product, identical to the general `multiply`.
+    """The product `multiply`, after checking for a torsion context.
 
-    Skips and evaluates Gaussian binomials through the root-of-unity
-    factorization instead of the full Pascal recursion; exponent
-    reduction modulo p happens in the scalar layer.  The equivalence
-    with `multiply` over the exhaustive acceptance grid is part of the
-    release gate.
+    In torsion mode `multiply` already evaluates Gaussian binomials
+    through the root-of-unity factorization and reduces exponents modulo
+    p in the scalar layer; this entry only rejects a generic context.
     """
     _require_torsion(x.ctx)
-    return multiply(x, y, fast=True)
+    return multiply(x, y)
 
 
 def is_central(x: Element) -> bool:

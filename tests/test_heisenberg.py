@@ -17,9 +17,9 @@ from qheis.heisenberg import (
     reduce_word,
     reduce_word_rewriting,
 )
-from qheis.qscalar import ContextMismatchError, ScalarContext, q_int, specialize, struct_d
+from qheis.qscalar import ContextMismatchError, ScalarContext, q_int, struct_d
 
-from conftest import letters, mono
+from conftest import letters, mono, specialize_element
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +304,6 @@ def test_negative_c_exponent_rejected(generic):
 # ---------------------------------------------------------------------------
 # generic-to-torsion specialization: an oracle independent of both engines
 # ---------------------------------------------------------------------------
-
-def specialize_element(x, ctx):
-    return Element(ctx, {m: specialize(c, ctx) for m, c in x.terms.items()})
-
 
 def random_generic_element(ctx, rng):
     """At most 3 terms, exponents at most 4, small polynomial coefficients."""

@@ -151,6 +151,11 @@ def test_lucas_factorization_matches_recursion(p):
     for n in range(0, 3 * p + 3):
         for k in range(0, n + 2):
             assert q_binomial_lucas(ctx, n, k) == q_binomial(ctx, n, k)
+    for n, k in ((-1, 0), (0, -1), (-p, -p)):
+        with pytest.raises(ValueError):
+            q_binomial_lucas(ctx, n, k)
+        with pytest.raises(ValueError):
+            q_binomial(ctx, n, k)
 
 
 # ---------------------------------------------------------------------------

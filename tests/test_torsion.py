@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from qheis import verify
 from qheis.heisenberg import Element, Monomial, multiply
-from qheis.qscalar import ContextMismatchError, ScalarContext
+from qheis.qscalar import ContextMismatchError, ScalarContext, q_binomial
 from qheis.torsion import (
     is_central,
     mixed_product_simplified,
@@ -13,7 +14,7 @@ from qheis.torsion import (
     reduce_exponent,
 )
 
-from conftest import mono
+from conftest import mono, specialize_element
 
 
 def test_reduce_exponent():
@@ -69,19 +70,51 @@ def test_mixed_simplified_true_instance(p2):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_fastpath_equals_general_sampled(p):
-    ctx = ScalarContext.torsion(p)
+    # q-Lucas binomials on the torsion side, Pascal over Z[q] on the generic side
+    ctx, generic = ScalarContext.torsion(p), ScalarContext.generic()
     exps = [0, 1, p - 1, p, p + 1, 2 * p]
     for k1, k2 in itertools.product([0, 1, p], repeat=2):
         for n, l in itertools.product(exps, repeat=2):
-            x = mono(ctx, k1, -n)
-            y = mono(ctx, k2, l)
-            assert multiply_fastpath(x, y) == multiply(x, y)
-            assert multiply_fastpath(y, x) == multiply(y, x)
+            x, y = Monomial(k1, -n), Monomial(k2, l)
+            for a, b in ((x, y), (y, x)):
+                got = multiply_fastpath(mono(ctx, *a), mono(ctx, *b))
+                gen = multiply(mono(generic, *a), mono(generic, *b))
+                assert got == specialize_element(gen, ctx)
 
 
 def test_fastpath_needs_torsion(generic):
     with pytest.raises(ContextMismatchError):
         multiply_fastpath(mono(generic, 0, 1), mono(generic, 0, -1))
+
+
+def test_fastpath_claim_catches_a_wrong_lucas_route(monkeypatch):
+    ctx = ScalarContext.torsion(3)
+
+    def claim():
+        reports = verify.verify_torsion_paths(ctx, 1, 6)
+        return next(r for r in reports if r.claim == "fastpath-equivalence")
+
+    assert claim().violations_total == 0
+    # q-Lucas without its outer factor binom(n // p, k // p)
+    monkeypatch.setattr(verify, "q_binomial_lucas",
+                        lambda ctx, n, k: q_binomial(ctx, n % ctx.p, k % ctx.p))
+    bad = claim()
+    # only j = 6 has binom(2, 1) = 2: A^6 against B^6 and B^6 against A^6,
+    # with C exponents 0 or 1 on each side
+    assert (bad.pairs_checked, bad.violations_total) == (676, 8)
+
+
+@pytest.mark.parametrize("p, n", [(3, 40), (5, 40), (2, 100)])
+def test_central_power_products_far_past_p(p, n):
+    # A^p and B^p are central, so A^(np) B^(np) = (A^p B^p)^n
+    ctx = ScalarContext.torsion(p)
+    got = multiply(mono(ctx, 0, -n * p), mono(ctx, 0, n * p))
+    assert got == power_product_exact(ctx) ** n
+
+
+def test_torsion_products_use_pascal_only_below_p(p3):
+    multiply(mono(p3, 0, -1200), mono(p3, 0, 1200))
+    assert p3._qbin and all(n < p3.p for n, _ in p3._qbin)
 
 
 @pytest.mark.parametrize("p", range(2, 8))
