@@ -44,6 +44,7 @@ __all__ = [
     "q_int",
     "q_binomial",
     "q_binomial_lucas",
+    "inv_qm1_power",
     "struct_c",
     "struct_d",
     "specialize",
@@ -350,8 +351,8 @@ class ScalarContext:
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
-        "_qbin_lucas", "_c", "_d", "_qpow", "_qint", "_scaled_c", "_scaled_d",
-        "_pow_word", "_awb",
+        "_qbin_lucas", "_c", "_d", "_qpow", "_qint", "_inv_qm1", "_scaled_c",
+        "_scaled_d", "_pow_word", "_awb",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -395,6 +396,7 @@ class ScalarContext:
         self._d: dict = {}
         self._qpow: dict = {}
         self._qint: dict = {}
+        self._inv_qm1: dict = {}
         self._scaled_c: dict = {}
         self._scaled_d: dict = {}
         self._pow_word: dict = {}
@@ -536,6 +538,11 @@ class GenericScalar:
         return GenericScalar(_pneg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other: "GenericScalar") -> "GenericScalar":
+        # unit coefficients make x * 1 common in products; scalars are immutable
+        if other.num == P_ONE and other.den == P_ONE:
+            return self
+        if self.num == P_ONE and self.den == P_ONE:
+            return other
         if self.den == P_ONE and other.den == P_ONE:
             return GenericScalar(_pmul(self.num, other.num), P_ONE, _canonical=True)
         return GenericScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
@@ -672,6 +679,12 @@ class CycloScalar:
     def __mul__(self, other: "CycloScalar") -> "CycloScalar":
         ctx = self.ctx
         ctx.ensure_same(other.ctx)
+        # about 80% of the products of a verify grid have an operand equal to 1
+        one = ctx._one.num
+        if other.den == 1 and other.num == one:
+            return self
+        if self.den == 1 and self.num == one:
+            return other
         num = _cyclo_mul(self.num, other.num, ctx)
         den = self.den * other.den
         if den == 1:
@@ -770,7 +783,13 @@ def q_binomial(ctx: ScalarContext, n: int, k: int) -> Scalar:
             if missing:
                 stack.extend(missing)
                 continue
-            memo[key] = memo[left] + ctx.q_power(col) * memo[right]
+            below = memo[right]
+            if ctx.is_torsion:
+                below = ctx.q_power(col) * below
+            elif below.num:
+                # Pascal entries are polynomials: q^col shifts the coefficients
+                below = GenericScalar((0,) * col + below.num, P_ONE, _canonical=True)
+            memo[key] = memo[left] + below
         stack.pop()
     return memo[(n, k)]
 
@@ -802,6 +821,18 @@ def q_binomial_lucas(ctx: ScalarContext, n: int, k: int) -> Scalar:
     return out
 
 
+def inv_qm1_power(ctx: ScalarContext, l: int) -> Scalar:
+    """(q - 1)^(-l), memoized per context (l >= 0).
+
+    Every structure scalar of letter exponent l carries this factor, and
+    the simplified torsion products carry (1 - q)^(-j) = (-1)^j (q - 1)^(-j).
+    """
+    got = ctx._inv_qm1.get(l)
+    if got is None:
+        got = ctx._inv_qm1[l] = ((ctx.q() - ctx.one()) ** l).inverse()
+    return got
+
+
 def _check_cd_args(i: int, l: int) -> None:
     if l < 1:
         raise ValueError("structure scalars need l >= 1")
@@ -818,7 +849,7 @@ def _struct_scalar(ctx: ScalarContext, i: int, l: int, e: int) -> Scalar:
     qb = q_binomial_lucas(ctx, l, i) if ctx.is_torsion else q_binomial(ctx, l, i)
     if qb.is_zero():
         return qb
-    out = ((ctx.q() - ctx.one()) ** l).inverse() * ctx.q_power(e) * qb
+    out = inv_qm1_power(ctx, l) * ctx.q_power(e) * qb
     return out if (l - i) % 2 == 0 else -out
 
 

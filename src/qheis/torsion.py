@@ -25,7 +25,7 @@ exact statement is A^p B^p = B^p A^p = (I - C^p)/(1-q)^p, available as
 from __future__ import annotations
 
 from .heisenberg import Element, Monomial, commutator, multiply
-from .qscalar import ContextMismatchError, ScalarContext
+from .qscalar import ContextMismatchError, Scalar, ScalarContext, inv_qm1_power
 
 __all__ = [
     "reduce_exponent",
@@ -40,6 +40,12 @@ __all__ = [
 def _require_torsion(ctx: ScalarContext) -> None:
     if not ctx.is_torsion:
         raise ContextMismatchError("operation needs a torsion context")
+
+
+def _inv_one_minus_q(ctx: ScalarContext, j: int) -> Scalar:
+    """(1 - q)^(-j) = (-1)^j (q - 1)^(-j), from the per-context memo."""
+    inv = inv_qm1_power(ctx, j)
+    return inv if j % 2 == 0 else -inv
 
 
 def reduce_exponent(ctx: ScalarContext, n: int) -> int:
@@ -66,7 +72,7 @@ def pow_product_identity(ctx: ScalarContext, l: int) -> Element:
             "below p the general expansion is the only valid form"
         )
     one = ctx.one()
-    inv = (one - ctx.q()).inverse() ** l
+    inv = _inv_one_minus_q(ctx, l)
     sign = one if l % 2 == 0 else -one
     return (Element.identity(ctx) - Element.monomial(ctx, Monomial(l, 0), sign)).scale(inv)
 
@@ -79,7 +85,7 @@ def power_product_exact(ctx: ScalarContext) -> Element:
     Gaussian binomials at l = p, and c_p(p) = -(1-q)^(-p).
     """
     _require_torsion(ctx)
-    inv = (ctx.one() - ctx.q()).inverse() ** ctx.p
+    inv = _inv_one_minus_q(ctx, ctx.p)
     return (Element.identity(ctx) - Element.monomial(ctx, Monomial(ctx.p, 0))).scale(inv)
 
 
@@ -96,7 +102,7 @@ def mixed_product_simplified(ctx: ScalarContext, x: Monomial, y: Monomial) -> El
     _require_torsion(ctx)
     p = ctx.p
     one = ctx.one()
-    inv = lambda j: (one - ctx.q()).inverse() ** j
+    inv = lambda j: _inv_one_minus_q(ctx, j)
     qp = lambda e: ctx.q_power(e % p)
     sgn = lambda j: one if j % 2 == 0 else -one
     m, d1 = x

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .heisenberg import (
     Element,
@@ -74,10 +75,15 @@ class VerifyReport:
     def ok(self) -> bool:
         return self.violations_total == 0 and not self.vacuous
 
-    def add_violation(self, entry: dict) -> None:
+    def add_violation(self, entry: Callable[[], dict]) -> None:
+        """Count a violation; build its entry only while entries are still kept.
+
+        Entries render elements and scalars as text, which costs far more
+        than the check itself once a suite reports thousands of violations.
+        """
         self.violations_total += 1
         if len(self.violations) < MAX_RECORDED_VIOLATIONS:
-            self.violations.append(entry)
+            self.violations.append(entry())
 
     def to_json_obj(self) -> dict:
         return {
@@ -127,8 +133,8 @@ def verify_no_N_leakage(ctx: ScalarContext, kmax: int, dmax: int) -> VerifyRepor
         rep.pairs_checked += 1
         bad = project_N(f)
         if not bad.is_zero():
-            rep.add_violation({"left": m1.text(), "right": m2.text(),
-                               "residual": bad.text()})
+            rep.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
+                                       "residual": bad.text()})
     rep.elapsed = time.time() - t0
     return rep
 
@@ -161,7 +167,7 @@ def verify_lemma3(ctx: ScalarContext, mmax: int, nmax: int) -> VerifyReport:
                 else:
                     ok = mono.d == -(n - s) and mono.k >= 1
                 if not ok:
-                    rep.add_violation({
+                    rep.add_violation(lambda: {
                         "left": Monomial(m, -n).text(),
                         "right": Monomial(r, s).text(),
                         "term": mono.text(),
@@ -194,8 +200,8 @@ def verify_derived_algebra(ctx: ScalarContext, kmax: int, dmax: int,
                 and mono not in (Monomial(0, -1), Monomial(0, 1))
             )
             if not in_der:
-                rep.add_violation({"left": m1.text(), "right": m2.text(),
-                                   "term": mono.text()})
+                rep.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
+                                           "term": mono.text()})
     rep.elapsed = time.time() - t0
     return rep
 
@@ -218,8 +224,8 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
         sound.pairs_checked += 1
         ok, residual = is_lie_polynomial(row, defn2_literal)
         if not ok:
-            sound.add_violation({"degree": deg, "row": row.text(),
-                                 "residual": residual.text()})
+            sound.add_violation(lambda: {"degree": deg, "row": row.text(),
+                                         "residual": residual.text()})
     sound.elapsed = time.time() - t0
 
     t1 = time.time()
@@ -235,11 +241,11 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
         try:
             witness = construct_basis_element(ctx, m, defn2_literal)
         except (NotLiePolynomialError, ConstructionError) as exc:
-            reach.add_violation({"monomial": m.text(), "error": str(exc)})
+            reach.add_violation(lambda: {"monomial": m.text(), "error": str(exc)})
             continue
         if witness.value != _mono(ctx, *m):
-            reach.add_violation({"monomial": m.text(),
-                                 "evaluated": witness.value.text()})
+            reach.add_violation(lambda: {"monomial": m.text(),
+                                         "evaluated": witness.value.text()})
     reach.elapsed = time.time() - t1
 
     t2 = time.time()
@@ -254,11 +260,13 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
         cj = _mono(ctx, j, 0)
         in_span = span.contains(cj)
         if j % ctx.p == 0 and in_span:
-            grade0.add_violation({"monomial": Monomial(j, 0).text(),
-                                  "detail": "power of C divisible by p entered the span"})
+            grade0.add_violation(lambda: {
+                "monomial": Monomial(j, 0).text(),
+                "detail": "power of C divisible by p entered the span"})
         if j == ctx.p + 1 and 2 * j <= depth and not in_span:
-            grade0.add_violation({"monomial": Monomial(j, 0).text(),
-                                  "detail": "expected central-power bracket target missing"})
+            grade0.add_violation(lambda: {
+                "monomial": Monomial(j, 0).text(),
+                "detail": "expected central-power bracket target missing"})
     grade0.elapsed = time.time() - t2
     return [sound, reach, grade0]
 
@@ -282,7 +290,7 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
         ba = multiply(_mono(ctx, 0, l), _mono(ctx, 0, -l))
         power.pairs_checked += 1
         if lit != ab or lit != ba:
-            power.add_violation({
+            power.add_violation(lambda: {
                 "l": l,
                 "claimed": lit.text(),
                 "general_AlBl": ab.text(),
@@ -302,8 +310,8 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
         mixed.pairs_checked += 1
         gen = multiply(_mono(ctx, *m1), _mono(ctx, *m2))
         if lit != gen:
-            mixed.add_violation({"left": m1.text(), "right": m2.text(),
-                                 "claimed": lit.text(), "general": gen.text()})
+            mixed.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
+                                         "claimed": lit.text(), "general": gen.text()})
     mixed.elapsed = time.time() - t0
     reports.append(mixed)
 
@@ -317,7 +325,7 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
         fast.pairs_checked += 1
         j = min(abs(m1.d), abs(m2.d)) if m1.d * m2.d < 0 else 0
         if any(q_binomial_lucas(ctx, j, i) != q_binomial(ctx, j, i) for i in range(j + 1)):
-            fast.add_violation({"left": m1.text(), "right": m2.text()})
+            fast.add_violation(lambda: {"left": m1.text(), "right": m2.text()})
     fast.elapsed = time.time() - t0
     reports.append(fast)
 
@@ -335,7 +343,7 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
             else:
                 ok = v.is_zero()
             if not ok:
-                collapse.add_violation({"l": l, "i": i, "value": scalar_text(v)})
+                collapse.add_violation(lambda: {"l": l, "i": i, "value": scalar_text(v)})
     collapse.elapsed = time.time() - t0
     reports.append(collapse)
 
@@ -348,9 +356,9 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
         cl = struct_c(ctx, l, l)
         dl = struct_d(ctx, l, l)
         if cl != target or dl != target:
-            endpoints.add_violation({"l": l, "c_l": scalar_text(cl),
-                                     "d_l": scalar_text(dl),
-                                     "claimed": scalar_text(target)})
+            endpoints.add_violation(lambda: {"l": l, "c_l": scalar_text(cl),
+                                             "d_l": scalar_text(dl),
+                                             "claimed": scalar_text(target)})
     endpoints.elapsed = time.time() - t0
     reports.append(endpoints)
     return reports
@@ -418,7 +426,7 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
         for (a, b), c in product_nf.items():
             via_words = via_words + ba_to_cbasis(a, b, ctx).scale(c)
         if direct != via_words:
-            rep.add_violation({"left": x.text(), "right": y.text()})
+            rep.add_violation(lambda: {"left": x.text(), "right": y.text()})
     rep.elapsed = time.time() - t0
     return rep
 

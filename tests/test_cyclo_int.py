@@ -7,9 +7,13 @@ from fractions import Fraction
 import pytest
 
 from qheis.qscalar import (
+    ContextMismatchError,
     ScalarContext,
+    _cyclo_canonical,
+    _cyclo_mul,
     cyclotomic_poly,
     format_scalar,
+    inv_qm1_power,
     parse_scalar,
     q_binomial,
     q_binomial_lucas,
@@ -35,16 +39,42 @@ def assert_canonical(s):
         assert s.den == 1
 
 
+def kernel_product(x, y):
+    """x * y through the convolution kernel, with no unit shortcut."""
+    return _cyclo_canonical(x.ctx, _cyclo_mul(x.num, y.num, x.ctx), x.den * y.den)
+
+
 @pytest.mark.parametrize("p", ORDERS)
 def test_operations_return_canonical_form(p):
     ctx = ScalarContext.torsion(p)
     rng = random.Random(p)
+    # q^0 equals the shared 1 but is another object
+    one, q0 = ctx.one(), ctx.q_power(0)
     for _ in range(40):
         x, y = random_scalar(ctx, rng), random_scalar(ctx, rng)
-        for s in (x + y, x - y, -x, x * y, x - x, x * ctx.zero()):
+        units = (x * one, one * x, x * q0, q0 * x)
+        for s in (x + y, x - y, -x, x * y, x - x, x * ctx.zero()) + units:
             assert_canonical(s)
+        assert all(s == kernel_product(x, one) == x for s in units)
         if x:
             assert_canonical(x.inverse())
+
+
+def test_unit_product_still_checks_contexts():
+    with pytest.raises(ContextMismatchError):
+        ScalarContext.torsion(3).one() * ScalarContext.torsion(5).one()
+    with pytest.raises(ContextMismatchError):
+        ScalarContext.torsion(5).q() * ScalarContext.torsion(3).one()
+
+
+@pytest.mark.parametrize("p", ORDERS)
+def test_inverse_qm1_power_memo(p):
+    ctx = ScalarContext.torsion(p)
+    qm1 = ctx.q() - ctx.one()
+    for l in range(3 * p + 1):
+        assert inv_qm1_power(ctx, l) == (qm1 ** l).inverse()
+        assert inv_qm1_power(ctx, l) is inv_qm1_power(ctx, l)
+    assert set(ctx._inv_qm1) == set(range(3 * p + 1))
 
 
 @pytest.mark.parametrize("p", ORDERS)
@@ -107,11 +137,11 @@ def test_binomial_matches_lucas_far_past_recursion_depth(p):
 
 
 def test_binomial_fills_the_recursion_entries():
-    ctx = ScalarContext.torsion(3)
-    q_binomial(ctx, 6, 2)
     # the Pascal recursion from (6, 2) visits row 6 - i at columns max(0, 2 - i) .. 2
     expected = {(6 - i, c) for i in range(7) for c in range(max(0, 2 - i), 3)}
-    assert set(ctx._qbin) == expected
+    for ctx in (ScalarContext.torsion(3), ScalarContext.generic()):
+        q_binomial(ctx, 6, 2)
+        assert set(ctx._qbin) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import io
 import math
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +22,14 @@ from qheis.qscalar import (
     ScalarContext,
     _div_qm1,
     _is_q_qm1_power,
+    _padd,
     _pdiv_exact,
     _pgcd,
     _pmul,
     _ppow,
+    inv_qm1_power,
     parse_scalar,
+    q_binomial,
 )
 
 Q = (0, 1)
@@ -145,3 +149,48 @@ def test_algebra_never_reaches_the_gcd(pgcd_calls):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(["--format", "json", argv[0], "--", *argv[1:]]) == 0
     assert pgcd_calls == []
+
+
+def test_unit_products_return_the_other_operand():
+    ctx = ScalarContext.generic()
+    one = ctx.one()
+    samples = [
+        GenericScalar(product(1, 1, 2, (1, 1)), product(-3, 0, 3, (1,))),
+        GenericScalar(product(2, 0, 1, (1,)), (1,)),
+        ctx.from_fraction(Fraction(-2, 9)),
+        ctx.q_power(-3),
+        ctx.zero(),
+        one,
+    ]
+    for x in samples:
+        # the product without a shortcut: canonicalize the convolutions
+        want = GenericScalar(_pmul(x.num, one.num), _pmul(x.den, one.den))
+        for got in (x * one, one * x, x * ctx.q_power(0), ctx.q_power(0) * x):
+            assert got == want == x
+            if got:
+                assert (got.num, got.den) == prs_canonical(got.num, got.den)
+
+
+def test_inverse_qm1_power_memo():
+    ctx = ScalarContext.generic()
+    qm1 = ctx.q() - ctx.one()
+    for l in range(16):
+        got = inv_qm1_power(ctx, l)
+        assert got == (qm1 ** l).inverse()
+        assert (got.num, got.den) == ((1,), _ppow(QM1, l))
+
+
+def test_pascal_table_matches_the_mirrored_recursion():
+    # (n k) = q^(n-k) (n-1 k-1) + (n-1 k), the other Pascal rule, by _pmul
+    ref = {}
+    for n in range(13):
+        for k in range(n + 1):
+            if k in (0, n):
+                ref[n, k] = (1,)
+            else:
+                ref[n, k] = _padd(_pmul(_ppow(Q, n - k), ref[n - 1, k - 1]), ref[n - 1, k])
+    ctx = ScalarContext.generic()
+    for (n, k), want in ref.items():
+        got = q_binomial(ctx, n, k)
+        assert (got.num, got.den) == (want, (1,))
+    assert q_binomial(ctx, 3, 5).is_zero()

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -102,6 +104,44 @@ def test_fastpath_claim_catches_a_wrong_lucas_route(monkeypatch):
     # only j = 6 has binom(2, 1) = 2: A^6 against B^6 and B^6 against A^6,
     # with C exponents 0 or 1 on each side
     assert (bad.pairs_checked, bad.violations_total) == (676, 8)
+
+
+# sha256 of the p = 5, k <= 3, |d| <= 5 torsion-paths reports without "elapsed"
+TORSION_PATHS_P5_DIGEST = "a029d3e44e3818b0d53c92408e2e6434d89ebf5110a125eb8fbc0caa2e7f23dc"
+
+
+def test_torsion_paths_render_only_recorded_violations(monkeypatch):
+    renders = {"element": 0, "scalar": 0}
+    element_text, scalar_text = Element.text, verify.scalar_text
+
+    def count_element(self, *args, **kwargs):
+        renders["element"] += 1
+        return element_text(self, *args, **kwargs)
+
+    def count_scalar(s):
+        renders["scalar"] += 1
+        return scalar_text(s)
+
+    monkeypatch.setattr(Element, "text", count_element)
+    monkeypatch.setattr(verify, "scalar_text", count_scalar)
+    # |d| <= 5 reaches letter exponent p, so the mixed products get checked
+    reports = verify.verify_torsion_paths(ScalarContext.torsion(5), 3, 5)
+    rep = {r.claim: r for r in reports}
+    assert rep["simplified-mixed-products"].violations_total > verify.MAX_RECORDED_VIOLATIONS
+    assert rep["qbinomial-collapse"].violations_total > verify.MAX_RECORDED_VIOLATIONS
+    # three elements per power entry and two per mixed entry; one scalar per
+    # collapse entry and three per endpoint entry
+    assert renders == {
+        "element": 3 * len(rep["simplified-power-product"].violations)
+                   + 2 * len(rep["simplified-mixed-products"].violations),
+        "scalar": len(rep["qbinomial-collapse"].violations)
+                  + 3 * len(rep["structure-scalar-endpoints"].violations),
+    }
+    objs = [r.to_json_obj() for r in reports]
+    for obj in objs:
+        del obj["elapsed"]
+    text = json.dumps(objs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TORSION_PATHS_P5_DIGEST
 
 
 @pytest.mark.parametrize("p, n", [(3, 40), (5, 40), (2, 100)])
