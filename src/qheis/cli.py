@@ -8,8 +8,10 @@ window that gives some claim nothing to check (2 takes precedence over 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from typing import Callable
 
 from .exprparse import ParseError, parse_element
 from .heisenberg import Element, Monomial, commutator
@@ -28,7 +30,13 @@ USAGE_ERROR = 2
 VIOLATION_ERROR = 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.
+
+    ``parse_args`` returns a fresh namespace on every call, so sharing
+    the parser carries no option value from one ``main`` call to the next.
+    """
     ap = argparse.ArgumentParser(
         prog="qheis",
         description="Exact computation in the q-deformed Heisenberg algebra "
@@ -114,15 +122,19 @@ def _usage_error(msg: str) -> int:
     return USAGE_ERROR
 
 
-def _emit(args, text_form: str, json_obj) -> None:
-    if args.format == "json":
-        payload = json.dumps(json_obj, sort_keys=True, indent=2)
-    else:
-        payload = text_form
+def _emit(args, text: Callable[[], str], json_obj: Callable[[], dict]) -> None:
+    """Print the text or JSON form of a result and write its JSON to --out.
+
+    Both forms are zero-argument callables, so only the forms that are
+    printed or written get rendered.
+    """
+    payload = None
+    if args.format == "json" or args.out:
+        payload = json.dumps(json_obj(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(json_obj, sort_keys=True, indent=2) + "\n")
-    print(payload)
+            fh.write(payload + "\n")
+    print(payload if args.format == "json" else text())
 
 
 def _parse_or_exit(text: str, ctx: ScalarContext) -> Element:
@@ -146,33 +158,43 @@ def main(argv=None) -> int:
 
     if args.command == "normalize":
         elem = _parse_or_exit(args.expr, ctx)
-        _emit(args, elem.text(), elem.to_json_obj())
+        _emit(args, elem.text, elem.to_json_obj)
         return 0
 
     if args.command == "comm":
         left = _parse_or_exit(args.left, ctx)
         right = _parse_or_exit(args.right, ctx)
         result = commutator(left, right)
-        _emit(args, result.text(), result.to_json_obj())
+        _emit(args, result.text, result.to_json_obj)
         return 0
 
     if args.command == "member":
         _require_torsion(ctx, "membership")
         elem = _parse_or_exit(args.expr, ctx)
         verdict, residual = is_lie_polynomial(elem, args.defn2_literal)
-        obj = {
-            "element": elem.to_json_obj(),
-            "is_lie_polynomial": verdict,
-            "residual": residual.to_json_obj(),
-        }
-        lines = [f"lie polynomial: {'yes' if verdict else 'no'}",
-                 f"residual: {residual.text()}"]
         mono = _single_monomial(elem)
+        witness = None
         if verdict and mono is not None:
-            witness = construct_basis_element(ctx, mono, args.defn2_literal)
-            obj["witness"] = witness.expr.text()
-            lines.append(f"witness: {witness.expr.text()}")
-        _emit(args, "\n".join(lines), obj)
+            witness = construct_basis_element(ctx, mono, args.defn2_literal).expr.text()
+
+        def member_text():
+            lines = [f"lie polynomial: {'yes' if verdict else 'no'}",
+                     f"residual: {residual.text()}"]
+            if witness is not None:
+                lines.append(f"witness: {witness}")
+            return "\n".join(lines)
+
+        def member_obj():
+            obj = {
+                "element": elem.to_json_obj(),
+                "is_lie_polynomial": verdict,
+                "residual": residual.to_json_obj(),
+            }
+            if witness is not None:
+                obj["witness"] = witness
+            return obj
+
+        _emit(args, member_text, member_obj)
         return 0 if verdict else VIOLATION_ERROR
 
     if args.command == "construct":
@@ -186,28 +208,28 @@ def main(argv=None) -> int:
         except (NotLiePolynomialError, ConstructionError) as exc:
             print(f"not constructible: {exc}", file=sys.stderr)
             return VIOLATION_ERROR
-        obj = {
-            "monomial": mono.text(),
-            "witness": witness.expr.text(),
-            "value": witness.value.to_json_obj(),
-        }
-        _emit(args, f"{mono.text()} = {witness.expr.text()}", obj)
+        _emit(args, lambda: f"{mono.text()} = {witness.expr.text()}",
+              lambda: {
+                  "monomial": mono.text(),
+                  "witness": witness.expr.text(),
+                  "value": witness.value.to_json_obj(),
+              })
         return 0
 
     if args.command == "closure":
         _require_torsion(ctx, "closure")
         basis = lie_closure(ctx, args.depth, args.kmax, args.dmax)
-        obj = {
-            "depth": args.depth,
-            "kmax": args.kmax,
-            "dmax": args.dmax,
-            "dimension": basis.dimension,
-            "rows": [row.to_json_obj() for row in basis.rows],
-        }
-        text = (f"dimension {basis.dimension} "
-                f"(depth {args.depth}, k <= {args.kmax}, |d| <= {args.dmax})\n"
-                + basis.text())
-        _emit(args, text, obj)
+        _emit(args,
+              lambda: (f"dimension {basis.dimension} "
+                       f"(depth {args.depth}, k <= {args.kmax}, |d| <= {args.dmax})\n"
+                       + basis.text()),
+              lambda: {
+                  "depth": args.depth,
+                  "kmax": args.kmax,
+                  "dmax": args.dmax,
+                  "dimension": basis.dimension,
+                  "rows": [row.to_json_obj() for row in basis.rows],
+              })
         return 0
 
     if args.command == "verify":
@@ -219,9 +241,8 @@ def main(argv=None) -> int:
             reach_kmax=args.reach_kmax, reach_dmax=args.reach_dmax,
             defn2_literal=args.defn2_literal, seed=args.seed, pairs=args.pairs,
         )
-        obj = {"p": ctx.p, "reports": [r.to_json_obj() for r in reports]}
-        text = "\n".join(r.summary_line() for r in reports)
-        _emit(args, text, obj)
+        _emit(args, lambda: "\n".join(r.summary_line() for r in reports),
+              lambda: {"p": ctx.p, "reports": [r.to_json_obj() for r in reports]})
         vacuous = [r.claim for r in reports if r.vacuous]
         if vacuous:
             return _usage_error("vacuous, 0 checks in this window: " + ", ".join(vacuous))
@@ -235,25 +256,18 @@ def main(argv=None) -> int:
                 monos.append(Monomial(m, -n))
                 monos.append(Monomial(m, n))
         monos.sort(key=lambda mm: (mm.d, mm.k))
-        rows = []
-        lines = []
-        for m1 in monos:
-            for m2 in monos:
-                prod = Element.monomial(ctx, m1) * Element.monomial(ctx, m2)
-                rows.append({
-                    "left": m1.text(),
-                    "right": m2.text(),
-                    "product": prod.to_json_obj()["terms"],
-                })
-                lines.append(f"{m1.text()} . {m2.text()} = {prod.text()}")
-        _emit(args, "\n".join(lines), {"p": ctx.p, "mode": ctx.mode, "rows": rows})
+        products = [(m1, m2, Element.monomial(ctx, m1) * Element.monomial(ctx, m2))
+                    for m1 in monos for m2 in monos]
+        _emit(args,
+              lambda: "\n".join(f"{m1.text()} . {m2.text()} = {prod.text()}"
+                                for m1, m2, prod in products),
+              lambda: {"p": ctx.p, "mode": ctx.mode, "rows": [
+                  {"left": m1.text(), "right": m2.text(),
+                   "product": prod.to_json_obj()["terms"]}
+                  for m1, m2, prod in products]})
         return 0
 
     return _usage_error(f"unknown command {args.command!r}")
-
-
-def run() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -10,19 +10,27 @@ Grammar (whitespace insensitive, '*' mandatory between factors):
 
 Rationals are ``a`` or ``a/b``; 'C' is surface syntax for [A, B]; scalar
 atoms commute with everything during elaboration.  Exponents are
-nonnegative integers and are capped to keep elaboration finite.
+nonnegative integers and are capped to keep elaboration finite.  Digits
+are ASCII ``0-9`` only.
+
+A product is elaborated by folding its factors directly: its scalar
+factors (rationals, q and their powers) into one scalar applied once,
+and runs of letter powers whose products are single monomials into one
+monomial.  Only the remaining factors are multiplied as elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .heisenberg import Element, Monomial, commutator
-from .qscalar import ScalarContext
+from .heisenberg import MONO_I, Element, Monomial, _mono_product, commutator
+from .qscalar import Scalar, ScalarContext
 
 __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
 
 MAX_EXPONENT = 4096
+# str.isdigit also accepts other scripts' digits and superscripts
+_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -62,9 +70,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), line, col))
             col += j - i
@@ -189,22 +197,66 @@ _ATOMS = {
 }
 
 
+def _scalar_factor(node, ctx: ScalarContext) -> Scalar | None:
+    """The scalar a factor node denotes, or None when it is not a scalar."""
+    base, n = (node[1], node[2]) if node[0] == "pow" else (node, 1)
+    if base[0] == "num":
+        return ctx.from_fraction(base[1] ** n)
+    if base == ("atom", "q"):
+        return ctx.q_power(n)
+    return None
+
+
+def _letter_power(node) -> Monomial | None:
+    """The basis monomial a factor node denotes (A^n, B^n, C^n, I^n), or None."""
+    base, n = (node[1], node[2]) if node[0] == "pow" else (node, 1)
+    if base[0] == "atom" and base[1] in _ATOMS:
+        m = _ATOMS[base[1]]
+        return Monomial(m.k * n, m.d * n)
+    return None
+
+
+def _elaborate_product(factors, ctx: ScalarContext) -> Element:
+    scalar = ctx.one()
+    elements = []       # the factors left to multiply as elements, in order
+    run = None          # trailing run of letter powers, as one monomial
+    for sub in factors:
+        s = _scalar_factor(sub, ctx)
+        if s is not None:
+            if s.is_zero():
+                return Element.zero(ctx)
+            scalar = scalar * s
+            continue
+        m = _letter_power(sub)
+        if m is not None and run is not None and run.d * m.d >= 0:
+            # the seven unmixed monomial products are single monomials
+            ((run, c),) = _mono_product(ctx, run, m)
+            scalar = scalar * c
+            continue
+        if run is not None:
+            elements.append(Element.monomial(ctx, run))
+            run = None
+        if m is not None:
+            run = m
+        elif sub[0] == "pow":
+            elements.append(elaborate(sub[1], ctx) ** sub[2])
+        else:
+            elements.append(elaborate(sub, ctx))
+    if run is not None or not elements:
+        elements.append(Element.monomial(ctx, MONO_I if run is None else run))
+    out = elements[0]
+    for x in elements[1:]:
+        out = out * x
+    return out.scale(scalar)
+
+
 def elaborate(node, ctx: ScalarContext) -> Element:
     """Fold an AST into a canonical element of the algebra."""
     kind = node[0]
-    if kind == "atom":
-        if node[1] == "q":
-            return Element.identity(ctx).scale(ctx.q())
-        return Element.monomial(ctx, _ATOMS[node[1]])
-    if kind == "num":
-        return Element.identity(ctx).scale(ctx.from_fraction(node[1]))
-    if kind == "pow":
-        return elaborate(node[1], ctx) ** node[2]
+    if kind in ("atom", "num", "pow"):
+        return _elaborate_product((node,), ctx)
     if kind == "product":
-        out = Element.identity(ctx)
-        for sub in node[1]:
-            out = out * elaborate(sub, ctx)
-        return out
+        return _elaborate_product(node[1], ctx)
     if kind == "neg":
         return -elaborate(node[1], ctx)
     if kind == "bracket":

@@ -1,6 +1,7 @@
 import pytest
 
 from qheis import Element, Monomial, ScalarContext
+from qheis.heisenberg import commutator
 from qheis.qscalar import specialize
 
 
@@ -47,3 +48,40 @@ def specialize_element(x, ctx, memo=None):
             s = memo[c] = specialize(c, ctx)
         terms[m] = s
     return Element(ctx, terms)
+
+
+_LETTERS = {"A": Monomial(0, -1), "B": Monomial(0, 1), "C": Monomial(1, 0), "I": Monomial(0, 0)}
+
+
+def elaborate_reference(node, ctx):
+    """An expression AST as an element, by full element products only.
+
+    Every atom becomes an element, powers are repeated products and a
+    product node is a left-to-right fold of ``*`` from the identity: the
+    plain reading of the grammar, kept to check the folded elaboration.
+    """
+    kind = node[0]
+    if kind == "atom":
+        if node[1] == "q":
+            return Element.identity(ctx).scale(ctx.q())
+        return Element.monomial(ctx, _LETTERS[node[1]])
+    if kind == "num":
+        return Element.identity(ctx).scale(ctx.from_fraction(node[1]))
+    if kind == "pow":
+        return elaborate_reference(node[1], ctx) ** node[2]
+    if kind == "product":
+        out = Element.identity(ctx)
+        for sub in node[1]:
+            out = out * elaborate_reference(sub, ctx)
+        return out
+    if kind == "neg":
+        return -elaborate_reference(node[1], ctx)
+    if kind == "bracket":
+        return commutator(elaborate_reference(node[1], ctx), elaborate_reference(node[2], ctx))
+    if kind == "sum":
+        out = Element.zero(ctx)
+        for sign, sub in node[1]:
+            val = elaborate_reference(sub, ctx)
+            out = out + (val if sign > 0 else -val)
+        return out
+    raise AssertionError(f"unhandled node {node!r}")

@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qheis.cli import main
+from qheis import heisenberg
+from qheis.cli import _build_parser, main
 from qheis.exprparse import ParseError, parse_element, parse_expression
 from qheis.heisenberg import Element, Monomial
 from qheis.qscalar import ScalarContext
 
-from conftest import mono
+from conftest import elaborate_reference, mono
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +70,66 @@ def test_parse_errors_carry_positions():
         parse_expression("[A B]")
 
 
+@pytest.mark.parametrize("text, col", [("A^\u00b2", 3), ("A^3\u0663", 4)])
+def test_digits_are_ascii_only(capsys, text, col):
+    # a superscript two is not an exponent, and an Arabic-Indic three does
+    # not extend the ASCII 3 to 33
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    code, out, err = run_cli(capsys, "normalize", "--", text)
+    assert code == 2 and out == ""
+    assert err == f"error: unexpected character {text[-1]!r} (line 1, column {col})\n"
+
+
+# (text, degree) for atoms; degree counts A and B once and C twice
+_ATOMS = st.sampled_from([("A", 1), ("B", 1), ("C", 2), ("I", 0), ("q", 0),
+                          ("0", 0), ("1", 0), ("2", 0), ("3/2", 0), ("1/3", 0)])
+MAX_DEGREE = 12     # keeps generic products of nested powers small
+
+
+def _grammar_exprs(expr):
+    group = st.one_of(
+        expr.map(lambda e: (f"({e[0]})", e[1])),
+        st.tuples(expr, expr).map(lambda lr: (f"[{lr[0][0]}, {lr[1][0]}]", lr[0][1] + lr[1][1])),
+    )
+    factor = st.tuples(st.one_of(_ATOMS, group), st.none() | st.integers(0, 6)).map(
+        lambda bn: bn[0] if bn[1] is None else (f"{bn[0][0]}^{bn[1]}", bn[0][1] * bn[1]))
+    term = st.tuples(st.booleans(), st.lists(factor, min_size=1, max_size=4)).map(
+        lambda t: (("-" if t[0] else "") + "*".join(f[0] for f in t[1]), sum(f[1] for f in t[1])))
+    terms = st.lists(st.tuples(st.sampled_from("+-"), term), min_size=1, max_size=3)
+    return terms.map(lambda ts: (
+        ts[0][1][0] + "".join(f" {sign} {t[0]}" for sign, t in ts[1:]),
+        max(t[1] for _, t in ts),
+    ))
+
+
+GRAMMAR = st.recursive(_ATOMS, _grammar_exprs, max_leaves=10).filter(lambda e: e[1] <= MAX_DEGREE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(GRAMMAR)
+def test_elaboration_matches_full_products(expr):
+    text, _ = expr
+    node = parse_expression(text)
+    for ctx in [ScalarContext.generic()] + [ScalarContext.torsion(p) for p in range(2, 8)]:
+        assert parse_element(text, ctx) == elaborate_reference(node, ctx), (text, ctx)
+
+
+def test_letter_and_scalar_factors_need_no_products(monkeypatch, generic, p5):
+    calls = []
+    real = heisenberg.multiply
+    monkeypatch.setattr(heisenberg, "multiply", lambda x, y: calls.append(1) or real(x, y))
+    for ctx in (generic, p5):
+        assert parse_element("A^4096", ctx) == mono(ctx, 0, -4096)
+        assert parse_element("2*q^4096*C^3*A^2", ctx) == mono(
+            ctx, 3, -2, ctx.from_int(2) * ctx.q_power(4096))
+    assert calls == []
+    # a mixed pair of letter powers is still one element product
+    parse_element("A^2*B^3", generic)
+    assert len(calls) == 1
+
+
 def test_print_parse_round_trip_torsion(p2, p3):
     corpus = [
         "A*B - q*B*A",
@@ -94,6 +162,15 @@ def run_cli(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qheis", "--p", "3", "normalize", "A*B - q*B*A"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(1)*I\n", "")
 
 
 def test_cli_normalize(capsys):
@@ -255,4 +332,75 @@ def test_cli_rejects_empty_or_invalid_bounds(capsys, argv):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_is_reentrant(tmp_path):
+    """Calls sharing the cached parser match calls with a freshly built one."""
+    out_text, out_json = tmp_path / "text.json", tmp_path / "json.json"
+    sequence = [
+        ["--p", "3", "--format", "json", "--defn2-literal", "normalize", "--", "-B^2*A + q*C"],
+        ["normalize", "--", "B^2*A"],
+        ["--p", "5", "comm", "--", "C*A^2", "B^3"],
+        ["--format", "json", "comm", "--", "A^2", "B"],
+        ["--p", "2", "verify", "oracle", "--pairs", "3", "--seed", "7"],
+        ["--p", "3", "verify", "lemma2", "--kmax", "1", "--dmax", "2"],
+        ["--p", "3", "verify", "lemma3"],
+        ["--format", "yaml", "normalize", "A"],
+        ["--p", "3", "normalize", "--", "A*"],
+        ["--p", "1", "normalize", "A"],
+        ["--p", "3", "--out", str(out_text), "normalize", "--", "A*B"],
+        ["--p", "3", "--out", str(out_json), "--format", "json", "comm", "--", "A", "B^2"],
+        ["--p", "3", "member", "C^3"],
+        ["normalize", "A"],
+    ]
+    elapsed = re.compile(r"\d+\.\d+s\]")
+    shared = []
+    for argv in sequence:
+        code, out, err = _call(argv)
+        files = [p.read_text() if p.exists() else None for p in (out_text, out_json)]
+        shared.append((code, elapsed.sub("s]", out), err, files))
+    for path in (out_text, out_json):
+        path.unlink()
+    for argv, want in zip(sequence, shared):
+        _build_parser.cache_clear()
+        code, out, err = _call(argv)
+        files = [p.read_text() if p.exists() else None for p in (out_text, out_json)]
+        assert (code, elapsed.sub("s]", out), err, files) == want, argv
+    codes = [r[0] for r in shared]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 1, 0]
+    assert shared[-1][1] == "(1)*A\n"     # no --p, --format or --out left over
+    assert json.loads(out_json.read_text())["mode"] == "torsion"
+    assert json.loads(out_text.read_text()) == json.loads(
+        _call(["--p", "3", "--format", "json", "normalize", "--", "A*B"])[1])
+
+
+# the grammar's alphabet plus non-ASCII digits and letters, and grammar text
+_FUZZ_TEXT = st.one_of(
+    st.text(alphabet="ABCIq0123+-*^[](),/ \n\u00b2\u0663\u00e9x", max_size=12).filter(
+        lambda s: not re.search("[0-9]{2}", s)),    # exponents stay at most 3
+    GRAMMAR.map(lambda e: e[0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["normalize", "comm", "member"]),
+       st.sampled_from([[], ["--p", "2"], ["--p", "3"], ["--p", "5"]]),
+       st.sampled_from([[], ["--format", "json"]]),
+       _FUZZ_TEXT, _FUZZ_TEXT)
+def test_cli_fuzz_exits_cleanly(command, p, fmt, left, right):
+    args = [left, right] if command == "comm" else [left]
+    code, _, err = _call([*p, *fmt, command, "--", *args])
+    assert code in ((0, 1, 2) if command == "member" else (0, 2)), (command, args, code)
     assert "Traceback" not in err
