@@ -128,13 +128,20 @@ def _emit(args, text: Callable[[], str], json_obj: Callable[[], dict]) -> None:
     Both forms are zero-argument callables, so only the forms that are
     printed or written get rendered.
     """
-    payload = None
-    if args.format == "json" or args.out:
-        payload = json.dumps(json_obj(), sort_keys=True, indent=2)
+    try:
+        payload = None
+        if args.format == "json" or args.out:
+            payload = json.dumps(json_obj(), sort_keys=True, indent=2)
+        shown = payload if args.format == "json" else text()
+    except ValueError:
+        # the only ValueError rendering raises: Python's int-to-str digit limit
+        raise SystemExit(_usage_error(
+            "result has a coefficient too long to print "
+            f"(more than {sys.get_int_max_str_digits()} digits)"))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
-    print(payload if args.format == "json" else text())
+    print(shown)
 
 
 def _parse_or_exit(text: str, ctx: ScalarContext) -> Element:

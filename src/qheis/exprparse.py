@@ -10,8 +10,9 @@ Grammar (whitespace insensitive, '*' mandatory between factors):
 
 Rationals are ``a`` or ``a/b``; 'C' is surface syntax for [A, B]; scalar
 atoms commute with everything during elaboration.  Exponents are
-nonnegative integers and are capped to keep elaboration finite.  Digits
-are ASCII ``0-9`` only.
+nonnegative integers and are capped to keep elaboration finite; integer
+literals are capped at ``MAX_LITERAL_DIGITS`` digits.  Digits are ASCII
+``0-9`` only.
 
 A product is elaborated by folding its factors directly: its scalar
 factors (rationals, q and their powers) into one scalar applied once,
@@ -29,6 +30,8 @@ from .qscalar import Scalar, ScalarContext
 __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
 
 MAX_EXPONENT = 4096
+# Python converts at most 4300 digits between int and str by default
+MAX_LITERAL_DIGITS = 4300
 # str.isdigit also accepts other scripts' digits and superscripts
 _DIGITS = frozenset("0123456789")
 
@@ -74,6 +77,9 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal of {j - i} digits exceeds {MAX_LITERAL_DIGITS}",
+                                 line, col)
             tokens.append(_Token("int", int(text[i:j]), line, col))
             col += j - i
             i = j

@@ -296,32 +296,48 @@ def _mono_product(ctx: ScalarContext, x: Monomial, y: Monomial):
     )
 
 
-def multiply(x: Element, y: Element) -> Element:
-    """Bilinear extension of the nine basis-monomial product cases."""
-    x.ctx.ensure_same(y.ctx)
-    ctx = x.ctx
-    out: dict = {}
+def _accumulate(out: dict, ctx: ScalarContext, x: Element, y: Element, add: bool) -> None:
+    """Add the product xy into the terms dict ``out``, or subtract it.
+
+    The one product kernel: `multiply` is one adding pass, `commutator`
+    an adding pass over (x, y) and a subtracting pass over (y, x) into
+    the same dict.  Element terms are nonzero and the scalars form a
+    field, so a product of two coefficients is never zero; a structure
+    scalar can be (q-Lucas binomials vanish at a root of unity).
+    """
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
             cxy = cx * cy
-            if cxy.is_zero():
-                continue
             for mono, coef in _mono_product(ctx, mx, my):
                 if coef.is_zero():
                     continue
-                add = cxy * coef
+                term = cxy * coef
                 got = out.get(mono)
-                s = add if got is None else got + add
+                if got is None:
+                    out[mono] = term if add else -term
+                    continue
+                s = got + term if add else got - term
                 if s.is_zero():
-                    out.pop(mono, None)
+                    del out[mono]
                 else:
                     out[mono] = s
-    return Element(ctx, out, _clean=True)
+
+
+def multiply(x: Element, y: Element) -> Element:
+    """Bilinear extension of the nine basis-monomial product cases."""
+    x.ctx.ensure_same(y.ctx)
+    out: dict = {}
+    _accumulate(out, x.ctx, x, y, True)
+    return Element(x.ctx, out, _clean=True)
 
 
 def commutator(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y] = xy - yx."""
-    return multiply(x, y) - multiply(y, x)
+    """Lie bracket [x, y] = xy - yx, accumulated in one terms dict."""
+    x.ctx.ensure_same(y.ctx)
+    out: dict = {}
+    _accumulate(out, x.ctx, x, y, True)
+    _accumulate(out, x.ctx, y, x, False)
+    return Element(x.ctx, out, _clean=True)
 
 
 def graded_components(x: Element) -> dict[int, Element]:

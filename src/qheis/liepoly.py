@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .heisenberg import (
@@ -32,6 +33,7 @@ from .heisenberg import (
     MONO_A,
     MONO_B,
     MONO_C,
+    _mono_key,
     commutator,
 )
 from .qscalar import (
@@ -486,6 +488,21 @@ def construct_basis_element(ctx: ScalarContext, m: Monomial, defn2_literal: bool
 # Exact row reduction and the bracket-closure oracle
 # ---------------------------------------------------------------------------
 
+def _subtract_multiple(terms: dict, row: dict, c: Scalar) -> None:
+    """terms -= c * row, in place, dropping the coefficients that cancel."""
+    for m, r in row.items():
+        term = r * c
+        got = terms.get(m)
+        if got is None:
+            terms[m] = -term
+            continue
+        s = got - term
+        if s.is_zero():
+            del terms[m]
+        else:
+            terms[m] = s
+
+
 class RowReducer:
     """Incremental exact Gaussian elimination over the scalar field.
 
@@ -500,25 +517,28 @@ class RowReducer:
 
     @staticmethod
     def _lead(x: Element) -> Monomial:
-        return min(x.terms, key=lambda m: (m.d, m.k))
+        return min(x.terms, key=_mono_key)
 
     def reduce(self, x: Element) -> Element:
         """Remainder of x against the current rows."""
-        while x.terms:
-            lead = self._lead(x)
+        self.ctx.ensure_same(x.ctx)
+        terms = dict(x.terms)
+        while terms:
+            lead = min(terms, key=_mono_key)
             row = self.rows.get(lead)
             if row is None:
-                return x
-            x = x - row.scale(x.terms[lead])
-        return x
+                break
+            _subtract_multiple(terms, row.terms, terms[lead])
+        return Element(self.ctx, terms, _clean=True)
 
     def insert(self, x: Element) -> Element | None:
         """Insert x; returns the normalized new row, or None if dependent."""
         rem = self.reduce(x)
         if rem.is_zero():
             return None
-        rem = rem.scale(rem.terms[self._lead(rem)].inverse())
-        self.rows[self._lead(rem)] = rem
+        lead = self._lead(rem)
+        rem = rem.scale(rem.terms[lead].inverse())
+        self.rows[lead] = rem
         return rem
 
     def contains(self, x: Element) -> bool:
@@ -526,17 +546,17 @@ class RowReducer:
 
     def rref_rows(self) -> list[Element]:
         """Rows fully back-substituted, sorted by leading monomial."""
-        order = sorted(self.rows, key=lambda m: (m.d, m.k))
-        out: dict[Monomial, Element] = dict(self.rows)
+        order = sorted(self.rows, key=_mono_key)
+        out = {lead: dict(self.rows[lead].terms) for lead in order}
         for i in range(len(order) - 1, -1, -1):
             lead = order[i]
             row = out[lead]
             for other_lead in order[:i]:
                 other = out[other_lead]
-                c = other.terms.get(lead)
+                c = other.get(lead)
                 if c is not None:
-                    out[other_lead] = other - row.scale(c)
-        return [out[lead] for lead in order]
+                    _subtract_multiple(other, row, c)
+        return [Element(self.ctx, out[lead], _clean=True) for lead in order]
 
 
 @dataclass(frozen=True)
@@ -551,11 +571,26 @@ class SubspaceBasis:
     def dimension(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _index(self) -> RowReducer | None:
+        """The rows as a reducer keyed by leading monomial, built on first use.
+
+        The rows are in reduced echelon form, so inserting them one by one
+        would leave each unchanged; they are indexed as they are.  An
+        empty basis has no context and no index.
+        """
+        if not self.rows:
+            return None
+        index = RowReducer(self.rows[0].ctx)
+        index.rows = {RowReducer._lead(r): r for r in self.rows}
+        return index
+
     def contains(self, x: Element) -> bool:
-        red = RowReducer(x.ctx)
-        for r in self.rows:
-            red.insert(r)
-        return red.contains(x)
+        """Whether x lies in the span; raises for an element of another context."""
+        index = self._index
+        if index is None:
+            return x.is_zero()
+        return index.contains(x)
 
     def leading_monomials(self) -> list[Monomial]:
         return [RowReducer._lead(r) for r in self.rows]

@@ -105,13 +105,6 @@ def _pscale(a: IntPoly, s: int) -> IntPoly:
     return tuple(x * s for x in a)
 
 
-def _ppow(a: IntPoly, n: int) -> IntPoly:
-    out = P_ONE
-    for _ in range(n):
-        out = _pmul(out, a)
-    return out
-
-
 def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     """Exact division of integer polynomials with integral quotient.
 

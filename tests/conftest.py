@@ -1,7 +1,8 @@
 import pytest
 
 from qheis import Element, Monomial, ScalarContext
-from qheis.heisenberg import commutator
+from qheis.heisenberg import commutator, multiply
+from qheis.liepoly import RowReducer
 from qheis.qscalar import specialize
 
 
@@ -85,3 +86,44 @@ def elaborate_reference(node, ctx):
             out = out + (val if sign > 0 else -val)
         return out
     raise AssertionError(f"unhandled node {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Whole-element routes of the Lie layer, kept to check the in-place ones
+# ---------------------------------------------------------------------------
+
+def commutator_reference(x, y):
+    """[x, y] as two full products and an element difference."""
+    return multiply(x, y) - multiply(y, x)
+
+
+def reduce_reference(reducer, x):
+    """Remainder of x against the reducer's rows, one new element per step."""
+    while x.terms:
+        lead = RowReducer._lead(x)
+        row = reducer.rows.get(lead)
+        if row is None:
+            return x
+        x = x - row.scale(x.terms[lead])
+    return x
+
+
+def rref_reference(reducer):
+    """The reducer's rows back-substituted with whole-element steps."""
+    order = sorted(reducer.rows, key=lambda m: (m.d, m.k))
+    out = dict(reducer.rows)
+    for i in range(len(order) - 1, -1, -1):
+        row = out[order[i]]
+        for other_lead in order[:i]:
+            c = out[other_lead].terms.get(order[i])
+            if c is not None:
+                out[other_lead] = out[other_lead] - row.scale(c)
+    return [out[lead] for lead in order]
+
+
+def contains_reference(basis, x):
+    """Membership by inserting every basis row into a fresh reducer."""
+    reducer = RowReducer(x.ctx)
+    for row in basis.rows:
+        reducer.insert(row)
+    return reduce_reference(reducer, x).is_zero()

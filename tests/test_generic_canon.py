@@ -26,7 +26,6 @@ from qheis.qscalar import (
     _pdiv_exact,
     _pgcd,
     _pmul,
-    _ppow,
     inv_qm1_power,
     parse_scalar,
     q_binomial,
@@ -36,6 +35,14 @@ Q = (0, 1)
 QM1 = (-1, 1)
 # cofactors: 1 takes the direct route, the others force the gcd fallback
 COFACTORS = [(1,), (1, 1), (1, 1, 1), (-3, 2)]
+
+
+def _ppow(a, n):
+    """The integer polynomial a^n, by repeated products."""
+    out = (1,)
+    for _ in range(n):
+        out = _pmul(out, a)
+    return out
 
 
 def prs_canonical(num, den):

@@ -335,6 +335,25 @@ def test_cli_rejects_empty_or_invalid_bounds(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["normalize", "1" * 4400], "integer literal of 4400 digits"),
+    (["--p", "3", "normalize", "99999^1000*A"], "too long to print"),
+    (["--format", "json", "normalize", "99999^1000*A"], "too long to print"),
+])
+def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
+    out = tmp_path / "out.json"
+    code, stdout, err = _call(["--out", str(out), *argv])
+    assert (code, stdout) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not out.exists()
+
+
+def test_literals_up_to_the_digit_limit_parse(generic):
+    big = "9" * 4300
+    assert parse_element(big + "*A", generic) == mono(generic, 0, -1, generic.from_int(int(big)))
+
+
 def _call(argv):
     """(exit code, stdout, stderr) of one in-process ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
