@@ -35,8 +35,10 @@ from .heisenberg import (
     grade,
     graded_components,
     multiply,
+    normal_to_element,
     reduce_word,
     reduce_word_rewriting,
+    straighten,
 )
 from .torsion import (
     is_central,

@@ -18,12 +18,11 @@ from .heisenberg import Element, Monomial, commutator
 from .liepoly import (
     ConstructionError,
     NotLiePolynomialError,
-    classify_monomial,
     construct_basis_element,
     is_lie_polynomial,
     lie_closure,
 )
-from .qscalar import ContextMismatchError, ScalarContext
+from .qscalar import ScalarContext
 from .verify import SUITE_NAMES, run_suites
 
 USAGE_ERROR = 2

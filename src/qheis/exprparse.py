@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .heisenberg import MONO_I, Element, Monomial, _mono_product, commutator
+from .heisenberg import MONO_I, Element, Monomial, _add_into, _mono_product, commutator
 from .qscalar import Scalar, ScalarContext
 
 __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
@@ -268,11 +268,10 @@ def elaborate(node, ctx: ScalarContext) -> Element:
     if kind == "bracket":
         return commutator(elaborate(node[1], ctx), elaborate(node[2], ctx))
     if kind == "sum":
-        out = Element.zero(ctx)
+        out: dict = {}
         for sign, sub in node[1]:
-            val = elaborate(sub, ctx)
-            out = out + (val if sign > 0 else -val)
-        return out
+            _add_into(out, elaborate(sub, ctx).terms, subtract=sign < 0)
+        return Element(ctx, out, _clean=True)
     raise AssertionError(f"unhandled node {node!r}")
 
 

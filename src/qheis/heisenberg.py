@@ -15,14 +15,20 @@ letter exponents and expand through the structure scalars c_i, d_i.
 An independent oracle is provided by free words in A, B: `reduce_word`
 straightens a word polynomial into the B^a A^b normal form using only
 the defining relation, and `ba_to_cbasis` converts normal words into the
-C basis.  Round trips through `cbasis_to_free` tie the two routes
-together.
+C basis.  `straighten` takes an element to its normal form through
+`cbasis_to_free`, and `normal_to_element` brings a normal form back, so
+round trips tie the two routes together.
+
+Every sparse sum of the package -- element and word-polynomial sums, the
+straightening folds, row elimination in `liepoly` -- goes through
+`_add_into`, which keeps the invariant that a terms dict never holds a
+zero coefficient.  The product kernel `_accumulate` is the one exception.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .qscalar import (
     ContextMismatchError,
@@ -54,6 +60,8 @@ __all__ = [
     "normal_word_product",
     "ba_to_cbasis",
     "cbasis_to_free",
+    "straighten",
+    "normal_to_element",
     "free_to_element",
 ]
 
@@ -90,6 +98,30 @@ def grade(m: Monomial) -> int:
 
 def _mono_key(m: Monomial):
     return (m.d, m.k)
+
+
+def _add_into(out: dict, terms: dict, c: Scalar | None = None, subtract: bool = False) -> dict:
+    """out += c * terms (or -=, with ``subtract``) in place; returns ``out``.
+
+    The one sparse sum: a key whose coefficient cancels is deleted, so a
+    terms dict never holds a zero.  ``c`` omitted means 1 and no multiply
+    is done; a zero ``c`` leaves ``out`` as it is.
+    """
+    if c is not None and c.is_zero():
+        return out
+    for key, v in terms.items():
+        if c is not None:
+            v = v * c
+        got = out.get(key)
+        if got is None:
+            out[key] = -v if subtract else v
+            continue
+        s = got - v if subtract else got + v
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+    return out
 
 
 class Element:
@@ -161,18 +193,11 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self.ctx.ensure_same(other.ctx)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            got = out.get(m)
-            s = c if got is None else got + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Element(self.ctx, out, _clean=True)
+        return Element(self.ctx, _add_into(dict(self.terms), other.terms), _clean=True)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        self.ctx.ensure_same(other.ctx)
+        return Element(self.ctx, _add_into(dict(self.terms), other.terms, subtract=True), _clean=True)
 
     def __neg__(self) -> "Element":
         return Element(self.ctx, {m: -c for m, c in self.terms.items()}, _clean=True)
@@ -304,6 +329,11 @@ def _accumulate(out: dict, ctx: ScalarContext, x: Element, y: Element, add: bool
     the same dict.  Element terms are nonzero and the scalars form a
     field, so a product of two coefficients is never zero; a structure
     scalar can be (q-Lucas binomials vanish at a root of unity).
+
+    The get/add/drop-zero step is written out here rather than taken
+    from `_add_into`: this loop is the largest span of the verify grids
+    and of the Lie closure, and the helper would need a dict built for
+    every monomial pair.
     """
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
@@ -365,20 +395,14 @@ class FreePoly:
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
         self.ctx.ensure_same(other.ctx)
-        out = dict(self.words)
-        for w, c in other.words.items():
-            s = out.get(w, self.ctx.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return FreePoly(self.ctx, out)
+        return FreePoly(self.ctx, _add_into(dict(self.words), other.words))
 
     def __neg__(self) -> "FreePoly":
         return FreePoly(self.ctx, {w: -c for w, c in self.words.items()})
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + (-other)
+        self.ctx.ensure_same(other.ctx)
+        return FreePoly(self.ctx, _add_into(dict(self.words), other.words, subtract=True))
 
     def scale(self, s: Scalar) -> "FreePoly":
         return FreePoly(self.ctx, {w: c * s for w, c in self.words.items()})
@@ -387,13 +411,7 @@ class FreePoly:
         self.ctx.ensure_same(other.ctx)
         out: dict = {}
         for w1, c1 in self.words.items():
-            for w2, c2 in other.words.items():
-                w = w1 + w2
-                s = out.get(w, self.ctx.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+            _add_into(out, {w1 + w2: c2 for w2, c2 in other.words.items()}, c1)
         return FreePoly(self.ctx, out)
 
     def __eq__(self, other) -> bool:
@@ -411,27 +429,15 @@ def _fold_letter(ctx: ScalarContext, state: dict, letter: str) -> dict:
     """Append one letter to a normal-form state {(b, a): coeff}.
 
     Uses A^a B = q^a B A^a + {a}_q A^(a-1), an iterate of the defining
-    relation, so the result equals any exhaustive rewriting.
+    relation, so the result equals any exhaustive rewriting.  Each of the
+    two terms maps the keys of the state one to one; {a}_q vanishes at
+    a = 0 (and at multiples of p), where the second adds nothing.
     """
-    out: dict = {}
-
-    def bump(key, val):
-        got = out.get(key)
-        s = val if got is None else got + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
+    if letter == "A":
+        return {(b, a + 1): c for (b, a), c in state.items()}
+    out = {(b + 1, a): c * ctx.q_power(a) for (b, a), c in state.items()}
     for (b, a), c in state.items():
-        if letter == "A":
-            bump((b, a + 1), c)
-        else:
-            bump((b + 1, a), c * ctx.q_power(a))
-            if a > 0:
-                qa = q_int(ctx, a)
-                if not qa.is_zero():
-                    bump((b, a - 1), c * qa)
+        _add_into(out, {(b, a - 1): c}, q_int(ctx, a))
     return out
 
 
@@ -449,13 +455,7 @@ def reduce_word(fp: FreePoly) -> dict:
         state = {(0, 0): c}
         for letter in w:
             state = _fold_letter(ctx, state, letter)
-        for key, coeff in state.items():
-            got = total.get(key)
-            s = coeff if got is None else got + coeff
-            if s.is_zero():
-                total.pop(key, None)
-            else:
-                total[key] = s
+        _add_into(total, state)
     return total
 
 
@@ -472,17 +472,12 @@ def reduce_word_rewriting(ctx: ScalarContext, word: str, choose: Callable[[list[
         w, c = pending.pop()
         occ = [i for i in range(len(w) - 1) if w[i] == "A" and w[i + 1] == "B"]
         if not occ:
-            key = (w.count("B"), w.count("A"))
-            s = done.get(key, ctx.zero()) + c
-            if s.is_zero():
-                done.pop(key, None)
-            else:
-                done[key] = s
+            _add_into(done, {(w.count("B"), w.count("A")): c})
             continue
         i = occ[0] if choose is None else occ[choose(occ)]
         pending.append((w[:i] + "BA" + w[i + 2:], c * ctx.q_power(1)))
         pending.append((w[:i] + w[i + 2:], c))
-    return {(b, a): c for (b, a), c in done.items()}
+    return done
 
 
 def ba_to_cbasis(a: int, b: int, ctx: ScalarContext) -> Element:
@@ -509,13 +504,10 @@ def cbasis_to_free(m: Monomial, ctx: ScalarContext) -> FreePoly:
     """Expand a basis monomial into free words via C = AB - BA."""
     if m.k < 0:
         raise ValueError("negative C exponent")
-    c_power = ctx._pow_word.get(m.k)
-    if c_power is None:
-        c_power = FreePoly(ctx, {"": ctx.one()})
-        c_gen = FreePoly(ctx, {"AB": ctx.one(), "BA": -ctx.one()})
-        for _ in range(m.k):
-            c_power = c_power * c_gen
-        ctx._pow_word[m.k] = c_power
+    c_gen = FreePoly(ctx, {"AB": ctx.one(), "BA": -ctx.one()})
+    c_power = FreePoly(ctx, {"": ctx.one()})
+    for _ in range(m.k):
+        c_power = c_power * c_gen
     if m.d == 0:
         return c_power
     if m.d < 0:
@@ -523,12 +515,35 @@ def cbasis_to_free(m: Monomial, ctx: ScalarContext) -> FreePoly:
     return FreePoly.word(ctx, "B" * m.d) * c_power
 
 
+def straighten(x: Element) -> dict:
+    """Normal form of an element through free words: pairs (a, b) to coefficients.
+
+    Each basis monomial is expanded by `cbasis_to_free` and straightened
+    by `reduce_word` once per context; the memoized normal forms are
+    combined with the coefficients of x.
+    """
+    ctx = x.ctx
+    memo = ctx._mono_nf
+    out: dict = {}
+    for m, c in x.terms.items():
+        nf = memo.get(m)
+        if nf is None:
+            nf = memo[m] = reduce_word(cbasis_to_free(m, ctx))
+        _add_into(out, nf, c)
+    return out
+
+
+def normal_to_element(ctx: ScalarContext, nf: dict) -> Element:
+    """The element with normal form ``nf``, each B^a A^b through `ba_to_cbasis`."""
+    out: dict = {}
+    for (a, b), c in nf.items():
+        _add_into(out, ba_to_cbasis(a, b, ctx).terms, c)
+    return Element(ctx, out, _clean=True)
+
+
 def free_to_element(fp: FreePoly) -> Element:
     """Oracle conversion: straighten a word polynomial, then change basis."""
-    out = Element.zero(fp.ctx)
-    for (a, b), c in reduce_word(fp).items():
-        out = out + ba_to_cbasis(a, b, fp.ctx).scale(c)
-    return out
+    return normal_to_element(fp.ctx, reduce_word(fp))
 
 
 def _letters_fold(ctx: ScalarContext, m: int, n: int) -> dict:
@@ -554,16 +569,6 @@ def normal_word_product(ctx: ScalarContext, nf1: dict, nf2: dict) -> dict:
     out: dict = {}
     for (a1, b1), c1 in nf1.items():
         for (a2, b2), c2 in nf2.items():
-            c = c1 * c2
-            if c.is_zero():
-                continue
-            for (a, b), w in _letters_fold(ctx, b1, a2).items():
-                key = (a + a1, b + b2)
-                add = c * w
-                got = out.get(key)
-                s = add if got is None else got + add
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            fold = _letters_fold(ctx, b1, a2)
+            _add_into(out, {(a + a1, b + b2): w for (a, b), w in fold.items()}, c1 * c2)
     return out

@@ -33,6 +33,7 @@ from .heisenberg import (
     MONO_A,
     MONO_B,
     MONO_C,
+    _add_into,
     _mono_key,
     commutator,
 )
@@ -210,10 +211,10 @@ def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
         right = eval_bracket_expr(ctx, e.right)
         left.ctx.ensure_same(right.ctx)
         return commutator(left, right)
-    out = Element.zero(ctx)
+    out: dict = {}
     for c, sub in e.items:
-        out = out + eval_bracket_expr(ctx, sub).scale(c)
-    return out
+        _add_into(out, eval_bracket_expr(ctx, sub).terms, c)
+    return Element(ctx, out, _clean=True)
 
 
 def _nest(head: BracketExpr, inner: BracketExpr, times: int) -> BracketExpr:
@@ -330,10 +331,11 @@ def obase_G(ctx: ScalarContext, k: int) -> Element:
             "and is not a Lie polynomial: no bracket combination reaches it"
         )
     one, q = ctx.one(), ctx.q()
-    acc = Element.zero(ctx)
+    out = {MONO_C: one}
     for i in range(k + 1):
-        acc = acc + base_G(ctx, i).scale(ctx.q_power(i) * ((q - one).inverse() ** (i + 1)))
-    return (_elem(ctx, 1, 0) - acc.scale(q)).scale(q_int(ctx, k + 2).inverse())
+        _add_into(out, base_G(ctx, i).terms, ctx.q_power(i + 1) * ((q - one).inverse() ** (i + 1)),
+                  subtract=True)
+    return Element(ctx, out, _clean=True).scale(q_int(ctx, k + 2).inverse())
 
 
 def obase_G_documented(ctx: ScalarContext, k: int) -> Element:
@@ -346,10 +348,10 @@ def obase_G_documented(ctx: ScalarContext, k: int) -> Element:
     if (k + 1) % ctx.p == 0:
         raise ConstructionError("documented normalization divides by 1 - q^(k+1)")
     one, q = ctx.one(), ctx.q()
-    acc = Element.zero(ctx)
+    acc: dict = {}
     for i in range(k + 1):
-        acc = acc + base_G(ctx, i).scale((q - one).inverse() ** i)
-    return acc.scale(ctx.q_power(k) * (one - q ** (k + 1)).inverse())
+        _add_into(acc, base_G(ctx, i).terms, (q - one).inverse() ** i)
+    return Element(ctx, acc, _clean=True).scale(ctx.q_power(k) * (one - q ** (k + 1)).inverse())
 
 
 def special_A(ctx: ScalarContext, k: int, l: int) -> Element:
@@ -488,21 +490,6 @@ def construct_basis_element(ctx: ScalarContext, m: Monomial, defn2_literal: bool
 # Exact row reduction and the bracket-closure oracle
 # ---------------------------------------------------------------------------
 
-def _subtract_multiple(terms: dict, row: dict, c: Scalar) -> None:
-    """terms -= c * row, in place, dropping the coefficients that cancel."""
-    for m, r in row.items():
-        term = r * c
-        got = terms.get(m)
-        if got is None:
-            terms[m] = -term
-            continue
-        s = got - term
-        if s.is_zero():
-            del terms[m]
-        else:
-            terms[m] = s
-
-
 class RowReducer:
     """Incremental exact Gaussian elimination over the scalar field.
 
@@ -528,7 +515,7 @@ class RowReducer:
             row = self.rows.get(lead)
             if row is None:
                 break
-            _subtract_multiple(terms, row.terms, terms[lead])
+            _add_into(terms, row.terms, terms[lead], subtract=True)
         return Element(self.ctx, terms, _clean=True)
 
     def insert(self, x: Element) -> Element | None:
@@ -555,7 +542,7 @@ class RowReducer:
                 other = out[other_lead]
                 c = other.get(lead)
                 if c is not None:
-                    _subtract_multiple(other, row, c)
+                    _add_into(other, row, c, subtract=True)
         return [Element(self.ctx, out[lead], _clean=True) for lead in order]
 
 
@@ -563,6 +550,7 @@ class RowReducer:
 class SubspaceBasis:
     """Row-reduced exact basis of a spanned subspace, windowed."""
 
+    ctx: ScalarContext
     kmax: int
     dmax: int
     rows: tuple
@@ -572,25 +560,19 @@ class SubspaceBasis:
         return len(self.rows)
 
     @cached_property
-    def _index(self) -> RowReducer | None:
+    def _index(self) -> RowReducer:
         """The rows as a reducer keyed by leading monomial, built on first use.
 
         The rows are in reduced echelon form, so inserting them one by one
-        would leave each unchanged; they are indexed as they are.  An
-        empty basis has no context and no index.
+        would leave each unchanged; they are indexed as they are.
         """
-        if not self.rows:
-            return None
-        index = RowReducer(self.rows[0].ctx)
+        index = RowReducer(self.ctx)
         index.rows = {RowReducer._lead(r): r for r in self.rows}
         return index
 
     def contains(self, x: Element) -> bool:
         """Whether x lies in the span; raises for an element of another context."""
-        index = self._index
-        if index is None:
-            return x.is_zero()
-        return index.contains(x)
+        return self._index.contains(x)
 
     def leading_monomials(self) -> list[Monomial]:
         return [RowReducer._lead(r) for r in self.rows]
@@ -662,4 +644,4 @@ def lie_closure(
         )
         if not projected.is_zero():
             reducer.insert(projected)
-    return SubspaceBasis(kmax=kmax, dmax=dmax, rows=tuple(reducer.rref_rows()))
+    return SubspaceBasis(ctx=ctx, kmax=kmax, dmax=dmax, rows=tuple(reducer.rref_rows()))

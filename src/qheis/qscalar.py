@@ -344,8 +344,8 @@ class ScalarContext:
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
-        "_qbin_lucas", "_c", "_d", "_qpow", "_qint", "_inv_qm1", "_scaled_c",
-        "_scaled_d", "_pow_word", "_awb",
+        "_c", "_d", "_qpow", "_qint", "_inv_qm1", "_scaled_c", "_scaled_d",
+        "_mono_nf", "_awb",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -371,28 +371,27 @@ class ScalarContext:
                             vec[i] -= top * self.modulus[i]
                 red.append(tuple(vec))
             self._red = tuple(red)
+            self._qpow = tuple(CycloScalar(self, vec, 1) for vec in red)
             self._zero = CycloScalar(self, (0,) * phi, 1)
-            self._one = CycloScalar(self, red[0], 1)
+            self._one = self._qpow[0]
         else:
             if p is not None:
                 raise ValueError("generic mode takes no order")
             self.modulus = None
             self.phi = 0
-            self._red = ()
+            self._red = self._qpow = ()
             self._zero = GenericScalar(P_ZERO, P_ONE, _canonical=True)
             self._one = GenericScalar(P_ONE, P_ONE, _canonical=True)
         self.mode = mode
         self.p = p
         self._qbin: dict = {}
-        self._qbin_lucas: dict = {}
         self._c: dict = {}
         self._d: dict = {}
-        self._qpow: dict = {}
         self._qint: dict = {}
         self._inv_qm1: dict = {}
         self._scaled_c: dict = {}
         self._scaled_d: dict = {}
-        self._pow_word: dict = {}
+        self._mono_nf: dict = {}
         self._awb: dict = {}
 
     @classmethod
@@ -446,12 +445,7 @@ class ScalarContext:
     def q_power(self, n: int) -> "Scalar":
         """q^n; negative n allowed (inverse power)."""
         if self.is_torsion:
-            n %= self.p
-            got = self._qpow.get(n)
-            if got is None:
-                got = CycloScalar(self, self._red[n], 1)
-                self._qpow[n] = got
-            return got
+            return self._qpow[n % self.p]
         if n >= 0:
             return GenericScalar((0,) * n + (1,), P_ONE, _canonical=True)
         return GenericScalar(P_ONE, (0,) * (-n) + (1,), _canonical=True)
@@ -801,17 +795,11 @@ def q_binomial_lucas(ctx: ScalarContext, n: int, k: int) -> Scalar:
         raise ContextMismatchError("lucas factorization needs a torsion context")
     if n < 0 or k < 0:
         raise ValueError("q_binomial needs n, k >= 0")
-    got = ctx._qbin_lucas.get((n, k))
-    if got is not None:
-        return got
     p = ctx.p
     outer = math.comb(n // p, k // p) if k // p <= n // p else 0
     if outer == 0 or (k % p) > (n % p):
-        out = ctx.zero()
-    else:
-        out = ctx.from_int(outer) * q_binomial(ctx, n % p, k % p)
-    ctx._qbin_lucas[(n, k)] = out
-    return out
+        return ctx.zero()
+    return ctx.from_int(outer) * q_binomial(ctx, n % p, k % p)
 
 
 def inv_qm1_power(ctx: ScalarContext, l: int) -> Scalar:

@@ -19,14 +19,12 @@ from typing import Callable
 
 from .heisenberg import (
     Element,
-    FreePoly,
     Monomial,
-    ba_to_cbasis,
-    cbasis_to_free,
     commutator,
     multiply,
+    normal_to_element,
     normal_word_product,
-    reduce_word,
+    straighten,
 )
 from .liepoly import (
     classify_monomial,
@@ -38,7 +36,7 @@ from .liepoly import (
     NotLiePolynomialError,
     ConstructionError,
 )
-from .qscalar import ScalarContext, q_binomial, q_binomial_lucas, q_int, scalar_text, struct_c, struct_d
+from .qscalar import ScalarContext, q_binomial, q_binomial_lucas, scalar_text, struct_c, struct_d
 from .torsion import mixed_product_simplified, pow_product_identity
 
 __all__ = [
@@ -377,9 +375,10 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
     """Random products via structure constants match the word-rewrite path.
 
     Each element is expanded into free words and straightened with the
-    defining relation only; the straightened factors are multiplied by
-    the memoized letter fold and converted back through the equal-power
-    expansion.  Nothing on that route touches the nine-case dispatch.
+    defining relation only (`straighten`); the straightened factors are
+    multiplied by the memoized letter fold and converted back through the
+    equal-power expansion (`normal_to_element`).  Nothing on that route
+    touches the nine-case dispatch.
     """
     t0 = time.time()
     rep = VerifyReport(
@@ -402,33 +401,11 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
             out = out + Element.monomial(ctx, Monomial(k, d), coeff)
         return out
 
-    mono_nf: dict = {}
-
-    def straighten(x: Element) -> dict:
-        out: dict = {}
-        for m, c in x.terms.items():
-            nf = mono_nf.get(m)
-            if nf is None:
-                nf = reduce_word(cbasis_to_free(m, ctx))
-                mono_nf[m] = nf
-            for key, w in nf.items():
-                add = c * w
-                got = out.get(key)
-                s = add if got is None else got + add
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
-
     for _ in range(pairs):
         x, y = random_element(), random_element()
         rep.pairs_checked += 1
         direct = multiply(x, y)
-        product_nf = normal_word_product(ctx, straighten(x), straighten(y))
-        via_words = Element.zero(ctx)
-        for (a, b), c in product_nf.items():
-            via_words = via_words + ba_to_cbasis(a, b, ctx).scale(c)
+        via_words = normal_to_element(ctx, normal_word_product(ctx, straighten(x), straighten(y)))
         if direct != via_words:
             rep.add_violation(lambda: {"left": x.text(), "right": y.text()})
     rep.elapsed = time.time() - t0

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import strategies as st
 
 from qheis import Element, Monomial, ScalarContext
 from qheis.heisenberg import commutator, multiply
 from qheis.liepoly import RowReducer
-from qheis.qscalar import specialize
+from qheis.qscalar import q_int, specialize
 
 
 @pytest.fixture
@@ -33,6 +36,29 @@ def mono(ctx, k, d, coeff=None):
 def letters(ctx):
     """(A, B, C, I) as elements."""
     return mono(ctx, 0, -1), mono(ctx, 0, 1), mono(ctx, 1, 0), mono(ctx, 0, 0)
+
+
+# Generic mode and the torsion orders 2..7, keyed for hypothesis's sampled_from.
+CONTEXTS = {"generic": ScalarContext.generic(),
+            **{p: ScalarContext.torsion(p) for p in range(2, 8)}}
+CONTEXT_NAMES = sorted(CONTEXTS, key=str)
+
+# (k, d, a, b, e, c, n): the coefficient (a/b q^e + c) / {n}_q on C^k-and-letters (k, d)
+TERM = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(-3, 3).filter(bool),
+                 st.integers(1, 3), st.integers(0, 4), st.integers(-2, 2), st.integers(1, 3))
+ELEMENT = st.lists(TERM, min_size=0, max_size=4)
+
+
+def build(ctx, spec):
+    """The element that an ``ELEMENT`` draw describes."""
+    out = Element.zero(ctx)
+    for k, d, a, b, e, c, n in spec:
+        coeff = ctx.from_fraction(Fraction(a, b)) * ctx.q_power(e) + ctx.from_int(c)
+        qn = q_int(ctx, n)
+        if not qn.is_zero():
+            coeff = coeff * qn.inverse()
+        out = out + mono(ctx, k, d, coeff)
+    return out
 
 
 def specialize_element(x, ctx, memo=None):
@@ -127,3 +153,31 @@ def contains_reference(basis, x):
     for row in basis.rows:
         reducer.insert(row)
     return reduce_reference(reducer, x).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Plain sparse sums, kept to check the in-place accumulation
+# ---------------------------------------------------------------------------
+
+def linear_reference(ctx, pairs):
+    """sum of c * terms over (c, terms) pairs: every value of a key summed from zero.
+
+    Returns the dict of the nonzero sums; nothing is updated in place.
+    """
+    values: dict = {}
+    for c, terms in pairs:
+        for key, v in terms.items():
+            values.setdefault(key, []).append(v * c)
+    sums = {}
+    for key, vs in values.items():
+        s = ctx.zero()
+        for v in vs:
+            s = s + v
+        sums[key] = s
+    return {key: s for key, s in sums.items() if not s.is_zero()}
+
+
+def free_product_reference(x, y):
+    """The words of x * y, every pair of words multiplied out and summed plainly."""
+    pairs = [(c1, {w1 + w2: c2}) for w1, c1 in x.words.items() for w2, c2 in y.words.items()]
+    return linear_reference(x.ctx, pairs)

@@ -1,0 +1,77 @@
+"""Every import in the package modules is used.
+
+A stdlib-``ast`` check: a name bound by ``import`` or ``from ... import``
+must be read somewhere in its module, or be listed in ``__all__``.
+``__init__.py`` is skipped, because it exists to re-export, and so is
+``from __future__``.  Quoted annotations are parsed and count as reads.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qheis"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import statement in the module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names the module reads, including quoted annotations and ``__all__``."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names.update(n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                             if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    read = _read(tree)
+    return sorted((name, line) for name, line in _imported(tree).items() if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector_sees_unused_and_used_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from typing import Callable, Iterable\n"
+        "from .x import a as b, c, d\n"
+        "__all__ = ['d']\n"
+        "def f(g: 'Callable[[], int]') -> None:\n"
+        "    return os.path.join(c)\n"
+    )
+    assert unused_imports(source) == [("Iterable", 4), ("b", 5), ("json", 2)]

@@ -7,41 +7,23 @@ once per basis.  Each must give exactly what the plain routes in
 elimination step, and a reducer rebuilt for every membership query.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qheis.heisenberg import Element, Monomial, commutator
 from qheis.liepoly import RowReducer, SubspaceBasis, lie_closure
-from qheis.qscalar import ContextMismatchError, ScalarContext, q_int
+from qheis.qscalar import ContextMismatchError, ScalarContext
 
 from conftest import (
+    CONTEXTS,
+    ELEMENT as _ELEMENT,
+    build,
     commutator_reference,
     contains_reference,
     mono,
     reduce_reference,
     rref_reference,
 )
-
-CONTEXTS = {"generic": ScalarContext.generic(),
-            **{p: ScalarContext.torsion(p) for p in range(2, 8)}}
-
-# (k, d, a, b, e, c, n): the coefficient (a/b q^e + c) / {n}_q on C^k-and-letters (k, d)
-_TERM = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(-3, 3).filter(bool),
-                  st.integers(1, 3), st.integers(0, 4), st.integers(-2, 2), st.integers(1, 3))
-_ELEMENT = st.lists(_TERM, min_size=0, max_size=4)
-
-
-def build(ctx, spec):
-    out = Element.zero(ctx)
-    for k, d, a, b, e, c, n in spec:
-        coeff = ctx.from_fraction(Fraction(a, b)) * ctx.q_power(e) + ctx.from_int(c)
-        qn = q_int(ctx, n)
-        if not qn.is_zero():
-            coeff = coeff * qn.inverse()
-        out = out + mono(ctx, k, d, coeff)
-    return out
 
 
 @settings(max_examples=150, deadline=None)
@@ -70,7 +52,7 @@ def test_row_reduction_equals_whole_element_steps(name, rows, probe, weights):
     assert rref == rref_reference(reducer)
     assert [r.to_json() for r in rref] == [r.to_json() for r in rref_reference(reducer)]
 
-    basis = SubspaceBasis(kmax=3, dmax=3, rows=tuple(rref))
+    basis = SubspaceBasis(ctx=ctx, kmax=3, dmax=3, rows=tuple(rref))
     spanned = Element.zero(ctx)
     for w, row in zip(weights, rref):
         spanned = spanned + row.scale(ctx.from_int(w))
@@ -114,3 +96,12 @@ def test_other_context_raises_whether_or_not_a_lead_matches(p3, p5):
             reducer.reduce(x)
         with pytest.raises(ContextMismatchError):
             reducer.insert(x)
+
+
+def test_empty_basis_knows_its_context(p3, p5):
+    basis = lie_closure(p5, 3, 0, 0)
+    assert basis.dimension == 0
+    with pytest.raises(ContextMismatchError):
+        basis.contains(mono(p3, 0, -1))
+    assert basis.contains(Element.zero(p5))
+    assert not basis.contains(mono(p5, 0, -1))
