@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and every verified claim holds), 1 at least one
 verification violation, 2 usage or parse errors, including a verify
-window that gives some claim nothing to check (2 takes precedence over 1).
+window that gives some claim nothing to check and an input over a work
+budget (2 takes precedence over 1).
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Callable
 from .exprparse import ParseError, parse_element
 from .heisenberg import Element, Monomial, commutator
 from .liepoly import (
+    MAX_WITNESS_DEGREE,
     ConstructionError,
+    LieWitness,
     NotLiePolynomialError,
     construct_basis_element,
     is_lie_polynomial,
@@ -27,6 +30,9 @@ from .verify import SUITE_NAMES, run_suites
 
 USAGE_ERROR = 2
 VIOLATION_ERROR = 1
+# Work budget on --p: the cyclotomic inverse costs about p * phi(p)^2
+# integer operations (a single product at p = 127 takes about 0.1 s)
+MAX_TORSION_ORDER = 128
 
 
 @functools.cache
@@ -95,6 +101,8 @@ def _context(args) -> ScalarContext:
         raise SystemExit(_usage_error(f"--p must be an integer >= 2 or 'generic', got {args.p!r}"))
     if p < 2:
         raise SystemExit(_usage_error("--p must be at least 2"))
+    if p > MAX_TORSION_ORDER:
+        raise SystemExit(_usage_error(f"--p must be at most {MAX_TORSION_ORDER}, got {p}"))
     return ScalarContext.torsion(p)
 
 
@@ -104,7 +112,8 @@ def _require_torsion(ctx: ScalarContext, what: str) -> None:
 
 
 def _check_bounds(args) -> None:
-    """Reject window bounds below 0 and depth or pair counts below 1."""
+    """Reject window bounds below 0, depth or pair counts below 1, and a
+    reachability window whose witnesses exceed `MAX_WITNESS_DEGREE`."""
     for name in ("kmax", "dmax", "lmax", "reach_kmax", "reach_dmax"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
@@ -114,6 +123,10 @@ def _check_bounds(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise SystemExit(_usage_error(f"--{name} must be at least 1, got {value}"))
+    reach = getattr(args, "reach_kmax", 0) + getattr(args, "reach_dmax", 0)
+    if reach > MAX_WITNESS_DEGREE:
+        raise SystemExit(_usage_error(
+            f"--reach-kmax + --reach-dmax must be at most {MAX_WITNESS_DEGREE}, got {reach}"))
 
 
 def _usage_error(msg: str) -> int:
@@ -150,6 +163,18 @@ def _parse_or_exit(text: str, ctx: ScalarContext) -> Element:
         raise SystemExit(_usage_error(str(exc)))
 
 
+def _witness_or_exit(ctx: ScalarContext, mono: Monomial, defn2_literal: bool) -> LieWitness:
+    """The bracket witness of mono; exits 1 when there is none, 2 over the degree budget."""
+    try:
+        return construct_basis_element(ctx, mono, defn2_literal)
+    except (NotLiePolynomialError, ConstructionError) as exc:
+        print(f"not constructible: {exc}", file=sys.stderr)
+        raise SystemExit(VIOLATION_ERROR)
+    except ValueError as exc:
+        # k + |d| is over MAX_WITNESS_DEGREE
+        raise SystemExit(_usage_error(str(exc)))
+
+
 def _single_monomial(x: Element) -> Monomial | None:
     if len(x.terms) != 1:
         return None
@@ -181,7 +206,7 @@ def main(argv=None) -> int:
         mono = _single_monomial(elem)
         witness = None
         if verdict and mono is not None:
-            witness = construct_basis_element(ctx, mono, args.defn2_literal).expr.text()
+            witness = _witness_or_exit(ctx, mono, args.defn2_literal).expr.text()
 
         def member_text():
             lines = [f"lie polynomial: {'yes' if verdict else 'no'}",
@@ -209,11 +234,7 @@ def main(argv=None) -> int:
         mono = _single_monomial(elem)
         if mono is None:
             return _usage_error("construct needs a single monomial with coefficient 1")
-        try:
-            witness = construct_basis_element(ctx, mono, args.defn2_literal)
-        except (NotLiePolynomialError, ConstructionError) as exc:
-            print(f"not constructible: {exc}", file=sys.stderr)
-            return VIOLATION_ERROR
+        witness = _witness_or_exit(ctx, mono, args.defn2_literal)
         _emit(args, lambda: f"{mono.text()} = {witness.expr.text()}",
               lambda: {
                   "monomial": mono.text(),

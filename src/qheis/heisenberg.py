@@ -7,10 +7,11 @@ power: ``d < 0`` is a trailing ``A^(-d)``, ``d > 0`` a leading ``B^d``,
 the integer grade of the monomial, so the Z-gradation is the first-class
 sort key.
 
-Multiplication dispatches on the nine monomial-pair cases: three trivial
-concatenations, four q-power commutations that move letter powers past C
-powers, and two mixed cases that split on the comparison of the inner
-letter exponents and expand through the structure scalars c_i, d_i.
+Multiplication of two basis monomials takes one rule unless the product
+holds both an A power and a B power: the letter powers concatenate and
+each one moved past a C power contributes a power of q.  The two mixed
+cases split on the comparison of the letter exponents and expand
+through the structure scalars c_i, d_i.
 
 An independent oracle is provided by free words in A, B: `reduce_word`
 straightens a word polynomial into the B^a A^b normal form using only
@@ -275,27 +276,17 @@ class Element:
 
 
 # ---------------------------------------------------------------------------
-# Structure-constant multiplication (the nine monomial-pair cases)
+# Structure-constant multiplication (one unmixed rule, two mixed cases)
 # ---------------------------------------------------------------------------
 
 def _mono_product(ctx: ScalarContext, x: Monomial, y: Monomial):
     """Product of two basis monomials as (Monomial, Scalar) pairs."""
     m, d1 = x
     k, d2 = y
-    if d1 == 0 and d2 == 0:
-        return ((Monomial(m + k, 0), ctx.one()),)
-    if d1 == 0 and d2 < 0:
-        return ((Monomial(m + k, d2), ctx.one()),)
-    if d1 > 0 and d2 == 0:
-        return ((Monomial(m + k, d1), ctx.one()),)
-    if d1 < 0 and d2 == 0:
-        return ((Monomial(m + k, d1), ctx.q_power(-d1 * k)),)
-    if d1 < 0 and d2 < 0:
-        return ((Monomial(m + k, d1 + d2), ctx.q_power(-d1 * k)),)
-    if d1 == 0 and d2 > 0:
-        return ((Monomial(m + k, d2), ctx.q_power(m * d2)),)
-    if d1 > 0 and d2 > 0:
-        return ((Monomial(m + k, d1 + d2), ctx.q_power(m * d2)),)
+    if d1 * d2 >= 0:
+        # no letter passes a letter: A^n C^k = q^(nk) C^k A^n, C^m B^l = q^(ml) B^l C^m
+        e = (-d1 * k if d1 < 0 else 0) + (m * d2 if d2 > 0 else 0)
+        return ((Monomial(m + k, d1 + d2), ctx.q_power(e) if e else ctx.one()),)
     if d1 < 0 and d2 > 0:
         # C^m A^n . B^l C^k, expanded through A^j B^j = sum c_i(j) C^i
         n, l = -d1, d2
@@ -354,7 +345,7 @@ def _accumulate(out: dict, ctx: ScalarContext, x: Element, y: Element, add: bool
 
 
 def multiply(x: Element, y: Element) -> Element:
-    """Bilinear extension of the nine basis-monomial product cases."""
+    """Bilinear extension of the basis-monomial product `_mono_product`."""
     x.ctx.ensure_same(y.ctx)
     out: dict = {}
     _accumulate(out, x.ctx, x, y, True)

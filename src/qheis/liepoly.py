@@ -40,6 +40,7 @@ from .heisenberg import (
 from .qscalar import (
     Scalar,
     ScalarContext,
+    inv_qm1_power,
     q_int,
     scalar_text,
 )
@@ -74,6 +75,12 @@ __all__ = [
     "lie_closure",
     "closure_rows",
 ]
+
+
+# Work budget of `construct_basis_element` on k + |d|: a witness is a
+# bracket tree of about that depth, and the telescoped C^n witness has
+# about n^2 / 2 brackets (C^254 takes about 1.5 s)
+MAX_WITNESS_DEGREE = 256
 
 
 class NotLiePolynomialError(ValueError):
@@ -224,8 +231,54 @@ def _nest(head: BracketExpr, inner: BracketExpr, times: int) -> BracketExpr:
 
 
 # ---------------------------------------------------------------------------
-# The explicit constructors and their normalizations
+# The ad-chains, their normalizations and the constructors built on them
 # ---------------------------------------------------------------------------
+
+def _chain_A(k: int, l: int) -> BracketExpr:
+    """(ad C)^k (ad A)^(l+1) B, which evaluates to (-1)^k (q-1)^l (q^l-1)^k C^(k+1) A^l."""
+    if k < 0 or l < 1:
+        raise ValueError("base_A needs k >= 0 and l >= 1")
+    return _nest(_C, _nest(_A, _B, l + 1), k)
+
+
+def _chain_B(k: int, l: int) -> BracketExpr:
+    """(ad B)^(l-1) (ad C)^k [B, [B, A]], which evaluates to (q-1)^(k+1) (1-q^(k+1))^(l-1) B^l C^(k+1)."""
+    if k < 0 or l < 1:
+        raise ValueError("base_B needs k >= 0 and l >= 1")
+    return _nest(_B, _nest(_C, Bracket(_B, Bracket(_B, _A)), k), l - 1)
+
+
+def _chain_G(k: int) -> BracketExpr:
+    """[B, (ad C)^k [[B, A], A]], the grade-0 chain."""
+    if k < 0:
+        raise ValueError("base_G needs k >= 0")
+    return Bracket(_B, _nest(_C, Bracket(Bracket(_B, _A), _A), k))
+
+
+def _norm_A(ctx: ScalarContext, k: int, l: int) -> Scalar:
+    """(-1)^k (q-1)^-l (q^l-1)^-k, which takes `_chain_A(k, l)` to C^(k+1) A^l."""
+    s = inv_qm1_power(ctx, l) * ((ctx.q_power(l) - ctx.one()).inverse() ** k)
+    return -s if k % 2 else s
+
+
+def _norm_B(ctx: ScalarContext, k: int, l: int) -> Scalar:
+    """(q-1)^-(k+1) (1-q^(k+1))^-(l-1), which takes `_chain_B(k, l)` to B^l C^(k+1)."""
+    return inv_qm1_power(ctx, k + 1) * ((ctx.one() - ctx.q_power(k + 1)).inverse() ** (l - 1))
+
+
+def _telescoped_C(ctx: ScalarContext, n: int) -> ScaledSum:
+    """C^n = (C - sum_{i<n-1} q^(i+1) (q-1)^-(i+1) base_G(i)) / {n}_q.
+
+    base_G(i) is (-1)^i times `_chain_G(i)`.  Exact whenever {n}_q is
+    invertible, i.e. n not divisible by p.
+    """
+    inv_n = q_int(ctx, n).inverse()
+    items = [(inv_n, _C)]
+    for i in range(n - 1):
+        c = inv_n * ctx.q_power(i + 1) * inv_qm1_power(ctx, i + 1)
+        items.append((c if i % 2 else -c, _chain_G(i)))
+    return ScaledSum(tuple(items))
+
 
 def _elem(ctx: ScalarContext, k: int, d: int, coeff: Scalar | None = None) -> Element:
     return Element.monomial(ctx, Monomial(k, d), coeff)
@@ -233,28 +286,13 @@ def _elem(ctx: ScalarContext, k: int, d: int, coeff: Scalar | None = None) -> El
 
 def base_A(ctx: ScalarContext, k: int, l: int) -> Element:
     """((-ad C)^k o (-ad A)^(l+1))(B); equals -(1-q)^l (q^l-1)^k C^(k+1) A^l."""
-    if k < 0 or l < 1:
-        raise ValueError("base_A needs k >= 0 and l >= 1")
-    a, c = _elem(ctx, 0, -1), _elem(ctx, 1, 0)
-    v = _elem(ctx, 0, 1)
-    for _ in range(l + 1):
-        v = -commutator(a, v)
-    for _ in range(k):
-        v = -commutator(c, v)
-    return v
+    v = eval_bracket_expr(ctx, _chain_A(k, l))
+    return -v if (k + l + 1) % 2 else v
 
 
 def base_B(ctx: ScalarContext, k: int, l: int) -> Element:
     """((ad B)^(l-1) o (ad C)^k)([B,[B,A]]); equals (q-1)^(k+1) (1-q^(k+1))^(l-1) B^l C^(k+1)."""
-    if k < 0 or l < 1:
-        raise ValueError("base_B needs k >= 0 and l >= 1")
-    b, c = _elem(ctx, 0, 1), _elem(ctx, 1, 0)
-    v = commutator(b, commutator(b, _elem(ctx, 0, -1)))
-    for _ in range(k):
-        v = commutator(c, v)
-    for _ in range(l - 1):
-        v = commutator(b, v)
-    return v
+    return eval_bracket_expr(ctx, _chain_B(k, l))
 
 
 def base_G(ctx: ScalarContext, k: int) -> Element:
@@ -263,13 +301,8 @@ def base_G(ctx: ScalarContext, k: int) -> Element:
     Exact closed form (established by direct evaluation and covered by
     the tests): (q-1)^(k+1) q^-(k+1) ({k+1}_q C^(k+1) - {k+2}_q C^(k+2)).
     """
-    if k < 0:
-        raise ValueError("base_G needs k >= 0")
-    a, b, c = _elem(ctx, 0, -1), _elem(ctx, 0, 1), _elem(ctx, 1, 0)
-    v = commutator(commutator(b, a), a)
-    for _ in range(k):
-        v = -commutator(c, v)
-    return commutator(b, v)
+    v = eval_bracket_expr(ctx, _chain_G(k))
+    return -v if k % 2 else v
 
 
 def base_G_documented(ctx: ScalarContext, k: int) -> Element:
@@ -291,9 +324,7 @@ def obase_A(ctx: ScalarContext, k: int, l: int) -> Element:
         raise ConstructionError(
             f"obase_A needs l not divisible by p (got l={l}, p={ctx.p}): q^l - 1 vanishes"
         )
-    one, q = ctx.one(), ctx.q()
-    pref = -((one - q).inverse() ** l) * ((q ** l - one).inverse() ** k)
-    return base_A(ctx, k, l).scale(pref)
+    return eval_bracket_expr(ctx, _chain_A(k, l)).scale(_norm_A(ctx, k, l))
 
 
 def obase_B(ctx: ScalarContext, k: int, l: int) -> Element:
@@ -302,20 +333,17 @@ def obase_B(ctx: ScalarContext, k: int, l: int) -> Element:
         raise ConstructionError(
             f"obase_B needs k+1 not divisible by p (got k={k}, p={ctx.p}): 1 - q^(k+1) vanishes"
         )
-    one, q = ctx.one(), ctx.q()
-    pref = ((q - one).inverse() ** (k + 1)) * ((one - q ** (k + 1)).inverse() ** (l - 1))
-    return base_B(ctx, k, l).scale(pref)
+    return eval_bracket_expr(ctx, _chain_B(k, l)).scale(_norm_B(ctx, k, l))
 
 
 def obase_G(ctx: ScalarContext, k: int) -> Element:
     """Normalized grade-0 chain returning exactly C^(k+2).
 
-    Uses the telescoped combination
-        C^(k+2) = (C - q * sum_{i<=k} q^i (q-1)^-(i+1) base_G(i)) / {k+2}_q,
-    which is exact whenever {k+2}_q is invertible, i.e. k+2 not
-    divisible by p.  The documented normalization divides by 1-q^(k+1)
-    instead and is rejected here: when k+2 ≡ 0 (mod p) no grade-0
-    bracket combination reaches C^(k+2) at all, and when k+1 ≡ 0 the
+    Evaluates the telescoped combination `_telescoped_C(k + 2)`, which
+    is exact whenever {k+2}_q is invertible, i.e. k+2 not divisible by
+    p.  The documented normalization divides by 1-q^(k+1) instead and
+    is rejected here: when k+2 ≡ 0 (mod p) no grade-0 bracket
+    combination reaches C^(k+2) at all, and when k+1 ≡ 0 the
     central-power bracket [C^k A, B C] is the construction that works.
     """
     _require_torsion(ctx)
@@ -330,12 +358,7 @@ def obase_G(ctx: ScalarContext, k: int) -> Element:
             f"obase_G target C^{k + 2} has exponent divisible by p={p} "
             "and is not a Lie polynomial: no bracket combination reaches it"
         )
-    one, q = ctx.one(), ctx.q()
-    out = {MONO_C: one}
-    for i in range(k + 1):
-        _add_into(out, base_G(ctx, i).terms, ctx.q_power(i + 1) * ((q - one).inverse() ** (i + 1)),
-                  subtract=True)
-    return Element(ctx, out, _clean=True).scale(q_int(ctx, k + 2).inverse())
+    return eval_bracket_expr(ctx, _telescoped_C(ctx, k + 2))
 
 
 def obase_G_documented(ctx: ScalarContext, k: int) -> Element:
@@ -377,58 +400,30 @@ class LieWitness(NamedTuple):
     value: Element
 
 
-def _sign(ctx: ScalarContext, j: int) -> Scalar:
-    return ctx.one() if j % 2 == 0 else -ctx.one()
+def _witness_mixed(ctx: ScalarContext, k: int, d: int) -> BracketExpr:
+    """Witness for C^k A^(-d) (d < 0) or B^d C^k (d > 0), k >= 1.
 
-
-def _witness_c_pow_a(ctx: ScalarContext, k: int, l: int) -> BracketExpr:
-    """Witness tree for C^k A^l, l not divisible by p (k >= 0, l >= 1)."""
-    one, q = ctx.one(), ctx.q()
-    kk = k - 1  # chain parameter: target is C^(kk+1) A^l
-    raw = _nest(_C, _nest(_A, _B, l + 1), kk)
-    pref = -( (one - q).inverse() ** l) * ((q ** l - one).inverse() ** kk) * _sign(ctx, kk + l + 1)
-    return ScaledSum(((pref, raw),))
-
-
-def _witness_c_pow_a_np(ctx: ScalarContext, k: int, np_: int) -> BracketExpr:
-    """Witness for C^k A^(np), k not divisible by p."""
-    one, q = ctx.one(), ctx.q()
-    kk = k - 1
-    raw = Bracket(_A, _nest(_C, _nest(_A, _B, np_), kk))
-    pref = (
-        ((one - q) ** (1 - np_))
-        * (one - q ** (kk + 1)).inverse()
-        * ((q ** (np_ - 1) - one).inverse() ** kk)
-        * _sign(ctx, kk + np_)
-    )
-    return ScaledSum(((pref, raw),))
-
-
-def _witness_b_c_pow(ctx: ScalarContext, k: int, l: int) -> BracketExpr:
-    """Witness for B^l C^k, k not divisible by p (k >= 1, l >= 1)."""
-    one, q = ctx.one(), ctx.q()
-    kk = k - 1
-    raw = _nest(_B, _nest(_C, Bracket(_B, Bracket(_B, _A)), kk), l - 1)
-    pref = ((q - one).inverse() ** (kk + 1)) * ((one - q ** (kk + 1)).inverse() ** (l - 1))
-    return ScaledSum(((pref, raw),))
-
-
-def _witness_b_c_pow_np(ctx: ScalarContext, np_: int, l: int) -> BracketExpr:
-    """Witness for B^l C^(np), l not divisible by p."""
-    one, q = ctx.one(), ctx.q()
-    raw = Bracket(_C, _nest(_B, _nest(_C, Bracket(_B, Bracket(_B, _A)), np_ - 2), l - 1))
-    pref = -(
-        (one - q ** l).inverse()
-        * ((q - one).inverse() ** (np_ - 1))
-        * ((one - q ** (np_ - 1)).inverse() ** (l - 1))
-    )
-    return ScaledSum(((pref, raw),))
+    The normalized chain reaches the target when the exponent it divides
+    by avoids p (the letter exponent on the A side, the C exponent on
+    the B side).  Otherwise the chain one step short is bumped by
+    [A, .] or [C, .], which multiplies it by q^k - 1 or q^d - 1.
+    """
+    p, one = ctx.p, ctx.one()
+    if d < 0:
+        l = -d
+        if l % p:
+            return ScaledSum(((_norm_A(ctx, k - 1, l), _chain_A(k - 1, l)),))
+        bump = (ctx.q_power(k) - one).inverse()
+        return ScaledSum(((_norm_A(ctx, k - 1, l - 1) * bump, Bracket(_A, _chain_A(k - 1, l - 1))),))
+    if k % p:
+        return ScaledSum(((_norm_B(ctx, k - 1, d), _chain_B(k - 1, d)),))
+    bump = (ctx.q_power(d) - one).inverse()
+    return ScaledSum(((_norm_B(ctx, k - 2, d) * bump, Bracket(_C, _chain_B(k - 2, d))),))
 
 
 def _witness_c_pow(ctx: ScalarContext, n: int) -> BracketExpr:
     """Witness for C^n, n >= 2, n not divisible by p."""
     p = ctx.p
-    one, q = ctx.one(), ctx.q()
     if n % p == 0:
         # reachable only under the literal spanning-set classification,
         # which the closure contradicts; there is nothing to construct
@@ -438,15 +433,8 @@ def _witness_c_pow(ctx: ScalarContext, n: int) -> BracketExpr:
     if n % p == 1:
         # central-power bracket: [C^(n-2) A, B C] = C^n when n-1 ≡ 0 (mod p);
         # n ≡ 1 (mod p) and n >= 2 force n >= p + 1, so n - 2 >= 1 here
-        return Bracket(_witness_c_pow_a(ctx, n - 2, 1), _witness_b_c_pow(ctx, 1, 1))
-    # telescoped grade-0 chain divided by {n}_q
-    inv_n = q_int(ctx, n).inverse()
-    items = [(inv_n, _C)]
-    for i in range(n - 1):
-        raw = Bracket(_B, _nest(_C, Bracket(Bracket(_B, _A), _A), i))
-        coef = -(inv_n * ctx.q_power(i + 1) * ((q - one).inverse() ** (i + 1)) * _sign(ctx, i))
-        items.append((coef, raw))
-    return ScaledSum(tuple(items))
+        return Bracket(_witness_mixed(ctx, n - 2, -1), _witness_mixed(ctx, 1, 1))
+    return _telescoped_C(ctx, n)
 
 
 def construct_basis_element(ctx: ScalarContext, m: Monomial, defn2_literal: bool = False) -> LieWitness:
@@ -457,13 +445,16 @@ def construct_basis_element(ctx: ScalarContext, m: Monomial, defn2_literal: bool
     otherwise); mixed monomials use the normalized ad-chain matching the
     letter exponent (plain chain when it avoids p, the letter-power or
     grade-0 bump otherwise).  Raises for monomials that are not Lie
-    polynomials, naming the classification row.
+    polynomials, naming the classification row, and raises ValueError
+    above the work budget `MAX_WITNESS_DEGREE` on k + |d|.
     """
     cls = classify_monomial(ctx, m, defn2_literal)
     if not cls.is_lie:
         raise NotLiePolynomialError(f"{m.text()} is not a Lie polynomial: {cls.reason}")
-    p = ctx.p
     k, d = m
+    if k + abs(d) > MAX_WITNESS_DEGREE:
+        raise ValueError(f"witness for {m.text()} has degree k + |d| = {k + abs(d)}, "
+                         f"above the budget MAX_WITNESS_DEGREE = {MAX_WITNESS_DEGREE}")
     if m == MONO_A:
         expr: BracketExpr = _A
     elif m == MONO_B:
@@ -472,12 +463,8 @@ def construct_basis_element(ctx: ScalarContext, m: Monomial, defn2_literal: bool
         expr = _C
     elif d == 0:
         expr = _witness_c_pow(ctx, k)
-    elif d < 0:
-        l = -d
-        expr = _witness_c_pow_a(ctx, k, l) if l % p != 0 else _witness_c_pow_a_np(ctx, k, l)
     else:
-        l = d
-        expr = _witness_b_c_pow(ctx, k, l) if k % p != 0 else _witness_b_c_pow_np(ctx, k, l)
+        expr = _witness_mixed(ctx, k, d)
     value = eval_bracket_expr(ctx, expr)
     if value != Element.monomial(ctx, m):
         raise ConstructionError(

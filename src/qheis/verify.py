@@ -378,7 +378,7 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
     defining relation only (`straighten`); the straightened factors are
     multiplied by the memoized letter fold and converted back through the
     equal-power expansion (`normal_to_element`).  Nothing on that route
-    touches the nine-case dispatch.
+    touches the structure-constant product.
     """
     t0 = time.time()
     rep = VerifyReport(
@@ -424,7 +424,7 @@ def run_suites(ctx: ScalarContext, names, *, kmax: int, dmax: int, depth: int,
                seed: int, pairs: int) -> list[VerifyReport]:
     wanted = set(names)
     if "all" in wanted:
-        wanted = {"lemma2", "lemma3", "lemma4", "theorem1", "torsion-paths", "oracle"}
+        wanted = set(SUITE_NAMES) - {"all"}
     out: list[VerifyReport] = []
     if "lemma2" in wanted:
         out.append(verify_no_N_leakage(ctx, kmax, dmax))

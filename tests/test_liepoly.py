@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from qheis.heisenberg import Element, Monomial, commutator
 from qheis.liepoly import (
+    MAX_WITNESS_DEGREE,
     Bracket,
     ConstructionError,
     Leaf,
@@ -250,6 +253,49 @@ def test_witness_text_renders(p2):
     w = construct_basis_element(p2, Monomial(3, 0))
     text = w.expr.text()
     assert text.startswith("[") and "[B, [B, A]]" in text
+
+
+@pytest.mark.parametrize("p,k,d,text", [
+    # plain A chain, its [A, .] bump, plain B chain, its [C, .] bump
+    (5, 1, -2, "(2/5 + 3/5*q + 3/5*q^2 + 2/5*q^3)*[A, [A, [A, B]]]"),
+    (3, 1, -3, "(-1/9 - 2/9*q)*[A, [A, [A, [A, B]]]]"),
+    (5, 1, 2, "(-2/5 - 3/5*q - 3/5*q^2 - 2/5*q^3)*[B, [B, [B, A]]]"),
+    (3, 3, 1, "(-1/9 - 2/9*q)*[[A, B], [[A, B], [B, [B, A]]]]"),
+    # central-power bracket and telescoped grade-0 chain
+    (2, 3, 0, "[(-1/2)*[A, [A, B]], (-1/2)*[B, [B, A]]]"),
+    (3, 2, 0, "(-q)*[A, B] + (1/3 + 2/3*q)*[B, [[B, A], A]]"),
+])
+def test_witness_texts(p, k, d, text):
+    assert construct_basis_element(ScalarContext.torsion(p), Monomial(k, d)).expr.text() == text
+
+
+def test_witness_texts_on_the_verify_windows_are_pinned():
+    # every witness text, or refusal, for k, |d| <= 2p + 2 at p = 2, 3, 5, 7
+    pin = {}
+    for p in (2, 3, 5, 7):
+        ctx = ScalarContext.torsion(p)
+        w = 2 * p + 2
+        for k in range(w + 1):
+            for d in range(-w, w + 1):
+                try:
+                    got = construct_basis_element(ctx, Monomial(k, d)).expr.text()
+                except (NotLiePolynomialError, ConstructionError) as exc:
+                    got = f"{type(exc).__name__}: {exc}"
+                pin[f"{p},{k},{d}"] = got
+    assert len(pin) == 1130
+    digest = hashlib.sha256(json.dumps(pin, sort_keys=True).encode()).hexdigest()
+    assert digest == "62fc70c54bcd04133a28780183141d0badd3e0075ea973664fc2a61375cf3b38"
+
+
+def test_witness_degree_budget(p3):
+    # C A^255 (an [A, .] bump at p = 3) is at the budget, C A^256 past it
+    w = construct_basis_element(p3, Monomial(1, -(MAX_WITNESS_DEGREE - 1)))
+    assert w.value == mono(p3, 1, -(MAX_WITNESS_DEGREE - 1))
+    with pytest.raises(ValueError, match="MAX_WITNESS_DEGREE"):
+        construct_basis_element(p3, Monomial(1, -MAX_WITNESS_DEGREE))
+    # a non-member is refused as such, whatever its degree
+    with pytest.raises(NotLiePolynomialError):
+        construct_basis_element(p3, Monomial(300, 300))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -347,6 +348,42 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "3", "construct", "C^1200*A"], "k + |d| = 1201"),
+    (["--p", "3", "construct", "C^5*A^1200"], "k + |d| = 1205"),
+    (["--p", "3", "member", "C^1200*A"], "k + |d| = 1201"),
+    (["--p", "3", "construct", "C*A^256"], "MAX_WITNESS_DEGREE = 256"),
+    (["--p", "3", "verify", "theorem1", "--reach-kmax", "200", "--reach-dmax", "57"],
+     "must be at most 256, got 257"),
+    (["--p", "129", "normalize", "A*B"], "--p must be at most 128, got 129"),
+    (["--p", "3001", "normalize", "A*B"], "--p must be at most 128"),
+])
+def test_cli_rejects_inputs_over_a_work_budget(argv, message):
+    t0 = time.perf_counter()
+    code, stdout, err = _call(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, stdout) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "3", "construct", "C*A^255"],
+    ["--p", "128", "normalize", "A*B"],
+])
+def test_cli_accepts_inputs_at_a_work_budget(argv):
+    code, stdout, err = _call(argv)
+    assert code == 0 and stdout and err == ""
+
+
+def test_cli_member_without_a_witness_is_a_mathematical_no(capsys):
+    # the literal reading counts C^2 as a member at p = 2, but nothing reaches it
+    code, out, err = run_cli(capsys, "--p", "2", "--defn2-literal", "member", "C^2")
+    assert (code, out) == (1, "")
+    assert err.startswith("not constructible: ") and "Traceback" not in err
 
 
 def test_literals_up_to_the_digit_limit_parse(generic):
