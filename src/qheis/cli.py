@@ -151,8 +151,11 @@ def _emit(args, text: Callable[[], str], json_obj: Callable[[], dict]) -> None:
             "result has a coefficient too long to print "
             f"(more than {sys.get_int_max_str_digits()} digits)"))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise SystemExit(_usage_error(f"cannot write --out: {exc}"))
     print(shown)
 
 

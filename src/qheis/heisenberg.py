@@ -10,8 +10,9 @@ sort key.
 Multiplication of two basis monomials takes one rule unless the product
 holds both an A power and a B power: the letter powers concatenate and
 each one moved past a C power contributes a power of q.  The two mixed
-cases split on the comparison of the letter exponents and expand
-through the structure scalars c_i, d_i.
+cases take one rule each: with j the smaller letter exponent, A^j B^j
+or B^j A^j expands through the structure scalars c_i(j) or d_i(j), and
+the leftover letter power moves past a C power.
 
 An independent oracle is provided by free words in A, B: `reduce_word`
 straightens a word polynomial into the B^a A^b normal form using only
@@ -276,7 +277,7 @@ class Element:
 
 
 # ---------------------------------------------------------------------------
-# Structure-constant multiplication (one unmixed rule, two mixed cases)
+# Structure-constant multiplication (one unmixed rule, one rule per mixed case)
 # ---------------------------------------------------------------------------
 
 def _mono_product(ctx: ScalarContext, x: Monomial, y: Monomial):
@@ -287,28 +288,22 @@ def _mono_product(ctx: ScalarContext, x: Monomial, y: Monomial):
         # no letter passes a letter: A^n C^k = q^(nk) C^k A^n, C^m B^l = q^(ml) B^l C^m
         e = (-d1 * k if d1 < 0 else 0) + (m * d2 if d2 > 0 else 0)
         return ((Monomial(m + k, d1 + d2), ctx.q_power(e) if e else ctx.one()),)
-    if d1 < 0 and d2 > 0:
-        # C^m A^n . B^l C^k, expanded through A^j B^j = sum c_i(j) C^i
+    if d1 < 0:
+        # C^m A^n . B^l C^k through A^j B^j = sum c_i(j) C^i, j = min(n, l); the leftover
+        # A^(n-l) passes C^(i+k) on its right, the leftover B^(l-n) C^(m+i) on its left
         n, l = -d1, d2
-        if n >= l:
-            return tuple(
-                (Monomial(m + i + k, -(n - l)), scaled_struct_c(ctx, i, l, (i + k) * (n - l)))
-                for i in range(l + 1)
-            )
+        j = min(n, l)
         return tuple(
-            (Monomial(m + i + k, l - n), scaled_struct_c(ctx, i, n, (m + i) * (l - n)))
-            for i in range(n + 1)
+            (Monomial(m + i + k, l - n),
+             scaled_struct_c(ctx, i, j, (i + k) * (n - l) if n >= l else (m + i) * (l - n)))
+            for i in range(j + 1)
         )
-    # d1 > 0 and d2 < 0: B^n C^m . C^k A^l through B^j A^j = sum d_i(j) C^i
+    # B^n C^m . C^k A^l through B^j A^j = sum d_i(j) C^i with j = min(n, l)
     n, l = d1, -d2
-    if n >= l:
-        return tuple(
-            (Monomial(m + k + i, n - l), scaled_struct_d(ctx, i, l, -(m + k) * l))
-            for i in range(l + 1)
-        )
+    j = min(n, l)
+    e = -(m + k) * j
     return tuple(
-        (Monomial(m + k + i, -(l - n)), scaled_struct_d(ctx, i, n, -(m + k) * n))
-        for i in range(n + 1)
+        (Monomial(m + k + i, n - l), scaled_struct_d(ctx, i, j, e)) for i in range(j + 1)
     )
 
 

@@ -77,9 +77,9 @@ __all__ = [
 ]
 
 
-# Work budget of `construct_basis_element` on k + |d|: a witness is a
-# bracket tree of about that depth, and the telescoped C^n witness has
-# about n^2 / 2 brackets (C^254 takes about 1.5 s)
+# Work budget of `construct_basis_element` on k + |d|, a bound on output
+# size: a witness is a bracket tree of about that depth, and the text of
+# the telescoped C^n witness grows as n^2 (C^254 prints 339 kB)
 MAX_WITNESS_DEGREE = 256
 
 
@@ -210,18 +210,25 @@ _C = Bracket(_A, _B)
 
 
 def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
-    """Evaluate a witness tree inside the algebra."""
-    if isinstance(e, Leaf):
-        return Element.monomial(ctx, MONO_A if e.gen == "A" else MONO_B)
-    if isinstance(e, Bracket):
-        left = eval_bracket_expr(ctx, e.left)
-        right = eval_bracket_expr(ctx, e.right)
-        left.ctx.ensure_same(right.ctx)
-        return commutator(left, right)
-    out: dict = {}
-    for c, sub in e.items:
-        _add_into(out, eval_bracket_expr(ctx, sub).terms, c)
-    return Element(ctx, out, _clean=True)
+    """Evaluate a witness tree inside the algebra, each node object once per call."""
+    done: dict[int, Element] = {}
+
+    def value(node: BracketExpr) -> Element:
+        got = done.get(id(node))
+        if got is None:
+            if isinstance(node, Leaf):
+                got = Element.monomial(ctx, MONO_A if node.gen == "A" else MONO_B)
+            elif isinstance(node, Bracket):
+                got = commutator(value(node.left), value(node.right))
+            else:
+                out: dict = {}
+                for c, sub in node.items:
+                    _add_into(out, value(sub).terms, c)
+                got = Element(ctx, out, _clean=True)
+            done[id(node)] = got
+        return got
+
+    return value(e)
 
 
 def _nest(head: BracketExpr, inner: BracketExpr, times: int) -> BracketExpr:
@@ -248,11 +255,13 @@ def _chain_B(k: int, l: int) -> BracketExpr:
     return _nest(_B, _nest(_C, Bracket(_B, Bracket(_B, _A)), k), l - 1)
 
 
-def _chain_G(k: int) -> BracketExpr:
-    """[B, (ad C)^k [[B, A], A]], the grade-0 chain."""
-    if k < 0:
-        raise ValueError("base_G needs k >= 0")
-    return Bracket(_B, _nest(_C, Bracket(Bracket(_B, _A), _A), k))
+def _chains_G(n: int) -> list[BracketExpr]:
+    """The grade-0 chains [B, (ad C)^k [[B, A], A]] for k < n, all extending one nest."""
+    chains, nest = [], Bracket(Bracket(_B, _A), _A)
+    for _ in range(n):
+        chains.append(Bracket(_B, nest))
+        nest = Bracket(_C, nest)
+    return chains
 
 
 def _norm_A(ctx: ScalarContext, k: int, l: int) -> Scalar:
@@ -269,14 +278,14 @@ def _norm_B(ctx: ScalarContext, k: int, l: int) -> Scalar:
 def _telescoped_C(ctx: ScalarContext, n: int) -> ScaledSum:
     """C^n = (C - sum_{i<n-1} q^(i+1) (q-1)^-(i+1) base_G(i)) / {n}_q.
 
-    base_G(i) is (-1)^i times `_chain_G(i)`.  Exact whenever {n}_q is
+    base_G(i) is (-1)^i times the i-th of `_chains_G`.  Exact whenever {n}_q is
     invertible, i.e. n not divisible by p.
     """
     inv_n = q_int(ctx, n).inverse()
     items = [(inv_n, _C)]
-    for i in range(n - 1):
+    for i, chain in enumerate(_chains_G(n - 1)):
         c = inv_n * ctx.q_power(i + 1) * inv_qm1_power(ctx, i + 1)
-        items.append((c if i % 2 else -c, _chain_G(i)))
+        items.append((c if i % 2 else -c, chain))
     return ScaledSum(tuple(items))
 
 
@@ -301,7 +310,9 @@ def base_G(ctx: ScalarContext, k: int) -> Element:
     Exact closed form (established by direct evaluation and covered by
     the tests): (q-1)^(k+1) q^-(k+1) ({k+1}_q C^(k+1) - {k+2}_q C^(k+2)).
     """
-    v = eval_bracket_expr(ctx, _chain_G(k))
+    if k < 0:
+        raise ValueError("base_G needs k >= 0")
+    v = eval_bracket_expr(ctx, _chains_G(k + 1)[-1])
     return -v if k % 2 else v
 
 
@@ -622,8 +633,13 @@ def lie_closure(
     deterministic reduced-echelon basis.
     """
     _require_torsion(ctx)
+    return _window_span(ctx, closure_rows(ctx, depth), kmax, dmax)
+
+
+def _window_span(ctx: ScalarContext, rows, kmax: int, dmax: int) -> SubspaceBasis:
+    """The reduced-echelon span of closure rows projected to the window."""
     reducer = RowReducer(ctx)
-    for _, row in closure_rows(ctx, depth):
+    for _, row in rows:
         projected = Element(
             ctx,
             {m: c for m, c in row.terms.items() if m.k <= kmax and abs(m.d) <= dmax},

@@ -19,8 +19,8 @@ Two scalar fields are supported, selected by a :class:`ScalarContext`:
 
 On top of the two fields the module provides the q-combinatorial scalars:
 q-integers, Gaussian (q-)binomial coefficients, and the structure-constant
-scalars ``c_i(l)``, ``d_i(l)`` used by the multiplication engine.  The
-structure scalars take their binomials from the Pascal-type recursion in
+scalars ``c_i(l)``, ``d_i(l)`` used by the multiplication engine, which
+with their q-shifts fill one memo per context.  The structure scalars take their binomials from the Pascal-type recursion in
 generic mode and from the q-Lucas factorization in torsion mode, where
 only binomials below the order p reach the recursion.
 
@@ -97,12 +97,6 @@ def _pmul(a: IntPoly, b: IntPoly) -> IntPoly:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _ptrim(out)
-
-
-def _pscale(a: IntPoly, s: int) -> IntPoly:
-    if s == 0:
-        return P_ZERO
-    return tuple(x * s for x in a)
 
 
 def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -344,8 +338,7 @@ class ScalarContext:
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
-        "_c", "_d", "_qpow", "_qint", "_inv_qm1", "_scaled_c", "_scaled_d",
-        "_mono_nf", "_awb",
+        "_struct", "_qpow", "_qint", "_inv_qm1", "_mono_nf", "_awb",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -385,12 +378,9 @@ class ScalarContext:
         self.mode = mode
         self.p = p
         self._qbin: dict = {}
-        self._c: dict = {}
-        self._d: dict = {}
+        self._struct: dict = {}
         self._qint: dict = {}
         self._inv_qm1: dict = {}
-        self._scaled_c: dict = {}
-        self._scaled_d: dict = {}
         self._mono_nf: dict = {}
         self._awb: dict = {}
 
@@ -822,58 +812,48 @@ def _check_cd_args(i: int, l: int) -> None:
 
 
 def _struct_scalar(ctx: ScalarContext, i: int, l: int, e: int) -> Scalar:
-    """q^e (q-1)^(-l) (-1)^(l-i) (l i)_q, the body shared by c_i(l) and d_i(l).
+    """q^e (q-1)^(-l) (-1)^(l-i) (l i)_q, the body of c_i(l), d_i(l) and their q-shifts.
 
-    The one place the binomial route is chosen: q-Lucas in torsion mode,
-    the Pascal table in generic mode.
+    Fills the context's one structure-scalar memo at (i, l, e), e reduced
+    mod p in torsion mode.  The one place the binomial route is chosen:
+    q-Lucas in torsion mode, the Pascal table in generic mode.
     """
     qb = q_binomial_lucas(ctx, l, i) if ctx.is_torsion else q_binomial(ctx, l, i)
-    if qb.is_zero():
-        return qb
-    out = inv_qm1_power(ctx, l) * ctx.q_power(e) * qb
-    return out if (l - i) % 2 == 0 else -out
+    if not qb.is_zero():
+        qb = inv_qm1_power(ctx, l) * ctx.q_power(e) * (-qb if (l - i) % 2 else qb)
+    ctx._struct[(i, l, e)] = qb
+    return qb
 
 
 def struct_c(ctx: ScalarContext, i: int, l: int) -> Scalar:
     """c_i(l) = (q-1)^(-l) (-1)^(l-i) q^binom(i+1,2) (l i)_q."""
     _check_cd_args(i, l)
-    got = ctx._c.get((i, l))
-    if got is None:
-        got = ctx._c[(i, l)] = _struct_scalar(ctx, i, l, math.comb(i + 1, 2))
-    return got
+    return scaled_struct_c(ctx, i, l, 0)
 
 
 def struct_d(ctx: ScalarContext, i: int, l: int) -> Scalar:
     """d_i(l) = q^(-binom(l,2)) (q-1)^(-l) (-1)^(l-i) q^binom(l-i,2) (l i)_q."""
     _check_cd_args(i, l)
-    got = ctx._d.get((i, l))
-    if got is None:
-        got = ctx._d[(i, l)] = _struct_scalar(ctx, i, l, math.comb(l - i, 2) - math.comb(l, 2))
-    return got
+    return scaled_struct_d(ctx, i, l, 0)
 
 
+# The scaled readers read the memo inline: a mixed monomial product calls one per term
 def scaled_struct_c(ctx: ScalarContext, i: int, l: int, e: int) -> Scalar:
     """q^e * c_i(l), memoized (e reduced mod p in torsion mode)."""
+    e += math.comb(i + 1, 2)
     if ctx.is_torsion:
         e %= ctx.p
-    key = (i, l, e)
-    got = ctx._scaled_c.get(key)
-    if got is None:
-        got = ctx.q_power(e) * struct_c(ctx, i, l)
-        ctx._scaled_c[key] = got
-    return got
+    got = ctx._struct.get((i, l, e))
+    return _struct_scalar(ctx, i, l, e) if got is None else got
 
 
 def scaled_struct_d(ctx: ScalarContext, i: int, l: int, e: int) -> Scalar:
     """q^e * d_i(l), memoized (e reduced mod p in torsion mode)."""
+    e += math.comb(i + 1, 2) - i * l  # binom(l-i, 2) - binom(l, 2)
     if ctx.is_torsion:
         e %= ctx.p
-    key = (i, l, e)
-    got = ctx._scaled_d.get(key)
-    if got is None:
-        got = ctx.q_power(e) * struct_d(ctx, i, l)
-        ctx._scaled_d[key] = got
-    return got
+    got = ctx._struct.get((i, l, e))
+    return _struct_scalar(ctx, i, l, e) if got is None else got
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,11 @@ from .heisenberg import (
     straighten,
 )
 from .liepoly import (
+    _window_span,
     classify_monomial,
     closure_rows,
     construct_basis_element,
     is_lie_polynomial,
-    lie_closure,
     project_N,
     NotLiePolynomialError,
     ConstructionError,
@@ -217,7 +217,7 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
         parameters={"p": ctx.p, "depth": depth, "defn2_literal": defn2_literal},
     )
     rows = closure_rows(ctx, depth)
-    span = lie_closure(ctx, depth, kmax=max(kmax, depth), dmax=max(dmax, depth))
+    span = _window_span(ctx, rows, kmax=max(kmax, depth), dmax=max(dmax, depth))
     for deg, row in rows:
         sound.pairs_checked += 1
         ok, residual = is_lie_polynomial(row, defn2_literal)

@@ -4,9 +4,14 @@ A stdlib-``ast`` check: a name bound by ``import`` or ``from ... import``
 must be read somewhere in its module, or be listed in ``__all__``.
 ``__init__.py`` is skipped, because it exists to re-export, and so is
 ``from __future__``.  Quoted annotations are parsed and count as reads.
+
+A second check of the same kind: every module-level ``_private``
+function is referenced somewhere in the package outside its own
+definition, so a helper that a merge made unused does not linger.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,3 +80,58 @@ def test_detector_sees_unused_and_used_imports():
         "    return os.path.join(c)\n"
     )
     assert unused_imports(source) == [("Iterable", 4), ("b", 5), ("json", 2)]
+
+
+def _references(tree: ast.AST):
+    """Every name a tree reads, as a Name, an attribute or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level ``_private`` function that no
+    module references outside the function's own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    total = Counter(ref for tree in trees.values() for ref in _references(tree))
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                own = sum(ref == node.name for ref in _references(node))
+                if total[node.name] == own:
+                    out.append((module, node.name))
+    return sorted(out)
+
+
+def test_every_private_function_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_detector_sees_unreferenced_private_functions():
+    sources = {
+        "a.py": (
+            "def _dead(n):\n"
+            "    return _dead(n - 1) if n else 0\n"
+            "def _local():\n"
+            "    return 1\n"
+            "def _imported():\n"
+            "    return 2\n"
+            "def _by_attribute():\n"
+            "    return 3\n"
+            "def public():\n"
+            "    return _local()\n"
+        ),
+        "b.py": (
+            "from .a import _imported\n"
+            "from . import a\n"
+            "value = a._by_attribute()\n"
+        ),
+    }
+    assert unreferenced_private_functions(sources) == [("a.py", "_dead")]

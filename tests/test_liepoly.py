@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qheis import liepoly, verify
 from qheis.heisenberg import Element, Monomial, commutator
 from qheis.liepoly import (
     MAX_WITNESS_DEGREE,
@@ -298,6 +299,16 @@ def test_witness_degree_budget(p3):
         construct_basis_element(p3, Monomial(300, 300))
 
 
+def test_telescoped_witness_evaluates_shared_chains_once(p3, monkeypatch):
+    calls = []
+    real = liepoly.commutator
+    monkeypatch.setattr(liepoly, "commutator", lambda x, y: calls.append(1) or real(x, y))
+    n = 20  # n = 2 (mod 3): the telescoped witness, n - 1 grade-0 chains
+    assert construct_basis_element(p3, Monomial(n, 0)).value == mono(p3, n, 0)
+    # the chains extend one nest: 2n distinct brackets, not about n^2 / 2
+    assert len(calls) == 2 * n
+
+
 # ---------------------------------------------------------------------------
 # row reduction and closure
 # ---------------------------------------------------------------------------
@@ -338,6 +349,20 @@ def test_closure_grade0_column(p2, p3):
     sb3 = lie_closure(p3, 6, 3, 0)
     assert sb3.contains(mono(p3, 2, 0))
     assert not sb3.contains(mono(p3, 3, 0))
+
+
+def test_theorem1_builds_the_closure_once(p3, monkeypatch):
+    depths = []
+    real = liepoly.closure_rows
+
+    def counted(ctx, depth):
+        depths.append(depth)
+        return real(ctx, depth)
+
+    monkeypatch.setattr(liepoly, "closure_rows", counted)
+    monkeypatch.setattr(verify, "closure_rows", counted)
+    verify.verify_theorem1(p3, depth=6, kmax=2, dmax=2)
+    assert depths == [6]
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -268,6 +268,16 @@ def test_cli_out_file(capsys, tmp_path):
     assert obj["reports"][0]["claim"] == "equal-grade-commutators-positive-C"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_cli_unwritable_out_is_usage_error(capsys, tmp_path, where):
+    target = tmp_path / "absent" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, "--p", "3", "--out", str(target), "normalize", "A")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_parse_error_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "--p", "2", "normalize", "A*")
     assert code == 2 and "error" in err

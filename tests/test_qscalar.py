@@ -18,6 +18,8 @@ from qheis.qscalar import (
     q_binomial_lucas,
     q_int,
     scalar_text,
+    scaled_struct_c,
+    scaled_struct_d,
     specialize,
     struct_c,
     struct_d,
@@ -182,6 +184,34 @@ def test_struct_scalar_domain_checks(generic):
         struct_d(generic, 3, 2)
     with pytest.raises(ValueError):
         struct_c(generic, -1, 2)
+
+
+@pytest.mark.parametrize("scaled_first", [True, False], ids=["scaled-first", "plain-first"])
+@pytest.mark.parametrize("p", [None, 2, 3, 4, 5, 6, 7], ids=lambda p: f"p{p}" if p else "generic")
+def test_scaled_struct_scalars_are_q_shifts(p, scaled_first):
+    # q^e * c_i(l) and q^e * d_i(l) share one memo with the unshifted
+    # scalars; computing either side first on a fresh context must not
+    # change what the other side reads
+    ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
+    bound = 4 if p is None else p
+    cases = [(scaled, plain, i, l, e)
+             for scaled, plain in ((scaled_struct_c, struct_c), (scaled_struct_d, struct_d))
+             for l in range(1, 2 * bound + 3) for i in range(l + 1)
+             for e in range(-2 * bound, 2 * bound + 1)]
+
+    def shifted():
+        return [scaled(ctx, i, l, e) for scaled, _, i, l, e in cases]
+
+    def reference():
+        return [ctx.q_power(e) * plain(ctx, i, l) for _, plain, i, l, e in cases]
+
+    if scaled_first:
+        got = shifted()
+        want = reference()
+    else:
+        want = reference()
+        got = shifted()
+    assert got == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
