@@ -116,10 +116,6 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.line, tok.col)
         return self.advance()
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
     # expr := term (('+'|'-') term)*
     def expr(self):
         parts = [(1, self.term())]

@@ -175,9 +175,6 @@ class Element:
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
 
-    def coeff(self, m: Monomial) -> Scalar:
-        return self.terms.get(m, self.ctx.zero())
-
     def support(self) -> list[Monomial]:
         return sorted(self.terms, key=_mono_key)
 
@@ -230,9 +227,6 @@ class Element:
             g: Element(self.ctx, t, _clean=True)
             for g, t in sorted(buckets.items())
         }
-
-    def is_homogeneous(self) -> bool:
-        return len({m.d for m in self.terms}) <= 1
 
     # -- rendering ----------------------------------------------------------
 

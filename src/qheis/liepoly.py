@@ -100,10 +100,6 @@ class MonomialClass(NamedTuple):
     in_N: bool   # member of the forbidden subspace (only when not Lie)
     reason: str
 
-    @property
-    def tag(self) -> str:
-        return "LiePolynomial" if self.is_lie else "NotLie"
-
 
 def classify_monomial(ctx: ScalarContext, m: Monomial, defn2_literal: bool = False) -> MonomialClass:
     """Decide whether a basis monomial is a Lie polynomial in A, B.

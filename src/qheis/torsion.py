@@ -92,46 +92,38 @@ def power_product_exact(ctx: ScalarContext) -> Element:
 def mixed_product_simplified(ctx: ScalarContext, x: Monomial, y: Monomial) -> Element | None:
     """Literal simplified mixed-case product, when its conditions apply.
 
-    For C^m A^n . B^l C^k with n >= l >= p (and the three sibling cases)
-    the documented relations collapse the structure-constant sum into a
-    two-term expression built from the simplified power product.  This
-    evaluates that expression verbatim and returns None when the stated
-    exponent inequalities do not hold.  Used only by the verification
-    suite; `multiply_fastpath` never calls it.
+    For x = (m, d1) and y = (k, d2) with letter exponents of opposite
+    signs and j = min(|d1|, |d2|) >= p, the documented relations collapse
+    the structure-constant sum into (head - tail) * scale, with
+    head = q^eh (m+k, d1+d2) and tail = (-1)^j q^et (m+k+j, d1+d2).  One
+    rule covers each side:
+
+    * A side (d1 < 0, n = -d1, l = d2): (eh, et) = ((n-l)k, (n-l)(m+k))
+      if n >= l, else (m(l-n), (l-n)(m+n)); scale = (1-q)^(-j).
+    * B side (d1 > 0): eh = et = 0; scale = q^(j(m+k)) (1-q)^(-j).
+
+    This evaluates that expression verbatim and returns None when the
+    stated exponent inequalities do not hold.  Used only by the
+    verification suite; `multiply_fastpath` never calls it.
     """
     _require_torsion(ctx)
-    p = ctx.p
-    one = ctx.one()
-    inv = lambda j: _inv_one_minus_q(ctx, j)
-    qp = lambda e: ctx.q_power(e % p)
-    sgn = lambda j: one if j % 2 == 0 else -one
     m, d1 = x
     k, d2 = y
-    if d1 < 0 and d2 > 0:
-        n, l = -d1, d2
-        if n >= l >= p:
-            head = Element.monomial(ctx, Monomial(m + k, -(n - l)), qp((n - l) * k))
-            tail = Element.monomial(ctx, Monomial(l + m + k, -(n - l)),
-                                    sgn(l) * qp((n - l) * (m + k)))
-            return (head - tail).scale(inv(l))
-        if l > n >= p:
-            head = Element.monomial(ctx, Monomial(m + k, l - n), qp(m * (l - n)))
-            tail = Element.monomial(ctx, Monomial(m + k + n, l - n),
-                                    sgn(n) * qp((l - n) * (m + n)))
-            return (head - tail).scale(inv(n))
+    n, l = abs(d1), abs(d2)
+    j = min(n, l)
+    if d1 * d2 >= 0 or j < ctx.p:
         return None
-    if d1 > 0 and d2 < 0:
-        n, l = d1, -d2
-        if n >= l >= p:
-            head = Element.monomial(ctx, Monomial(m + k, n - l))
-            tail = Element.monomial(ctx, Monomial(m + k + l, n - l), sgn(l))
-            return (head - tail).scale(qp(l * (m + k)) * inv(l))
-        if l > n >= p:
-            head = Element.monomial(ctx, Monomial(m + k, -(l - n)))
-            tail = Element.monomial(ctx, Monomial(m + k + n, -(l - n)), sgn(n))
-            return (head - tail).scale(qp((m + k) * n) * inv(n))
-        return None
-    return None
+    inv = _inv_one_minus_q(ctx, j)
+    if d1 < 0:
+        eh, et = ((n - l) * k, (n - l) * (m + k)) if n >= l else (m * (l - n), (l - n) * (m + n))
+        scale = inv
+    else:
+        eh = et = 0
+        scale = ctx.q_power(j * (m + k)) * inv
+    sign = ctx.one() if j % 2 == 0 else -ctx.one()
+    head = Element.monomial(ctx, Monomial(m + k, d1 + d2), ctx.q_power(eh))
+    tail = Element.monomial(ctx, Monomial(m + k + j, d1 + d2), sign * ctx.q_power(et))
+    return (head - tail).scale(scale)
 
 
 def multiply_fastpath(x: Element, y: Element) -> Element:

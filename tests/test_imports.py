@@ -8,6 +8,10 @@ must be read somewhere in its module, or be listed in ``__all__``.
 A second check of the same kind: every module-level ``_private``
 function is referenced somewhere in the package outside its own
 definition, so a helper that a merge made unused does not linger.
+
+A third: every non-dunder method of a package class is read as an
+attribute in the package, the tests or the benchmark, or is named by a
+string in the benchmark, whose tracer patches methods by name.
 """
 
 import ast
@@ -135,3 +139,56 @@ def test_detector_sees_unreferenced_private_functions():
         ),
     }
     assert unreferenced_private_functions(sources) == [("a.py", "_dead")]
+
+
+ROOT = SRC.parent.parent
+
+
+def unread_methods(package: dict[str, str], readers: dict[str, str],
+                   patchers: dict[str, str]) -> list[tuple[str, str]]:
+    """(class, method) of each non-dunder method of a ``package`` class that
+    no ``package`` or ``readers`` source reads as an attribute and no
+    ``patchers`` source names in a string (a tracer patches methods by name)."""
+    read = set()
+    for src in {**package, **readers, **patchers}.values():
+        read.update(node.attr for node in ast.walk(ast.parse(src))
+                    if isinstance(node, ast.Attribute))
+    for src in patchers.values():
+        read.update(node.value for node in ast.walk(ast.parse(src))
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    out = []
+    for src in package.values():
+        for cls in ast.walk(ast.parse(src)):
+            if isinstance(cls, ast.ClassDef):
+                out.extend((cls.name, node.name) for node in cls.body
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not (node.name.startswith("__") and node.name.endswith("__"))
+                           and node.name not in read)
+    return sorted(out)
+
+
+def _sources(directory: Path) -> dict[str, str]:
+    return {str(p): p.read_text(encoding="utf-8") for p in directory.glob("*.py")}
+
+
+def test_every_method_is_read():
+    assert unread_methods(_sources(SRC), _sources(ROOT / "tests"), _sources(ROOT / "bench")) == []
+
+
+def test_detector_sees_unread_methods():
+    package = {"a.py": (
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    def dead(self):\n"
+        "        return 2\n"
+        "    def tested(self):\n"
+        "        return 3\n"
+        "    def patched(self):\n"
+        "        return 4\n"
+    )}
+    readers = {"t.py": "def test():\n    assert K().tested() == 3\n    assert 'dead'\n"}
+    patchers = {"b.py": "SPANS = [('a', 'K', 'patched')]\n"}
+    assert unread_methods(package, readers, patchers) == [("K", "dead")]

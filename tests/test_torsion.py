@@ -63,6 +63,20 @@ def test_mixed_simplified_conditions(p3):
     assert mixed_product_simplified(p3, Monomial(0, -4), Monomial(0, 2)) is None
 
 
+def test_mixed_simplified_literal_form(p3):
+    # the formula object itself: (head - tail) * scale, one rule per side
+    q, inv = p3.q(), (p3.one() - p3.q()).inverse()
+    # A side, n = 4 > l = 3: q^((n-l)k) and (-1)^l q^((n-l)(m+k)) on the two terms
+    got = mixed_product_simplified(p3, Monomial(1, -4), Monomial(2, 3))
+    assert got == (mono(p3, 3, -1, q ** 2) + mono(p3, 6, -1, q ** 3)).scale(inv ** 3)
+    # A side, n = 4 < l = 5: q^(m(l-n)) and (-1)^n q^((l-n)(m+n))
+    got = mixed_product_simplified(p3, Monomial(1, -4), Monomial(0, 5))
+    assert got == (mono(p3, 1, 1, q) - mono(p3, 5, 1, q ** 5)).scale(inv ** 4)
+    # B side: bare terms, q^(j(m+k)) in the scale
+    got = mixed_product_simplified(p3, Monomial(1, 4), Monomial(1, -5))
+    assert got == (mono(p3, 2, -1) - mono(p3, 6, -1)).scale(q ** 8 * inv ** 4)
+
+
 def test_mixed_simplified_true_instance(p2):
     # A^2 . B^2 with p = 2 is a case where the documented formula is right
     claimed = mixed_product_simplified(p2, Monomial(0, -2), Monomial(0, 2))
