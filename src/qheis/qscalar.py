@@ -333,12 +333,16 @@ class ScalarContext:
 
     Contexts are immutable and shareable; per-context memo tables are
     only ever populated with idempotent values, so a memoized entry is
-    the same whichever computation filled it first.
+    the same whichever computation filled it first.  The scalar tables
+    (``_qbin``, ``_struct``, ``_qint``, ``_inv_qm1``) belong to this
+    module; ``_mono_nf`` and ``_awb`` hold the word oracle's normal
+    forms and ``_comm`` the torsion commutator kernels, and only
+    `heisenberg` reads them.
     """
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
-        "_struct", "_qpow", "_qint", "_inv_qm1", "_mono_nf", "_awb",
+        "_struct", "_qpow", "_qint", "_inv_qm1", "_mono_nf", "_awb", "_comm",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -383,6 +387,7 @@ class ScalarContext:
         self._inv_qm1: dict = {}
         self._mono_nf: dict = {}
         self._awb: dict = {}
+        self._comm: dict = {}
 
     @classmethod
     def generic(cls) -> "ScalarContext":

@@ -27,6 +27,7 @@ from .heisenberg import (
     straighten,
 )
 from .liepoly import (
+    MAX_WITNESS_DEGREE,
     _window_span,
     classify_monomial,
     closure_rows,
@@ -60,7 +61,9 @@ class VerifyReport:
     """Outcome of one claim on one window.
 
     Suites open a report as ``with VerifyReport(...) as rep:`` so that
-    ``elapsed`` times the block, and count each check through `check`.
+    ``elapsed`` times the block, and count each check through `check`:
+    ``if not rep.check(ok): rep.add_violation(lambda: {...})``, so a
+    passing check builds no entry closure.
     """
 
     claim: str
@@ -86,11 +89,11 @@ class VerifyReport:
     def __exit__(self, *exc) -> None:
         self.elapsed = time.time() - self.elapsed
 
-    def check(self, ok: bool, entry: Callable[[], dict]) -> None:
-        """Count one check; record `entry` as a violation when `ok` is false."""
+    def check(self, ok: bool) -> bool:
+        """Count one check and return `ok`; a failed check records its
+        violations through `add_violation`."""
         self.pairs_checked += 1
-        if not ok:
-            self.add_violation(entry)
+        return ok
 
     def add_violation(self, entry: Callable[[], dict]) -> None:
         """Count a violation; build its entry only while entries are still kept.
@@ -151,8 +154,9 @@ def verify_no_N_leakage(ctx: ScalarContext, kmax: int, dmax: int) -> VerifyRepor
         units = _window_units(ctx, kmax, dmax)
         for (m1, x), (m2, y) in itertools.product(units, repeat=2):
             bad = project_N(commutator(x, y))
-            rep.check(bad.is_zero(), lambda: {"left": m1.text(), "right": m2.text(),
-                                              "residual": bad.text()})
+            if not rep.check(bad.is_zero()):
+                rep.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
+                                           "residual": bad.text()})
     return rep
 
 
@@ -177,15 +181,11 @@ def verify_lemma3(ctx: ScalarContext, mmax: int, nmax: int) -> VerifyReport:
         for m, r in itertools.product(cs, repeat=2):
             for n, s in itertools.product(letters, repeat=2):
                 f = commutator(left[m, n], right[r, s])
-                rep.pairs_checked += 1
-                for mono in f.support():
-                    if n == s:
-                        ok = mono.d == 0 and mono.k >= 2
-                    elif n < s:
-                        ok = mono.d == s - n and mono.k >= 1
-                    else:
-                        ok = mono.d == -(n - s) and mono.k >= 1
-                    if not ok:
+                # the grade is s - n; only the pure C power needs C^2
+                bad = [mono for mono in f.support()
+                       if mono.d != s - n or mono.k < (2 if n == s else 1)]
+                if not rep.check(not bad):
+                    for mono in bad:
                         rep.add_violation(lambda: {
                             "left": Monomial(m, -n).text(),
                             "right": Monomial(r, s).text(),
@@ -209,14 +209,11 @@ def verify_derived_algebra(ctx: ScalarContext, kmax: int, dmax: int,
         basis = [(m, u) for m, u in _window_units(ctx, kmax, dmax)
                  if classify_monomial(ctx, m, defn2_literal).is_lie]
         for (m1, x), (m2, y) in itertools.combinations(basis, 2):
-            f = commutator(x, y)
-            rep.pairs_checked += 1
-            for mono in f.support():
-                in_der = (
-                    classify_monomial(ctx, mono, defn2_literal).is_lie
-                    and mono not in (Monomial(0, -1), Monomial(0, 1))
-                )
-                if not in_der:
+            bad = [mono for mono in commutator(x, y).support()
+                   if mono in (Monomial(0, -1), Monomial(0, 1))
+                   or not classify_monomial(ctx, mono, defn2_literal).is_lie]
+            if not rep.check(not bad):
+                for mono in bad:
                     rep.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
                                                "term": mono.text()})
     return rep
@@ -228,7 +225,15 @@ def verify_derived_algebra(ctx: ScalarContext, kmax: int, dmax: int,
 
 def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
                     defn2_literal: bool = False) -> list[VerifyReport]:
-    """Soundness and reachability of the claimed Lie-polynomial basis."""
+    """Soundness and reachability of the claimed Lie-polynomial basis.
+
+    A reachability window with kmax + dmax above `MAX_WITNESS_DEGREE`
+    holds monomials whose witnesses are refused, so it raises
+    `ValueError` before any closure work.
+    """
+    if kmax + dmax > MAX_WITNESS_DEGREE:
+        raise ValueError(f"reachability window kmax + dmax = {kmax + dmax} is above "
+                         f"the budget MAX_WITNESS_DEGREE = {MAX_WITNESS_DEGREE}")
     with VerifyReport(
         claim="closure-soundness",
         parameters={"p": ctx.p, "depth": depth, "defn2_literal": defn2_literal},
@@ -237,8 +242,9 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
         span = _window_span(ctx, rows, kmax=max(kmax, depth), dmax=max(dmax, depth))
         for deg, row in rows:
             ok, residual = is_lie_polynomial(row, defn2_literal)
-            sound.check(ok, lambda: {"degree": deg, "row": row.text(),
-                                     "residual": residual.text()})
+            if not sound.check(ok):
+                sound.add_violation(lambda: {"degree": deg, "row": row.text(),
+                                             "residual": residual.text()})
 
     with VerifyReport(
         claim="constructive-reachability",
@@ -254,7 +260,8 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
                 error = None
             except (NotLiePolynomialError, ConstructionError) as exc:
                 error = str(exc)
-            reach.check(error is None, lambda: {"monomial": m.text(), "error": error})
+            if not reach.check(error is None):
+                reach.add_violation(lambda: {"monomial": m.text(), "error": error})
 
     with VerifyReport(
         claim="grade0-window-facts",
@@ -263,16 +270,14 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
         # C powers divisible by p must never enter the closure span; C^(p+1)
         # must enter as soon as the degree budget allows its bracket.
         for j in range(1, depth // 2 + 1):
-            grade0.pairs_checked += 1
             in_span = span.contains(_mono(ctx, j, 0))
-            if j % ctx.p == 0 and in_span:
+            entered = j % ctx.p == 0 and in_span
+            missing = j == ctx.p + 1 and 2 * j <= depth and not in_span
+            if not grade0.check(not (entered or missing)):
                 grade0.add_violation(lambda: {
                     "monomial": Monomial(j, 0).text(),
-                    "detail": "power of C divisible by p entered the span"})
-            if j == ctx.p + 1 and 2 * j <= depth and not in_span:
-                grade0.add_violation(lambda: {
-                    "monomial": Monomial(j, 0).text(),
-                    "detail": "expected central-power bracket target missing"})
+                    "detail": "power of C divisible by p entered the span" if entered
+                    else "expected central-power bracket target missing"})
     return [sound, reach, grade0]
 
 
@@ -291,12 +296,13 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
             lit = pow_product_identity(ctx, l)
             ab = multiply(_mono(ctx, 0, -l), _mono(ctx, 0, l))
             ba = multiply(_mono(ctx, 0, l), _mono(ctx, 0, -l))
-            power.check(lit == ab and lit == ba, lambda: {
-                "l": l,
-                "claimed": lit.text(),
-                "general_AlBl": ab.text(),
-                "general_BlAl": ba.text(),
-            })
+            if not power.check(lit == ab and lit == ba):
+                power.add_violation(lambda: {
+                    "l": l,
+                    "claimed": lit.text(),
+                    "general_AlBl": ab.text(),
+                    "general_BlAl": ba.text(),
+                })
 
     with VerifyReport(claim="simplified-mixed-products",
                       parameters={"p": p, "kmax": kmax, "dmax": dmax}) as mixed:
@@ -306,7 +312,8 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
             if lit is None:
                 continue
             gen = multiply(x, y)
-            mixed.check(lit == gen, lambda: {"left": m1.text(), "right": m2.text(),
+            if not mixed.check(lit == gen):
+                mixed.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
                                              "claimed": lit.text(), "general": gen.text()})
 
     # The torsion product takes its binomials through q-Lucas; a pair with
@@ -320,7 +327,8 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
                       for j in range(dmax + 1)}
         for (m1, _), (m2, _) in itertools.product(units, repeat=2):
             j = min(abs(m1.d), abs(m2.d)) if m1.d * m2.d < 0 else 0
-            fast.check(row_agrees[j], lambda: {"left": m1.text(), "right": m2.text()})
+            if not fast.check(row_agrees[j]):
+                fast.add_violation(lambda: {"left": m1.text(), "right": m2.text()})
 
     with VerifyReport(claim="qbinomial-collapse",
                       parameters={"p": p, "lmax": 3 * p}) as collapse:
@@ -333,7 +341,8 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
                     ok = v == one
                 else:
                     ok = v.is_zero()
-                collapse.check(ok, lambda: {"l": l, "i": i, "value": scalar_text(v)})
+                if not collapse.check(ok):
+                    collapse.add_violation(lambda: {"l": l, "i": i, "value": scalar_text(v)})
 
     with VerifyReport(claim="structure-scalar-endpoints",
                       parameters={"p": p, "lmin": p, "lmax": 3 * p}) as endpoints:
@@ -341,9 +350,10 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
             target = (q - one).inverse() ** l
             cl = struct_c(ctx, l, l)
             dl = struct_d(ctx, l, l)
-            endpoints.check(cl == target and dl == target, lambda: {
-                "l": l, "c_l": scalar_text(cl), "d_l": scalar_text(dl),
-                "claimed": scalar_text(target)})
+            if not endpoints.check(cl == target and dl == target):
+                endpoints.add_violation(lambda: {
+                    "l": l, "c_l": scalar_text(cl), "d_l": scalar_text(dl),
+                    "claimed": scalar_text(target)})
     return [power, mixed, fast, collapse, endpoints]
 
 
@@ -385,7 +395,8 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
             x, y = random_element(), random_element()
             direct = multiply(x, y)
             via_words = normal_to_element(ctx, normal_word_product(ctx, straighten(x), straighten(y)))
-            rep.check(direct == via_words, lambda: {"left": x.text(), "right": y.text()})
+            if not rep.check(direct == via_words):
+                rep.add_violation(lambda: {"left": x.text(), "right": y.text()})
     return rep
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qheis.heisenberg import (
     Element,
@@ -14,10 +16,13 @@ from qheis.heisenberg import (
     free_to_element,
     grade,
     multiply,
+    normal_to_element,
     reduce_word,
     reduce_word_rewriting,
+    straighten,
 )
 from qheis.qscalar import ContextMismatchError, ScalarContext, q_int, struct_d
+from qheis.verify import verify_oracle
 
 from conftest import letters, mono, specialize_element
 
@@ -334,3 +339,74 @@ def test_specialized_generic_power_products_match_torsion(n, p):
     got = specialize_element(multiply(a, b), t)
     assert got == multiply(mono(t, 0, -n), mono(t, 0, n))
     assert not got.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# torsion commutators through the residue-keyed kernel table
+# ---------------------------------------------------------------------------
+
+# (k, d, a, e): the coefficient a q^e on C^k-and-letters (k, d); k is drawn up to
+# 4p, so kernels are shifted and several term pairs land on one monomial
+def _shifted_element(ctx, draw):
+    p = ctx.p
+    spec = draw(st.lists(st.tuples(st.integers(0, 4 * p), st.integers(-3, 3),
+                                   st.integers(-3, 3).filter(bool), st.integers(0, p - 1)),
+                         max_size=5))
+    out = Element.zero(ctx)
+    for k, d, a, e in spec:
+        out = out + mono(ctx, k, d, ctx.from_int(a) * ctx.q_power(e))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_torsion_commutator_equals_difference_of_products(p, data):
+    ctx = ScalarContext.torsion(p)
+    x, y = _shifted_element(ctx, data.draw), _shifted_element(ctx, data.draw)
+    got = commutator(x, y)
+    assert got == multiply(x, y) - multiply(y, x)
+    assert commutator(y, x) == -got
+    assert all(not c.is_zero() for c in got.terms.values())
+
+
+def test_commutator_table_is_keyed_by_residues():
+    p = 3
+    ctx = ScalarContext.torsion(p)
+    pairs = set()
+    for k, m in itertools.product(range(6 * p + 1), repeat=2):
+        for a, b in itertools.product(range(4), repeat=2):
+            commutator(mono(ctx, k, -a), mono(ctx, m, b))
+            pairs.add(tuple(sorted([(k % p, -a), (m % p, b)])))
+    assert 0 < len(ctx._comm) <= len(pairs)
+
+
+def test_independent_routes_leave_the_commutator_table_empty():
+    t = ScalarContext.torsion(3)
+    verify_oracle(t, pairs=20, seed=0)
+    x = mono(t, 4, -2) + mono(t, 1, 3, t.q())
+    assert normal_to_element(t, straighten(multiply(x, x))) == multiply(x, x)
+    assert t._comm == {}
+    g = ScalarContext.generic()
+    xg, yg = mono(g, 4, -2) + mono(g, 1, 3, g.q()), mono(g, 2, 1)
+    assert commutator(xg, yg) == multiply(xg, yg) - multiply(yg, xg)
+    verify_oracle(g, pairs=5, seed=0)
+    assert g._comm == {}
+
+
+# sha256 of the JSON lines of [x, y] for every pair of unit monomials C^k-and-letters
+# (k, d) with k, |d| <= w, computed with the two-pass product route
+COMMUTATOR_GRID_DIGESTS = {
+    (2, 6): "55fee559ab409570a009c5a0337b121130f01dd656802e7187d23a033bda9f00",
+    (3, 8): "4f5ef610525b349ba1a12999e0a6d27bff1405c81d576c102f6608f38ebb56b4",
+    (5, 5): "10b7beaa2bc17e5430af92134abf5ff1a5863118c5701d3880b2b612be65cad2",
+}
+
+
+@pytest.mark.parametrize("p, w", sorted(COMMUTATOR_GRID_DIGESTS))
+def test_commutator_grid_is_pinned(p, w):
+    ctx = ScalarContext.torsion(p)
+    units = [mono(ctx, k, d) for d in range(-w, w + 1) for k in range(w + 1)]
+    h = hashlib.sha256()
+    for x, y in itertools.product(units, repeat=2):
+        h.update(commutator(x, y).to_json().encode() + b"\n")
+    assert h.hexdigest() == COMMUTATOR_GRID_DIGESTS[p, w]

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from qheis import verify
 from qheis.qscalar import ScalarContext
 from qheis.verify import run_suites, verify_derived_algebra, verify_theorem1
 
@@ -40,3 +41,13 @@ def test_every_report_times_its_own_block():
     assert len(reports) == 12
     for rep in reports:
         assert 0 <= rep.elapsed <= wall, rep.claim
+
+
+def test_theorem1_refuses_a_window_over_the_witness_budget(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "closure_rows", lambda *a: calls.append(a) or [])
+    with pytest.raises(ValueError, match="MAX_WITNESS_DEGREE = 256"):
+        verify_theorem1(ScalarContext.torsion(3), depth=1, kmax=257, dmax=0)
+    with pytest.raises(ValueError, match="MAX_WITNESS_DEGREE"):
+        verify_theorem1(ScalarContext.torsion(3), depth=1, kmax=200, dmax=57)
+    assert len(calls) == 0
