@@ -22,7 +22,6 @@ discrepancy, which the verification reports do.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -579,40 +578,25 @@ def closure_rows(ctx: ScalarContext, depth: int):
     """Echelonized generators of the bracket closure of {A, B} by degree.
 
     Degree counts generator leaves: A, B have degree 1 and a bracket of
-    degrees a, b has degree a + b, so depth 6 includes e.g. the bracket
-    of two degree-3 elements.  Returns (degree, row) pairs, unprojected,
-    in a deterministic order.
+    degrees a, b has degree a + b.  The closure is spanned by right-normed
+    brackets [g1, [g2, ..., gn]] of generators (Jacobi: [[g, u], v] =
+    [g, [u, v]] - [u, [g, v]]), so degree d inserts only [A, r] and
+    [B, r] for the rows r new at degree d - 1.  The span up to depth 6
+    still holds e.g. the bracket of two degree-3 elements, through
+    Jacobi rather than as a computed bracket.  Returns (degree, row)
+    pairs, unprojected, in a deterministic order.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    gens = (Element.monomial(ctx, MONO_A), Element.monomial(ctx, MONO_B))
     reducer = RowReducer(ctx)
-    by_degree: dict[int, list[Element]] = {1: []}
     out = []
-    for gen in (Element.monomial(ctx, MONO_A), Element.monomial(ctx, MONO_B)):
-        row = reducer.insert(gen)
-        if row is not None:
-            by_degree[1].append(row)
-            out.append((1, row))
-    for deg in range(2, depth + 1):
-        pairs = []
-        for a in range(1, deg):
-            b = deg - a
-            if a > b or b not in by_degree or a not in by_degree:
-                continue
-            if a < b:
-                pairs.extend(itertools.product(by_degree[a], by_degree[b]))
-            else:
-                rows_a = by_degree[a]
-                pairs.extend((rows_a[i], rows_a[j])
-                             for i in range(len(rows_a)) for j in range(i + 1, len(rows_a)))
-        fresh = []
-        for x, y in pairs:
-            row = reducer.insert(commutator(x, y))
-            if row is not None:
-                fresh.append(row)
-                out.append((deg, row))
-        if fresh:
-            by_degree[deg] = fresh
+    brackets = gens
+    for deg in range(1, depth + 1):
+        fresh = [row for row in map(reducer.insert, brackets) if row is not None]
+        out.extend((deg, row) for row in fresh)
+        # lazy, so the brackets past the last degree are never made
+        brackets = (commutator(g, r) for r in fresh for g in gens)
     return out
 
 

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from qheis import Element, Monomial, ScalarContext
-from qheis.heisenberg import commutator, multiply
+from qheis.heisenberg import MONO_A, MONO_B, commutator, multiply
 from qheis.liepoly import RowReducer
 from qheis.qscalar import q_int, specialize
 
@@ -153,6 +154,37 @@ def contains_reference(basis, x):
     for row in basis.rows:
         reducer.insert(row)
     return reduce_reference(reducer, x).is_zero()
+
+
+def closure_rows_reference(ctx, depth):
+    """The bracket closure of {A, B} by brackets of every pair of degrees.
+
+    Degree d inserts [x, y] for every pair of new rows whose degrees sum
+    to d: the plain reading of "all brackets up to degree d", kept to
+    check the right-normed closure.  Returns (degree, row) pairs.
+    """
+    reducer = RowReducer(ctx)
+    by_degree = {1: []}
+    out = []
+    for gen in (Element.monomial(ctx, MONO_A), Element.monomial(ctx, MONO_B)):
+        row = reducer.insert(gen)
+        if row is not None:
+            by_degree[1].append(row)
+            out.append((1, row))
+    for deg in range(2, depth + 1):
+        pairs = []
+        for a in range(1, deg // 2 + 1):
+            rows_a, rows_b = by_degree.get(a, []), by_degree.get(deg - a, [])
+            pairs.extend(itertools.combinations(rows_a, 2) if a == deg - a
+                         else itertools.product(rows_a, rows_b))
+        fresh = []
+        for x, y in pairs:
+            row = reducer.insert(commutator(x, y))
+            if row is not None:
+                fresh.append(row)
+                out.append((deg, row))
+        by_degree[deg] = fresh
+    return out
 
 
 # ---------------------------------------------------------------------------

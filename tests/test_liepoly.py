@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qheis import liepoly, verify
+from qheis import cli, liepoly, verify
 from qheis.heisenberg import Element, Monomial, commutator
 from qheis.liepoly import (
     MAX_WITNESS_DEGREE,
@@ -32,7 +32,7 @@ from qheis.liepoly import (
 )
 from qheis.qscalar import ContextMismatchError, ScalarContext, q_int
 
-from conftest import mono
+from conftest import closure_rows_reference, mono
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +378,39 @@ def test_closure_deterministic_and_parallel_identical(p3):
     b = lie_closure(p3, 5, 3, 3)
     dump = lambda sb: [row.to_json() for row in sb.rows]
     assert dump(a) == dump(b)
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closure_matches_the_all_pairs_reference(p, depth, monkeypatch):
+    ctx = ScalarContext.torsion(p)
+    reference = closure_rows_reference(ctx, depth)
+    calls = []
+    real = liepoly.commutator
+    monkeypatch.setattr(liepoly, "commutator", lambda x, y: calls.append(1) or real(x, y))
+    rows = closure_rows(ctx, depth)
+    per_degree = lambda rs: [sum(1 for deg, _ in rs if deg == d) for d in range(1, depth + 1)]
+    assert per_degree(rows) == per_degree(reference)
+    # only [A, r] and [B, r] for the rows r new at the degree before
+    assert len(calls) == 2 * sum(1 for deg, _ in rows if deg < depth)
+    for w in (3, 5, depth):
+        got = [r.to_json() for r in lie_closure(ctx, depth, w, w).rows]
+        want = [r.to_json() for r in liepoly._window_span(ctx, reference, w, w).rows]
+        assert got == want, w
+
+
+def test_closure_outputs_are_pinned(capsys):
+    # the benchmark's closures (p = 3, 5; depth 16, window 8) and a depth-40
+    # CLI closure; the digests were computed with the all-pairs route
+    rows = {str(p): [r.to_json() for r in lie_closure(ScalarContext.torsion(p), 16, 8, 8).rows]
+            for p in (3, 5)}
+    assert (len(rows["3"]), len(rows["5"])) == (90, 95)
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "34f11427d6cb2e2a35a703e1c84c90dd03df352d9b1b51164cbed45beb1adc33"
+    argv = ["--p", "5", "--format", "json", "closure", "--depth", "40", "--kmax", "20", "--dmax", "20"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "c49cc453316661d13e9235171b62749217e1f8219cb58cdb3c7f88ed85881f9e"
 
 
 def test_closure_depth_validation(p3):
