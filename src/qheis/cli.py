@@ -35,6 +35,20 @@ VIOLATION_ERROR = 1
 MAX_TORSION_ORDER = 128
 
 
+def _ascii_int(text: str) -> int:
+    """The integer option type: ASCII digits, as in the expression grammar (``int``
+    also reads other scripts' digits and ``_``); `_check_bounds` words negatives."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Every usage error is one ``error:`` line and exit 2."""
+        raise SystemExit(_usage_error(message))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use.
@@ -42,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ``parse_args`` returns a fresh namespace on every call, so sharing
     the parser carries no option value from one ``main`` call to the next.
     """
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qheis",
         description="Exact computation in the q-deformed Heisenberg algebra "
                     "with q a primitive p-th root of unity.",
@@ -69,26 +83,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("monomial")
 
     sp = sub.add_parser("closure", help="bracket-closure span of {A, B}")
-    sp.add_argument("--depth", type=int, default=6)
-    sp.add_argument("--kmax", type=int, default=3)
-    sp.add_argument("--dmax", type=int, default=3)
+    sp.add_argument("--depth", type=_ascii_int, default=6)
+    sp.add_argument("--kmax", type=_ascii_int, default=3)
+    sp.add_argument("--dmax", type=_ascii_int, default=3)
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("suites", nargs="+", choices=SUITE_NAMES)
-    sp.add_argument("--kmax", type=int, default=None,
+    sp.add_argument("--kmax", type=_ascii_int, default=None,
                     help="window bound on C exponents (default 2p+2)")
-    sp.add_argument("--dmax", type=int, default=None,
+    sp.add_argument("--dmax", type=_ascii_int, default=None,
                     help="window bound on letter exponents (default 2p+2)")
-    sp.add_argument("--depth", type=int, default=6)
-    sp.add_argument("--reach-kmax", type=int, default=4)
-    sp.add_argument("--reach-dmax", type=int, default=4)
-    sp.add_argument("--pairs", type=int, default=50,
+    sp.add_argument("--depth", type=_ascii_int, default=6)
+    sp.add_argument("--reach-kmax", type=_ascii_int, default=4)
+    sp.add_argument("--reach-dmax", type=_ascii_int, default=4)
+    sp.add_argument("--pairs", type=_ascii_int, default=50,
                     help="random pairs for the oracle suite")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the oracle suite")
+    sp.add_argument("--seed", type=_ascii_int, default=0, help="seed for the oracle suite")
 
     sp = sub.add_parser("tables", help="structure constants of basis products")
-    sp.add_argument("--kmax", type=int, default=2)
-    sp.add_argument("--lmax", type=int, default=2)
+    sp.add_argument("--kmax", type=_ascii_int, default=2)
+    sp.add_argument("--lmax", type=_ascii_int, default=2)
     return ap
 
 
@@ -96,8 +110,8 @@ def _context(args) -> ScalarContext:
     if args.p == "generic":
         return ScalarContext.generic()
     try:
-        p = int(args.p)
-    except ValueError:
+        p = _ascii_int(args.p)
+    except argparse.ArgumentTypeError:
         raise SystemExit(_usage_error(f"--p must be an integer >= 2 or 'generic', got {args.p!r}"))
     if p < 2:
         raise SystemExit(_usage_error("--p must be at least 2"))

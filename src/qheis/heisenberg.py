@@ -167,12 +167,7 @@ class Element:
 
     @classmethod
     def monomial(cls, ctx: ScalarContext, m: Monomial, coeff: Scalar | None = None) -> "Element":
-        if m.k < 0:
-            raise ValueError(f"negative C exponent in {m}")
-        c = ctx.one() if coeff is None else coeff
-        if c.is_zero():
-            return cls.zero(ctx)
-        return cls(ctx, {m: c}, _clean=True)
+        return cls(ctx, {m: ctx.one() if coeff is None else coeff})
 
     @classmethod
     def identity(cls, ctx: ScalarContext) -> "Element":
@@ -263,22 +258,31 @@ class Element:
 
     @classmethod
     def from_json_obj(cls, obj: dict, ctx: ScalarContext | None = None) -> "Element":
-        mode = obj["mode"]
+        """Inverse of :meth:`to_json_obj`; input it could not have written raises ValueError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+            raise ValueError("serialized element needs a 'terms' list")
+        mode = obj.get("mode")
+        p = _json_int(obj, "p") if mode == "torsion" else None
         if ctx is None:
-            ctx = ScalarContext.torsion(obj["p"]) if mode == "torsion" else ScalarContext.generic()
-        elif ctx.mode != mode or (mode == "torsion" and ctx.p != obj.get("p")):
+            ctx = ScalarContext(mode, p)
+        elif (ctx.mode, ctx.p) != (mode, p):
             raise ContextMismatchError("serialized element belongs to a different context")
-        terms = {}
-        for t in obj["terms"]:
-            m = Monomial(int(t["k"]), int(t["d"]))
-            c = parse_scalar(t["coeff"], ctx)
-            if not c.is_zero():
-                terms[m] = c
+        # the constructor drops zero coefficients and rejects negative C exponents
+        terms = {Monomial(_json_int(t, "k"), _json_int(t, "d")): parse_scalar(t.get("coeff"), ctx)
+                 for t in obj["terms"]}
         return cls(ctx, terms)
 
     @classmethod
     def from_json(cls, s: str, ctx: ScalarContext | None = None) -> "Element":
         return cls.from_json_obj(json.loads(s), ctx)
+
+
+def _json_int(obj, key: str) -> int:
+    """obj[key] as an exact int: a float, a bool or a missing key raises ValueError."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if type(value) is not int:
+        raise ValueError(f"serialized element needs an integer {key!r}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,11 @@ class MonomialClass(NamedTuple):
     reason: str
 
 
+def _in_forbidden_subspace(p: int, m: Monomial) -> bool:
+    """The forbidden subspace's monomials: k >= 1, d != 0, p | k and p | |d|."""
+    return m.k >= 1 and m.d != 0 and m.k % p == 0 and m.d % p == 0
+
+
 def classify_monomial(ctx: ScalarContext, m: Monomial, defn2_literal: bool = False) -> MonomialClass:
     """Decide whether a basis monomial is a Lie polynomial in A, B.
 
@@ -129,25 +134,17 @@ def classify_monomial(ctx: ScalarContext, m: Monomial, defn2_literal: bool = Fal
         if l == 1:
             return MonomialClass(True, False, "a generator")
         return MonomialClass(False, False, f"pure letter power with exponent {l} >= 2")
-    if k % p == 0 and l % p == 0:
+    if _in_forbidden_subspace(p, m):
         return MonomialClass(False, True,
                              "forbidden subspace: both exponents divisible by p")
     return MonomialClass(True, False, "mixed monomial with an exponent not divisible by p")
 
 
 def project_N(x: Element) -> Element:
-    """Component of x on the forbidden subspace.
-
-    That subspace is spanned by the mixed basis monomials whose C
-    exponent and letter exponent are both positive multiples of p.
-    """
+    """Component of x on the forbidden subspace (see `_in_forbidden_subspace`)."""
     _require_torsion(x.ctx)
     p = x.ctx.p
-    terms = {
-        m: c
-        for m, c in x.terms.items()
-        if m.k >= 1 and m.d != 0 and m.k % p == 0 and abs(m.d) % p == 0
-    }
+    terms = {m: c for m, c in x.terms.items() if _in_forbidden_subspace(p, m)}
     return Element(x.ctx, terms, _clean=True)
 
 

@@ -20,9 +20,11 @@ Two scalar fields are supported, selected by a :class:`ScalarContext`:
 On top of the two fields the module provides the q-combinatorial scalars:
 q-integers, Gaussian (q-)binomial coefficients, and the structure-constant
 scalars ``c_i(l)``, ``d_i(l)`` used by the multiplication engine, which
-with their q-shifts fill one memo per context.  The structure scalars take their binomials from the Pascal-type recursion in
-generic mode and from the q-Lucas factorization in torsion mode, where
-only binomials below the order p reach the recursion.
+with their q-shifts fill one memo per context.  Gaussian binomials come
+from the product formula over Z[q], one row per n; the structure scalars
+take them from there in generic mode and through the q-Lucas
+factorization in torsion mode, where only rows below the order p are
+built.
 
 No floating point is used anywhere.
 """
@@ -334,7 +336,7 @@ class ScalarContext:
     Contexts are immutable and shareable; per-context memo tables are
     only ever populated with idempotent values, so a memoized entry is
     the same whichever computation filled it first.  The scalar tables
-    (``_qbin``, ``_struct``, ``_qint``, ``_inv_qm1``) belong to this
+    (``_qbin``, ``_struct``, ``_inv_qm1``) belong to this
     module; ``_mono_nf`` and ``_awb`` hold the word oracle's normal
     forms and ``_comm`` the torsion commutator kernels, and only
     `heisenberg` reads them.
@@ -342,7 +344,7 @@ class ScalarContext:
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
-        "_struct", "_qpow", "_qint", "_inv_qm1", "_mono_nf", "_awb", "_comm",
+        "_struct", "_qpow", "_inv_qm1", "_mono_nf", "_awb", "_comm",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -383,7 +385,6 @@ class ScalarContext:
         self.p = p
         self._qbin: dict = {}
         self._struct: dict = {}
-        self._qint: dict = {}
         self._inv_qm1: dict = {}
         self._mono_nf: dict = {}
         self._awb: dict = {}
@@ -719,61 +720,41 @@ Scalar = Union[GenericScalar, CycloScalar]
 # ---------------------------------------------------------------------------
 
 def q_int(ctx: ScalarContext, n: int) -> Scalar:
-    """The q-integer 1 + q + ... + q^(n-1); zero when n = 0."""
+    """The q-integer 1 + q + ... + q^(n-1) = (n 1)_q; zero when n = 0."""
     if n < 0:
         raise ValueError("q_int needs n >= 0")
-    got = ctx._qint.get(n)
-    if got is not None:
-        return got
-    acc = ctx.zero()
-    for j in range(n):
-        acc = acc + ctx.q_power(j)
-    ctx._qint[n] = acc
-    return acc
+    return q_binomial(ctx, n, 1)
 
 
 def q_binomial(ctx: ScalarContext, n: int, k: int) -> Scalar:
-    """Gaussian binomial coefficient by the Pascal-type recursion.
+    """Gaussian binomial (n k)_q by the product formula over Z[q].
 
-    Rules: (n 0) = 1, (0 k+1) = 0, and
-    (n+1 k+1) = (n k) + q^(k+1) * (n k+1).  Memoized per context.
-
-    The recursion runs on an explicit stack, so n is not bounded by the
-    interpreter's recursion limit; it fills exactly the memo entries the
-    recursive form would, and stops at entries already in the memo.
+    (n k) = (n k-1) (1 - q^(n-k+1)) / (1 - q^k), for k <= n/2 only, as
+    (n k) = (n n-k).  Row n of the context's table holds the (polynomial,
+    scalar) pairs for k = 0, 1, ... asked for so far; the scalar is the
+    polynomial at the root in torsion mode.
     """
     if n < 0 or k < 0:
         raise ValueError("q_binomial needs n, k >= 0")
-    memo = ctx._qbin
-    got = memo.get((n, k))
-    if got is not None:
-        return got
-    stack = [(n, k)]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        row, col = key
-        if col == 0:
-            memo[key] = ctx.one()
-        elif row == 0:
-            memo[key] = ctx.zero()
-        else:
-            left, right = (row - 1, col - 1), (row - 1, col)
-            missing = [c for c in (left, right) if c not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            below = memo[right]
-            if ctx.is_torsion:
-                below = ctx.q_power(col) * below
-            elif below.num:
-                # Pascal entries are polynomials: q^col shifts the coefficients
-                below = GenericScalar((0,) * col + below.num, P_ONE, _canonical=True)
-            memo[key] = memo[left] + below
-        stack.pop()
-    return memo[(n, k)]
+    if k > n:
+        return ctx.zero()
+    k = min(k, n - k)
+    row = ctx._qbin.get(n)
+    if row is None:
+        row = ctx._qbin[n] = [(P_ONE, ctx.one())]
+    while len(row) <= k:
+        j = len(row)
+        a, m = row[-1][0], n - j + 1
+        c = list(a) + [0] * m  # a (1 - q^m)
+        for i, x in enumerate(a):
+            c[i + m] -= x
+        top = len(c) - j  # divide by 1 - q^j in place: quo[i] = c[i] + quo[i-j]
+        for i in range(j, top):
+            c[i] += c[i - j]
+        poly = tuple(c[:top])
+        row.append((poly, _eval_poly_cyclo(poly, ctx) if ctx.is_torsion
+                    else GenericScalar(poly, P_ONE, _canonical=True)))
+    return row[k][1]
 
 
 def q_binomial_lucas(ctx: ScalarContext, n: int, k: int) -> Scalar:
@@ -781,20 +762,18 @@ def q_binomial_lucas(ctx: ScalarContext, n: int, k: int) -> Scalar:
 
     For q a primitive p-th root of unity (q-Lucas),
     (n k)_q = binom(n // p, k // p) * (n % p  k % p)_q,
-    so only binomials with n < p reach the Pascal table.  This is the
-    route the structure scalars take in torsion mode; the Pascal
-    :func:`q_binomial` stays the independent reference it is checked
-    against (the ``fastpath-equivalence`` claim and the test suite).
+    so only rows n < p of the binomial table are built.  This is the
+    route the structure scalars take in torsion mode; :func:`q_binomial`
+    evaluated at the root on the full row stays the independent reference
+    it is checked against (the ``fastpath-equivalence`` claim and the
+    test suite).
     """
     if not ctx.is_torsion:
         raise ContextMismatchError("lucas factorization needs a torsion context")
     if n < 0 or k < 0:
         raise ValueError("q_binomial needs n, k >= 0")
     p = ctx.p
-    outer = math.comb(n // p, k // p) if k // p <= n // p else 0
-    if outer == 0 or (k % p) > (n % p):
-        return ctx.zero()
-    return ctx.from_int(outer) * q_binomial(ctx, n % p, k % p)
+    return ctx.from_int(math.comb(n // p, k // p)) * q_binomial(ctx, n % p, k % p)
 
 
 def inv_qm1_power(ctx: ScalarContext, l: int) -> Scalar:
@@ -821,7 +800,7 @@ def _struct_scalar(ctx: ScalarContext, i: int, l: int, e: int) -> Scalar:
 
     Fills the context's one structure-scalar memo at (i, l, e), e reduced
     mod p in torsion mode.  The one place the binomial route is chosen:
-    q-Lucas in torsion mode, the Pascal table in generic mode.
+    q-Lucas in torsion mode, the product-formula row in generic mode.
     """
     qb = q_binomial_lucas(ctx, l, i) if ctx.is_torsion else q_binomial(ctx, l, i)
     if not qb.is_zero():
@@ -866,7 +845,9 @@ def scaled_struct_d(ctx: ScalarContext, i: int, l: int, e: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 def _eval_poly_cyclo(poly: IntPoly, ctx: ScalarContext) -> CycloScalar:
-    return CycloScalar(ctx, tuple(_cyclo_eval(enumerate(poly), ctx)), 1)
+    """poly at the root: coefficients summed by exponent mod p, then reduced."""
+    p = ctx.p
+    return CycloScalar(ctx, tuple(_cyclo_eval(((r, sum(poly[r::p])) for r in range(p)), ctx)), 1)
 
 
 def specialize(s: GenericScalar, ctx: ScalarContext) -> CycloScalar:
@@ -929,6 +910,8 @@ def parse_scalar(data, ctx: ScalarContext) -> Scalar:
     if ctx.is_torsion:
         if not isinstance(data, (list, tuple)) or len(data) != ctx.phi:
             raise ValueError(f"torsion scalar needs exactly {ctx.phi} coordinates")
+        if not all(type(c) in (int, str) for c in data):
+            raise ValueError("torsion coordinates must be integers or rational strings")
         coords = [Fraction(c) for c in data]
         den = math.lcm(*(f.denominator for f in coords))
         return _cyclo_canonical(ctx, [f.numerator * (den // f.denominator) for f in coords], den)

@@ -13,7 +13,7 @@ flavours here:
   Gaussian binomials through the root-of-unity factorization
   (`q_binomial_lucas`) and reduce q-exponents modulo p.  The
   ``fastpath-equivalence`` claim checks that factorization against the
-  Pascal recursion on every binomial a window product uses.
+  product formula at the root on every binomial a window product uses.
 
 The comparison (see the verification reports) shows the literal mixed
 formulas and the power-product identity hold only at letter exponent

@@ -83,11 +83,11 @@ class VerifyReport:
         return self.violations_total == 0 and not self.vacuous
 
     def __enter__(self) -> "VerifyReport":
-        self.elapsed = time.time()  # the start, until __exit__ turns it into the duration
+        self.elapsed = time.perf_counter()  # the start, until __exit__ turns it into the duration
         return self
 
     def __exit__(self, *exc) -> None:
-        self.elapsed = time.time() - self.elapsed
+        self.elapsed = time.perf_counter() - self.elapsed
 
     def check(self, ok: bool) -> bool:
         """Count one check and return `ok`; a failed check records its
@@ -318,9 +318,9 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
 
     # The torsion product takes its binomials through q-Lucas; a pair with
     # letter exponents of opposite signs expands through c_i(j) or d_i(j),
-    # j = min(|d1|, |d2|).  Check those against the Pascal recursion; the
-    # row depends on j alone, so each row is compared once and every pair
-    # that uses it is counted against that outcome.
+    # j = min(|d1|, |d2|).  Check those against the product formula at the
+    # root, an independent evaluation; the row depends on j alone, so each
+    # row is compared once and every pair that uses it is counted against it.
     with VerifyReport(claim="fastpath-equivalence",
                       parameters={"p": p, "kmax": kmax, "dmax": dmax}) as fast:
         row_agrees = {j: all(q_binomial_lucas(ctx, j, i) == q_binomial(ctx, j, i) for i in range(j + 1))

@@ -356,7 +356,7 @@ def test_criterion_6_power_product_identity():
 @pytest.mark.slow
 def test_criterion_6_fastpath_equivalence():
     # The torsion product takes its Gaussian binomials through q-Lucas; the
-    # generic product takes them through the Pascal recursion over Z[q].
+    # generic product takes them from the product formula over Z[q].
     # Specializing the generic product at the root compares the two routes.
     t0 = time.time()
     violations, checked = [], 0

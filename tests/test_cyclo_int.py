@@ -136,12 +136,12 @@ def test_binomial_matches_lucas_far_past_recursion_depth(p):
     assert q_binomial(ctx, 1500, 3) == q_binomial_lucas(ctx, 1500, 3)
 
 
-def test_binomial_fills_the_recursion_entries():
-    # the Pascal recursion from (6, 2) visits row 6 - i at columns max(0, 2 - i) .. 2
-    expected = {(6 - i, c) for i in range(7) for c in range(max(0, 2 - i), 3)}
-    for ctx in (ScalarContext.torsion(3), ScalarContext.generic()):
-        q_binomial(ctx, 6, 2)
-        assert set(ctx._qbin) == expected
+def test_binomial_table_keeps_the_row_prefix_asked_for():
+    # one row per n, holding (n 0) .. (n k) for the smaller of k and n - k
+    for ctx, n, k in ((ScalarContext.torsion(3), 1500, 3), (ScalarContext.generic(), 160, 80)):
+        q_binomial(ctx, n, k)
+        q_binomial(ctx, n, n - k)
+        assert list(ctx._qbin) == [n] and len(ctx._qbin[n]) == k + 1
 
 
 # ---------------------------------------------------------------------------

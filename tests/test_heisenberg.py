@@ -301,6 +301,36 @@ def test_element_json_round_trip(mode):
         Element.from_json(x.to_json(), ScalarContext.torsion(7))
 
 
+def _term(k=1, d=-1, coeff=("1", "1/2")):
+    return {"k": k, "d": d, "coeff": list(coeff)}
+
+
+@pytest.mark.parametrize("obj", [
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(k=2.7, d=-1.2)]}, id="float-exponents"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(k=True)]}, id="bool-exponent"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(d=None)]}, id="null-exponent"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(k=-1)]}, id="negative-c-exponent"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(coeff=(0.1, "0"))]}, id="float-coordinate"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(coeff=(True, "0"))]}, id="bool-coordinate"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [{"k": 1, "d": -1}]}, id="missing-coeff"),
+    pytest.param({"mode": "torsion", "terms": []}, id="missing-p"),
+    pytest.param({"mode": "torsion", "p": 3.0, "terms": []}, id="float-p"),
+    pytest.param({"mode": "weird", "terms": []}, id="unknown-mode"),
+    pytest.param({"terms": []}, id="missing-mode"),
+    pytest.param({"mode": "generic", "terms": [{"k": 0, "d": 1, "coeff": 0.5}]}, id="float-generic-coeff"),
+    pytest.param({"mode": "generic"}, id="missing-terms"),
+    pytest.param(["generic"], id="not-an-object"),
+])
+def test_element_json_rejects_input_it_could_not_write(obj):
+    with pytest.raises(ValueError):
+        Element.from_json_obj(obj)
+
+
+def test_element_json_reads_integer_coordinates(p3):
+    got = Element.from_json_obj({"mode": "torsion", "p": 3, "terms": [_term(coeff=(2, "-3/4"))]})
+    assert got == mono(p3, 1, -1, p3.from_int(2) + p3.q() * p3.from_fraction(Fraction(-3, 4)))
+
+
 def test_negative_c_exponent_rejected(generic):
     with pytest.raises(ValueError):
         Element.monomial(generic, Monomial(-1, 0))

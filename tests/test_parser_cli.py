@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -187,6 +188,24 @@ def test_cli_normalize_json(capsys):
     assert Element.from_json_obj(obj) == parse_element("B*A", ScalarContext.torsion(2))
 
 
+# sha256 of the printed `--format json normalize` output for letter exponents
+# well past the binomial tests' rows
+NORMALIZE_DIGESTS = {
+    ("generic", "A^40*B^40"): "25438f0b4c4b53b62580ab801c5a6ed168dcf74e4401cbba4eba7c1c51bb1fad",
+    ("generic", "B^40*A^40"): "a9ed3e7c2e3fcdcbabbff79f1ae09fe2da433b5982660ad6b240f1dea21f10ad",
+    ("generic", "(2*C^2*A^3 + q*B^2*C)*(B^5*C - A^4 + 1/2*C^2*A)"):
+        "a5366fb91be69304b2ced4da5620db78d7c4a9d9e326692b757061d3aa34cc3f",
+    ("7", "C*A^30*B^20*C^2"): "5dcc4cd3d4152e3af3eb05231d70d919956bcd37452ff3cc69e33e4f02854cac",
+}
+
+
+@pytest.mark.parametrize("p, expr", sorted(NORMALIZE_DIGESTS))
+def test_cli_normalize_json_is_pinned(capsys, p, expr):
+    code, out, _ = run_cli(capsys, "--p", p, "--format", "json", "normalize", expr)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NORMALIZE_DIGESTS[p, expr]
+
+
 def test_cli_comm(capsys):
     code, out, _ = run_cli(capsys, "--p", "2", "comm", "C*A", "B*C")
     assert code == 0 and out.strip() == "(1)*C^3"
@@ -336,6 +355,12 @@ def test_cli_verify_oracle_seed(capsys):
     ("verify", "theorem1", "--reach-kmax", "-1"),
     ("verify", "oracle", "--pairs", "0"),
     ("tables", "--lmax", "-1"),
+    # integer options take ASCII digits only, as the expression grammar does
+    ("--p", "\uff13", "normalize", "A"),
+    ("--p", "1_1", "normalize", "A"),
+    ("closure", "--depth", "\u0663"),
+    ("closure", "--kmax", "1_0"),
+    ("verify", "oracle", "--seed", "\u00b2"),
 ])
 def test_cli_rejects_empty_or_invalid_bounds(capsys, argv):
     code, out, err = run_cli(capsys, "--p", "3", *argv)

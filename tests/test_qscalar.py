@@ -136,6 +136,25 @@ def test_q_binomial_product_formula_oracle(generic):
             assert q_binomial(generic, n, k) == product_formula(generic, n, k)
 
 
+def pascal_table(ctx, nmax):
+    """Test-only reference: (n 0) = (n n) = 1, (n k) = (n-1 k-1) + q^k (n-1 k)."""
+    table = {}
+    for n in range(nmax + 1):
+        for k in range(n + 1):
+            if k in (0, n):
+                table[n, k] = ctx.one()
+            else:
+                table[n, k] = table[n - 1, k - 1] + ctx.q_power(k) * table[n - 1, k]
+    return table
+
+
+@pytest.mark.parametrize("p", [None, *range(2, 8)], ids=lambda p: f"p{p}" if p else "generic")
+def test_q_binomial_matches_pascal_recursion(p):
+    ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
+    for (n, k), want in pascal_table(ctx, 40 if p is None else 3 * p + 2).items():
+        assert q_binomial(ctx, n, k) == want, (n, k)
+
+
 @pytest.mark.parametrize("mode", ["generic", "torsion2", "torsion5", "torsion6"])
 def test_q_binomial_symmetry(mode):
     ctx = {"generic": ScalarContext.generic(),

@@ -86,7 +86,7 @@ def test_mixed_simplified_true_instance(p2):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_fastpath_equals_general_sampled(p):
-    # q-Lucas binomials on the torsion side, Pascal over Z[q] on the generic side
+    # q-Lucas binomials on the torsion side, the product formula over Z[q] on the generic side
     ctx, generic = ScalarContext.torsion(p), ScalarContext.generic()
     exps = [0, 1, p - 1, p, p + 1, 2 * p]
     for k1, k2 in itertools.product([0, 1, p], repeat=2):
@@ -166,9 +166,9 @@ def test_central_power_products_far_past_p(p, n):
     assert got == power_product_exact(ctx) ** n
 
 
-def test_torsion_products_use_pascal_only_below_p(p3):
+def test_torsion_products_build_binomial_rows_only_below_p(p3):
     multiply(mono(p3, 0, -1200), mono(p3, 0, 1200))
-    assert p3._qbin and all(n < p3.p for n, _ in p3._qbin)
+    assert p3._qbin and all(n < p3.p for n in p3._qbin)
 
 
 @pytest.mark.parametrize("p", range(2, 8))
