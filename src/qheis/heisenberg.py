@@ -29,7 +29,9 @@ straightens a word polynomial into the B^a A^b normal form using only
 the defining relation, and `ba_to_cbasis` converts normal words into the
 C basis.  `straighten` takes an element to its normal form through
 `cbasis_to_free`, and `normal_to_element` brings a normal form back, so
-round trips tie the two routes together.
+round trips tie the two routes together.  `word_product` multiplies
+elements on that route, one straightened product per ordered pair of
+basis monomials, read from its own per-context table ``ctx._word``.
 
 Every sparse sum of the package -- element and word-polynomial sums, the
 straightening folds, row elimination in `liepoly` -- goes through
@@ -75,6 +77,7 @@ __all__ = [
     "cbasis_to_free",
     "straighten",
     "normal_to_element",
+    "word_product",
     "free_to_element",
 ]
 
@@ -563,21 +566,24 @@ def cbasis_to_free(m: Monomial, ctx: ScalarContext) -> FreePoly:
     return FreePoly.word(ctx, "B" * m.d) * c_power
 
 
+def _mono_normal_form(ctx: ScalarContext, m: Monomial) -> dict:
+    """Normal form of one basis monomial: `cbasis_to_free`, then `reduce_word`, once per context."""
+    nf = ctx._mono_nf.get(m)
+    if nf is None:
+        nf = ctx._mono_nf[m] = reduce_word(cbasis_to_free(m, ctx))
+    return nf
+
+
 def straighten(x: Element) -> dict:
     """Normal form of an element through free words: pairs (a, b) to coefficients.
 
-    Each basis monomial is expanded by `cbasis_to_free` and straightened
-    by `reduce_word` once per context; the memoized normal forms are
-    combined with the coefficients of x.
+    The memoized normal forms of the basis monomials are combined with
+    the coefficients of x.
     """
     ctx = x.ctx
-    memo = ctx._mono_nf
     out: dict = {}
     for m, c in x.terms.items():
-        nf = memo.get(m)
-        if nf is None:
-            nf = memo[m] = reduce_word(cbasis_to_free(m, ctx))
-        _add_into(out, nf, c)
+        _add_into(out, _mono_normal_form(ctx, m), c)
     return out
 
 
@@ -620,3 +626,29 @@ def normal_word_product(ctx: ScalarContext, nf1: dict, nf2: dict) -> dict:
             fold = _letters_fold(ctx, b1, a2)
             _add_into(out, {(a + a1, b + b2): w for (a, b), w in fold.items()}, c1 * c2)
     return out
+
+
+def word_product(x: Element, y: Element) -> Element:
+    """x * y on the word route: the sum of c1 * c2 * K(m1, m2) over term pairs.
+
+    K(m1, m2) is the element whose normal form is the straightened
+    product of the normal forms of m1 and m2 (`normal_word_product`, then
+    `normal_to_element`).  The route is linear, so this equals
+    straightening and multiplying whole elements.  Each K is built on
+    its first read and kept in the per-context table ``ctx._word``, keyed
+    by the ordered pair of full monomials: it uses only the defining
+    relation (no C^p centrality, no residue keys), and neither the
+    product kernel `_accumulate` nor the commutator table is read.
+    """
+    ctx = x.ctx
+    ctx.ensure_same(y.ctx)
+    table = ctx._word
+    out: dict = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            kernel = table.get((m1, m2))
+            if kernel is None:
+                nf = normal_word_product(ctx, _mono_normal_form(ctx, m1), _mono_normal_form(ctx, m2))
+                kernel = table[(m1, m2)] = normal_to_element(ctx, nf).terms
+            _add_into(out, kernel, c1 * c2)
+    return Element(ctx, out, _clean=True)

@@ -338,13 +338,14 @@ class ScalarContext:
     the same whichever computation filled it first.  The scalar tables
     (``_qbin``, ``_struct``, ``_inv_qm1``) belong to this
     module; ``_mono_nf`` and ``_awb`` hold the word oracle's normal
-    forms and ``_comm`` the torsion commutator kernels, and only
+    forms, ``_word`` its straightened product per ordered pair of basis
+    monomials, and ``_comm`` the torsion commutator kernels, and only
     `heisenberg` reads them.
     """
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
-        "_struct", "_qpow", "_inv_qm1", "_mono_nf", "_awb", "_comm",
+        "_struct", "_qpow", "_inv_qm1", "_mono_nf", "_awb", "_word", "_comm",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -388,6 +389,7 @@ class ScalarContext:
         self._inv_qm1: dict = {}
         self._mono_nf: dict = {}
         self._awb: dict = {}
+        self._word: dict = {}
         self._comm: dict = {}
 
     @classmethod
@@ -732,7 +734,10 @@ def q_binomial(ctx: ScalarContext, n: int, k: int) -> Scalar:
     (n k) = (n k-1) (1 - q^(n-k+1)) / (1 - q^k), for k <= n/2 only, as
     (n k) = (n n-k).  Row n of the context's table holds the (polynomial,
     scalar) pairs for k = 0, 1, ... asked for so far; the scalar is the
-    polynomial at the root in torsion mode.
+    polynomial at the root in torsion mode.  Only the last polynomial of
+    a row feeds the next step, so a torsion row keeps that one alone (the
+    others read None); a generic scalar is its polynomial, so generic
+    rows keep them all at no cost.
     """
     if n < 0 or k < 0:
         raise ValueError("q_binomial needs n, k >= 0")
@@ -752,8 +757,11 @@ def q_binomial(ctx: ScalarContext, n: int, k: int) -> Scalar:
         for i in range(j, top):
             c[i] += c[i - j]
         poly = tuple(c[:top])
-        row.append((poly, _eval_poly_cyclo(poly, ctx) if ctx.is_torsion
-                    else GenericScalar(poly, P_ONE, _canonical=True)))
+        if ctx.is_torsion:
+            row[-1] = (None, row[-1][1])
+            row.append((poly, _eval_poly_cyclo(poly, ctx)))
+        else:
+            row.append((poly, GenericScalar(poly, P_ONE, _canonical=True)))
     return row[k][1]
 
 

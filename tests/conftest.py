@@ -5,7 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from qheis import Element, Monomial, ScalarContext
-from qheis.heisenberg import MONO_A, MONO_B, commutator, multiply
+from qheis.heisenberg import (MONO_A, MONO_B, commutator, multiply, normal_to_element,
+                              normal_word_product, straighten)
 from qheis.liepoly import RowReducer
 from qheis.qscalar import q_int, specialize
 
@@ -213,3 +214,13 @@ def free_product_reference(x, y):
     """The words of x * y, every pair of words multiplied out and summed plainly."""
     pairs = [(c1, {w1 + w2: c2}) for w1, c1 in x.words.items() for w2, c2 in y.words.items()]
     return linear_reference(x.ctx, pairs)
+
+
+# ---------------------------------------------------------------------------
+# The word route on whole elements, kept to check the per-pair product table
+# ---------------------------------------------------------------------------
+
+def word_product_reference(x, y):
+    """x * y by straightening both whole elements and multiplying their normal forms."""
+    ctx = x.ctx
+    return normal_to_element(ctx, normal_word_product(ctx, straighten(x), straighten(y)))

@@ -20,7 +20,10 @@ from qheis.heisenberg import (
     reduce_word,
     reduce_word_rewriting,
     straighten,
+    word_product,
 )
+from qheis import heisenberg, verify
+from qheis.liepoly import construct_basis_element, lie_closure
 from qheis.qscalar import ContextMismatchError, ScalarContext, q_int, struct_d
 from qheis.verify import verify_oracle
 
@@ -410,17 +413,50 @@ def test_commutator_table_is_keyed_by_residues():
     assert 0 < len(ctx._comm) <= len(pairs)
 
 
-def test_independent_routes_leave_the_commutator_table_empty():
+def test_independent_routes_leave_the_commutator_table_empty(monkeypatch):
+    # the structure-constant routes never fill the word table
     t = ScalarContext.torsion(3)
-    verify_oracle(t, pairs=20, seed=0)
     x = mono(t, 4, -2) + mono(t, 1, 3, t.q())
-    assert normal_to_element(t, straighten(multiply(x, x))) == multiply(x, x)
-    assert t._comm == {}
+    commutator(x, multiply(x, x))
+    lie_closure(t, depth=5, kmax=3, dmax=3)
+    construct_basis_element(t, Monomial(4, 2))
+    assert t._word == {}
     g = ScalarContext.generic()
     xg, yg = mono(g, 4, -2) + mono(g, 1, 3, g.q()), mono(g, 2, 1)
     assert commutator(xg, yg) == multiply(xg, yg) - multiply(yg, xg)
-    verify_oracle(g, pairs=5, seed=0)
-    assert g._comm == {}
+    assert g._word == {}
+
+    # the word routes never fill the commutator table, and the word table
+    # holds one entry at most per ordered pair of monomials read
+    read = set()
+
+    def recording(x, y):
+        read.update(itertools.product(x.terms, y.terms))
+        return word_product(x, y)
+
+    monkeypatch.setattr(verify, "word_product", recording)
+    for ctx, pairs in ((ScalarContext.torsion(3), 20), (ScalarContext.generic(), 5)):
+        read.clear()
+        verify_oracle(ctx, pairs=pairs, seed=0)
+        assert ctx._comm == {}
+        assert ctx._word and set(ctx._word) <= read
+        x = mono(ctx, 4, -2) + mono(ctx, 1, 3, ctx.q())
+        assert normal_to_element(ctx, straighten(multiply(x, x))) == multiply(x, x)
+        assert ctx._comm == {}
+
+
+def test_oracle_catches_a_planted_structure_constant_fault(monkeypatch):
+    # c_1(2) off by one in the structure-constant product only: the word
+    # route reads d_i(l) through `struct_d`, which this leaves alone
+    right = heisenberg.scaled_struct_c
+
+    def planted(ctx, i, l, e):
+        v = right(ctx, i, l, e)
+        return v + ctx.one() if (i, l) == (1, 2) else v
+
+    monkeypatch.setattr(heisenberg, "scaled_struct_c", planted)
+    for p in (3, 5, 7):
+        assert verify_oracle(ScalarContext.torsion(p), pairs=50, seed=0).violations_total == 6
 
 
 # sha256 of the JSON lines of [x, y] for every pair of unit monomials C^k-and-letters

@@ -4,7 +4,9 @@ Element and word-polynomial sums, differences and products accumulate
 through one helper that drops every coefficient that cancels.  The
 references in ``conftest`` sum each key's values from zero instead.
 `straighten` and `normal_to_element` must round-trip every element and
-agree with straightening the element's whole word expansion at once.
+agree with straightening the element's whole word expansion at once, and
+`word_product`, summed from one straightened product per monomial pair,
+must equal the word route on whole elements.
 """
 
 from fractions import Fraction
@@ -19,9 +21,11 @@ from qheis.heisenberg import (
     normal_to_element,
     reduce_word,
     straighten,
+    word_product,
 )
 
-from conftest import CONTEXT_NAMES, CONTEXTS, ELEMENT, build, free_product_reference, linear_reference
+from conftest import (CONTEXT_NAMES, CONTEXTS, ELEMENT, build, free_product_reference,
+                      linear_reference, word_product_reference)
 
 # (word, a, b, e): the coefficient a/b q^e on a word of at most four letters
 _WORD_TERM = st.tuples(st.text("AB", max_size=4), st.integers(-3, 3).filter(bool),
@@ -66,6 +70,16 @@ def test_straighten_equals_straightening_the_word_expansion(name, xs):
     x = build(ctx, xs)
     words = linear_reference(ctx, [(c, cbasis_to_free(m, ctx).words) for m, c in x.terms.items()])
     assert straighten(x) == reduce_word(FreePoly(ctx, words))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CONTEXT_NAMES), ELEMENT, ELEMENT)
+def test_word_product_equals_the_whole_element_word_route(name, xs, ys):
+    ctx = CONTEXTS[name]
+    x, y = build(ctx, xs), build(ctx, ys)
+    got = word_product(x, y)
+    assert got == word_product_reference(x, y)
+    assert not any(c.is_zero() for c in got.terms.values())
 
 
 @settings(max_examples=150, deadline=None)
