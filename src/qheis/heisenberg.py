@@ -14,14 +14,14 @@ cases take one rule each: with j the smaller letter exponent, A^j B^j
 or B^j A^j expands through the structure scalars c_i(j) or d_i(j), and
 the leftover letter power moves past a C power.
 
-At a primitive p-th root of unity C^p is central, so the commutator of
-two basis monomials depends on (k1 mod p, d1, k2 mod p, d2) alone, up to
-raising every C exponent of the result by the multiples of p dropped
-from k1 and k2.  `commutator` therefore reads torsion brackets from a
+`commutator` reads the bracket of two basis monomials from a
 per-context table ``ctx._comm`` of cancelled kernels, one per unordered
-residue pair ([y, x] = -[x, y] serves the other order); generic mode,
-where nothing is periodic, runs the two product passes of `_two_pass`.
-`multiply` and the word oracle below never read the table, so both stay
+pair of keys ([y, x] = -[x, y] serves the other order).  In generic mode
+the key is the pair of monomials itself.  At a primitive p-th root of
+unity C^p is central, so the bracket depends on (k1 mod p, d1, k2 mod p,
+d2) alone, up to raising every C exponent of the result by the multiples
+of p dropped from k1 and k2; the key is that residue pair.  `multiply`
+and the word oracle below never read the table, so both stay
 independent checks of it.
 
 An independent oracle is provided by free words in A, B: `reduce_word`
@@ -36,8 +36,8 @@ basis monomials, read from its own per-context table ``ctx._word``.
 Every sparse sum of the package -- element and word-polynomial sums, the
 straightening folds, row elimination in `liepoly` -- goes through
 `_add_into`, which keeps the invariant that a terms dict never holds a
-zero coefficient.  The product kernel `_accumulate` and the torsion
-kernel read loop of `commutator` write their own get/add/drop-zero step.
+zero coefficient.  The product loop of `multiply` and the kernel read
+loop of `commutator` write their own get/add/drop-zero step.
 """
 
 from __future__ import annotations
@@ -271,8 +271,12 @@ class Element:
         elif (ctx.mode, ctx.p) != (mode, p):
             raise ContextMismatchError("serialized element belongs to a different context")
         # the constructor drops zero coefficients and rejects negative C exponents
-        terms = {Monomial(_json_int(t, "k"), _json_int(t, "d")): parse_scalar(t.get("coeff"), ctx)
-                 for t in obj["terms"]}
+        terms: dict = {}
+        for t in obj["terms"]:
+            m = Monomial(_json_int(t, "k"), _json_int(t, "d"))
+            if m in terms:
+                raise ValueError(f"serialized element repeats the monomial {m.text()}")
+            terms[m] = parse_scalar(t.get("coeff"), ctx)
         return cls(ctx, terms)
 
     @classmethod
@@ -319,23 +323,20 @@ def _mono_product(ctx: ScalarContext, x: Monomial, y: Monomial):
     )
 
 
-def _accumulate(out: dict, ctx: ScalarContext, x: dict, y: dict, add: bool) -> None:
-    """Add the product of the terms dicts x and y into ``out``, or subtract it.
+def multiply(x: Element, y: Element) -> Element:
+    """Bilinear extension of the basis-monomial product `_mono_product`.
 
-    The one product kernel: `multiply` is one adding pass, `_two_pass`
-    an adding pass over (x, y) and a subtracting pass over (y, x) into
-    the same dict.  Element terms are nonzero and the scalars form a
-    field, so a product of two coefficients is never zero; a structure
-    scalar can be (q-Lucas binomials vanish at a root of unity).
-
-    The get/add/drop-zero step is written out here rather than taken
-    from `_add_into`: this loop is the largest span of the verify grids
-    and of the Lie closure, and the helper would need a dict built for
-    every monomial pair.  The torsion read loop of `commutator` is the
-    one other place that writes the step out, for the same reason.
+    A product of two nonzero coefficients is nonzero; a structure scalar
+    can vanish (q-Lucas binomials at a root of unity).  The get/add/drop-
+    zero step is written out rather than taken from `_add_into`, which
+    would need a dict built per monomial pair: this loop is the largest
+    span of the verify grids and of the Lie closure.
     """
-    for mx, cx in x.items():
-        for my, cy in y.items():
+    ctx = x.ctx
+    ctx.ensure_same(y.ctx)
+    out: dict = {}
+    for mx, cx in x.terms.items():
+        for my, cy in y.terms.items():
             cxy = cx * cy
             for mono, coef in _mono_product(ctx, mx, my):
                 if coef.is_zero():
@@ -343,61 +344,51 @@ def _accumulate(out: dict, ctx: ScalarContext, x: dict, y: dict, add: bool) -> N
                 term = cxy * coef
                 got = out.get(mono)
                 if got is None:
-                    out[mono] = term if add else -term
+                    out[mono] = term
                     continue
-                s = got + term if add else got - term
+                s = got + term
                 if s.is_zero():
                     del out[mono]
                 else:
                     out[mono] = s
-
-
-def multiply(x: Element, y: Element) -> Element:
-    """Bilinear extension of the basis-monomial product `_mono_product`."""
-    x.ctx.ensure_same(y.ctx)
-    out: dict = {}
-    _accumulate(out, x.ctx, x.terms, y.terms, True)
-    return Element(x.ctx, out, _clean=True)
-
-
-def _two_pass(ctx: ScalarContext, x: dict, y: dict) -> dict:
-    """Terms of xy - yx for terms dicts: an adding pass over (x, y), a
-    subtracting pass over (y, x)."""
-    out: dict = {}
-    _accumulate(out, ctx, x, y, True)
-    _accumulate(out, ctx, y, x, False)
-    return out
+    return Element(ctx, out, _clean=True)
 
 
 def _comm_kernel(ctx: ScalarContext, key: tuple) -> tuple:
-    """The cancelled terms of [C^r1 x, C^r2 y] for ``key = (r1, d1, r2, d2)``."""
+    """The cancelled terms of [C^r1 x, C^r2 y] for ``key = (r1, d1, r2, d2)``.
+
+    The two monomial products go through `_add_into`, the second one
+    subtracted; zero structure scalars are dropped first.
+    """
     r1, d1, r2, d2 = key
-    one = ctx.one()
-    return tuple(_two_pass(ctx, {Monomial(r1, d1): one}, {Monomial(r2, d2): one}).items())
+    x, y = Monomial(r1, d1), Monomial(r2, d2)
+    out: dict = {}
+    for a, b, subtract in ((x, y, False), (y, x, True)):
+        _add_into(out, {m: c for m, c in _mono_product(ctx, a, b) if not c.is_zero()},
+                  subtract=subtract)
+    return tuple(out.items())
 
 
 def commutator(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y] = xy - yx, accumulated in one terms dict.
+    """Lie bracket [x, y] = xy - yx, read from per-pair kernels.
 
-    Generic mode runs `_two_pass`.  In torsion mode C^p is central, so
-    [C^(k1 + p) x, y] = C^p [C^k1 x, y] for basis monomials: the bracket
-    of (k1, d1) and (k2, d2) is the kernel of the residue key
-    (k1 mod p, d1, k2 mod p, d2) with every C exponent raised by
-    (k1 - k1 mod p) + (k2 - k2 mod p).  Since [y, x] = -[x, y], the
-    per-context table ``ctx._comm`` holds one kernel per unordered key
-    pair (the smaller key first), and a swapped pair subtracts it.  A
-    missing kernel is built once by `_two_pass` on unit monomials.
+    The bracket of basis monomials (k1, d1) and (k2, d2) is the kernel of
+    the key (r1, d1, r2, d2) with every C exponent raised by
+    (k1 - r1) + (k2 - r2).  In generic mode r = k and the shift is 0.
+    In torsion mode C^p is central, so [C^(k1 + p) x, y] = C^p [C^k1 x, y]
+    and r = k mod p.  Since [y, x] = -[x, y], the per-context table
+    ``ctx._comm`` holds one kernel per unordered key pair (the smaller
+    key first), and a swapped pair subtracts it.  A missing kernel is
+    built once by `_comm_kernel` on unit monomials.
     """
     ctx = x.ctx
     ctx.ensure_same(y.ctx)
-    if not ctx.is_torsion:
-        return Element(ctx, _two_pass(ctx, x.terms, y.terms), _clean=True)
     p, table = ctx.p, ctx._comm
     out: dict = {}
     for (k1, d1), cx in x.terms.items():
-        r1 = k1 % p
+        r1 = k1 % p if p else k1
         for (k2, d2), cy in y.terms.items():
-            r2 = k2 % p
+            r2 = k2 % p if p else k2
             add = r1 < r2 or (r1 == r2 and d1 <= d2)
             key = (r1, d1, r2, d2) if add else (r2, d2, r1, d1)
             kernel = table.get(key)
@@ -638,7 +629,7 @@ def word_product(x: Element, y: Element) -> Element:
     its first read and kept in the per-context table ``ctx._word``, keyed
     by the ordered pair of full monomials: it uses only the defining
     relation (no C^p centrality, no residue keys), and neither the
-    product kernel `_accumulate` nor the commutator table is read.
+    product loop of `multiply` nor the commutator table is read.
     """
     ctx = x.ctx
     ctx.ensure_same(y.ctx)

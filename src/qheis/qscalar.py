@@ -339,8 +339,8 @@ class ScalarContext:
     (``_qbin``, ``_struct``, ``_inv_qm1``) belong to this
     module; ``_mono_nf`` and ``_awb`` hold the word oracle's normal
     forms, ``_word`` its straightened product per ordered pair of basis
-    monomials, and ``_comm`` the torsion commutator kernels, and only
-    `heisenberg` reads them.
+    monomials, and ``_comm`` the cancelled commutator kernels of
+    `heisenberg.commutator`, and only `heisenberg` reads them.
     """
 
     __slots__ = (
@@ -914,19 +914,26 @@ def scalar_text(s: Scalar) -> str:
 
 
 def parse_scalar(data, ctx: ScalarContext) -> Scalar:
-    """Inverse of :func:`format_scalar` for the given context."""
+    """Inverse of :func:`format_scalar`; input it could not have written,
+    such as a zero denominator, raises ValueError."""
     if ctx.is_torsion:
         if not isinstance(data, (list, tuple)) or len(data) != ctx.phi:
             raise ValueError(f"torsion scalar needs exactly {ctx.phi} coordinates")
         if not all(type(c) in (int, str) for c in data):
             raise ValueError("torsion coordinates must be integers or rational strings")
-        coords = [Fraction(c) for c in data]
+        try:
+            coords = [Fraction(c) for c in data]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in torsion coordinates {data!r}") from None
         den = math.lcm(*(f.denominator for f in coords))
         return _cyclo_canonical(ctx, [f.numerator * (den // f.denominator) for f in coords], den)
     if not isinstance(data, str):
         raise ValueError("generic scalar must be a string")
     text = data.strip()
     m = re.fullmatch(r"\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)", text)
-    if m:
-        return GenericScalar(poly_from_str(m.group("num")), poly_from_str(m.group("den")))
-    return GenericScalar(poly_from_str(text), P_ONE)
+    if not m:
+        return GenericScalar(poly_from_str(text), P_ONE)
+    den = poly_from_str(m.group("den"))
+    if not den:
+        raise ValueError(f"zero denominator in generic scalar {data!r}")
+    return GenericScalar(poly_from_str(m.group("num")), den)

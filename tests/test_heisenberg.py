@@ -323,6 +323,13 @@ def _term(k=1, d=-1, coeff=("1", "1/2")):
     pytest.param({"mode": "generic", "terms": [{"k": 0, "d": 1, "coeff": 0.5}]}, id="float-generic-coeff"),
     pytest.param({"mode": "generic"}, id="missing-terms"),
     pytest.param(["generic"], id="not-an-object"),
+    pytest.param({"mode": "generic", "terms": [{"k": 0, "d": 0, "coeff": "(1)/(0)"}]},
+                 id="zero-generic-denominator"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(coeff=("1/0", "0"))]},
+                 id="zero-torsion-denominator"),
+    pytest.param({"mode": "generic", "terms": [{"k": 0, "d": 0, "coeff": "2*q"},
+                                               {"k": 0, "d": 0, "coeff": "3"}]},
+                 id="repeated-monomial"),
 ])
 def test_element_json_rejects_input_it_could_not_write(obj):
     with pytest.raises(ValueError):
@@ -375,15 +382,16 @@ def test_specialized_generic_power_products_match_torsion(n, p):
 
 
 # ---------------------------------------------------------------------------
-# torsion commutators through the residue-keyed kernel table
+# commutators through the per-pair kernel table
 # ---------------------------------------------------------------------------
 
-# (k, d, a, e): the coefficient a q^e on C^k-and-letters (k, d); k is drawn up to
-# 4p, so kernels are shifted and several term pairs land on one monomial
+# (k, d, a, e): the coefficient a q^e on C^k-and-letters (k, d); in torsion mode k
+# is drawn up to 4p, so kernels are shifted and several term pairs land on one
+# monomial; in generic mode up to 12, where a residue key would alias
 def _shifted_element(ctx, draw):
-    p = ctx.p
-    spec = draw(st.lists(st.tuples(st.integers(0, 4 * p), st.integers(-3, 3),
-                                   st.integers(-3, 3).filter(bool), st.integers(0, p - 1)),
+    kmax, emax = (4 * ctx.p, ctx.p - 1) if ctx.is_torsion else (12, 4)
+    spec = draw(st.lists(st.tuples(st.integers(0, kmax), st.integers(-3, 3),
+                                   st.integers(-3, 3).filter(bool), st.integers(0, emax)),
                          max_size=5))
     out = Element.zero(ctx)
     for k, d, a, e in spec:
@@ -392,9 +400,10 @@ def _shifted_element(ctx, draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 7), st.data())
+@given(st.sampled_from([None, 2, 3, 4, 5, 6, 7]), st.data())
 def test_torsion_commutator_equals_difference_of_products(p, data):
-    ctx = ScalarContext.torsion(p)
+    # p None draws generic mode
+    ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
     x, y = _shifted_element(ctx, data.draw), _shifted_element(ctx, data.draw)
     got = commutator(x, y)
     assert got == multiply(x, y) - multiply(y, x)
@@ -423,7 +432,9 @@ def test_independent_routes_leave_the_commutator_table_empty(monkeypatch):
     assert t._word == {}
     g = ScalarContext.generic()
     xg, yg = mono(g, 4, -2) + mono(g, 1, 3, g.q()), mono(g, 2, 1)
-    assert commutator(xg, yg) == multiply(xg, yg) - multiply(yg, xg)
+    difference = multiply(xg, yg) - multiply(yg, xg)
+    assert g._comm == {}
+    assert commutator(xg, yg) == difference
     assert g._word == {}
 
     # the word routes never fill the commutator table, and the word table
@@ -460,19 +471,24 @@ def test_oracle_catches_a_planted_structure_constant_fault(monkeypatch):
 
 
 # sha256 of the JSON lines of [x, y] for every pair of unit monomials C^k-and-letters
-# (k, d) with k, |d| <= w, computed with the two-pass product route
+# (k, d) with k, |d| <= w, computed as the two products xy and yx before brackets read
+# kernels; p None is generic
 COMMUTATOR_GRID_DIGESTS = {
     (2, 6): "55fee559ab409570a009c5a0337b121130f01dd656802e7187d23a033bda9f00",
     (3, 8): "4f5ef610525b349ba1a12999e0a6d27bff1405c81d576c102f6608f38ebb56b4",
     (5, 5): "10b7beaa2bc17e5430af92134abf5ff1a5863118c5701d3880b2b612be65cad2",
+    (None, 4): "d16203a98118f3ca727fe3d5c7bb0efd5caa879e2c226c5777843293d9093c28",
 }
 
 
-@pytest.mark.parametrize("p, w", sorted(COMMUTATOR_GRID_DIGESTS))
+@pytest.mark.parametrize("p, w", list(COMMUTATOR_GRID_DIGESTS))
 def test_commutator_grid_is_pinned(p, w):
-    ctx = ScalarContext.torsion(p)
+    ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
     units = [mono(ctx, k, d) for d in range(-w, w + 1) for k in range(w + 1)]
     h = hashlib.sha256()
     for x, y in itertools.product(units, repeat=2):
         h.update(commutator(x, y).to_json().encode() + b"\n")
     assert h.hexdigest() == COMMUTATOR_GRID_DIGESTS[p, w]
+    if p is None:
+        # no residues alias in generic mode: one kernel per unordered pair of monomials
+        assert len(ctx._comm) == len(units) * (len(units) + 1) // 2
