@@ -30,8 +30,10 @@ from .verify import SUITE_NAMES, run_suites
 
 USAGE_ERROR = 2
 VIOLATION_ERROR = 1
-# Work budget on --p: the cyclotomic inverse costs about p * phi(p)^2
-# integer operations (a single product at p = 127 takes about 0.1 s)
+# Work budget on --p.  Measured in-process on a 2-core x86-64 host: at
+# p = 127 a default closure takes 0.1 s and normalize "A^126*B^126" 0.6 s;
+# normalize "A^(p-1)*B^(p-1)" passes 1 s near p = 150 (1.3 s at p = 149,
+# 8 s at p = 257), its cost then being dense cyclotomic products
 MAX_TORSION_ORDER = 128
 
 

@@ -326,6 +326,36 @@ def cyclotomic_poly(p: int) -> IntPoly:
     return phi
 
 
+def _galois_chain(p: int) -> tuple:
+    """Pairs (g, n) that build the unit group (Z/p)^x as a chain of cyclic steps.
+
+    With H_0 = {1} and H_(j+1) = H_j <g_j>, n_j is the order of g_j
+    modulo H_j (the least n with g_j^n in H_j), so the powers g_j^i,
+    i < n_j, are coset representatives of H_j in H_(j+1), and the last H
+    is the whole group.  Each g_j is the smallest unit of largest order
+    modulo H_j: one step when the group is cyclic (p prime, for one),
+    more when it is not (two at p = 8 and 128, three at p = 24).
+    """
+    units = [k for k in range(2, p) if math.gcd(k, p) == 1]
+    order = len(units) + 1
+    group, chain = {1}, []
+    while len(group) < order:
+        best = (0, 0)
+        for g in units:
+            n, h = 1, g
+            while h not in group:
+                h = h * g % p
+                n += 1
+            if n > best[1]:
+                best = (g, n)
+                if n * len(group) == order:  # no order modulo H exceeds |G| / |H|
+                    break
+        g, n = best
+        chain.append(best)
+        group = {h * pow(g, i, p) % p for h in group for i in range(n)}
+    return tuple(chain)
+
+
 # ---------------------------------------------------------------------------
 # Scalar context
 # ---------------------------------------------------------------------------
@@ -336,16 +366,23 @@ class ScalarContext:
     Contexts are immutable and shareable; per-context memo tables are
     only ever populated with idempotent values, so a memoized entry is
     the same whichever computation filled it first.  The scalar tables
-    (``_qbin``, ``_struct``, ``_inv_qm1``) belong to this
-    module; ``_mono_nf`` and ``_awb`` hold the word oracle's normal
-    forms, ``_word`` its straightened product per ordered pair of basis
+    (``_qbin``, ``_struct``, ``_inv_qm1``, ``_inv``) belong to this
+    module: ``_inv`` maps the canonical ``(num, den)`` of each torsion
+    scalar inverted through the Galois norm to its inverse, and stays
+    empty in generic mode, where an inverse is a swap.  A torsion
+    context also keeps ``_galois``, the chain of cyclic steps through
+    the Galois group (Z/p)^x (see :func:`_galois_chain`) along which
+    the norm is multiplied up, built once in the constructor.
+    ``_mono_nf`` and ``_awb`` hold the word oracle's normal forms,
+    ``_word`` its straightened product per ordered pair of basis
     monomials, and ``_comm`` the cancelled commutator kernels of
     `heisenberg.commutator`, and only `heisenberg` reads them.
     """
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
-        "_struct", "_qpow", "_inv_qm1", "_mono_nf", "_awb", "_word", "_comm",
+        "_struct", "_qpow", "_inv_qm1", "_inv", "_galois", "_mono_nf", "_awb",
+        "_word", "_comm",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -374,12 +411,13 @@ class ScalarContext:
             self._qpow = tuple(CycloScalar(self, vec, 1) for vec in red)
             self._zero = CycloScalar(self, (0,) * phi, 1)
             self._one = self._qpow[0]
+            self._galois = _galois_chain(p)
         else:
             if p is not None:
                 raise ValueError("generic mode takes no order")
             self.modulus = None
             self.phi = 0
-            self._red = self._qpow = ()
+            self._red = self._qpow = self._galois = ()
             self._zero = GenericScalar(P_ZERO, P_ONE, _canonical=True)
             self._one = GenericScalar(P_ONE, P_ONE, _canonical=True)
         self.mode = mode
@@ -387,6 +425,7 @@ class ScalarContext:
         self._qbin: dict = {}
         self._struct: dict = {}
         self._inv_qm1: dict = {}
+        self._inv: dict = {}
         self._mono_nf: dict = {}
         self._awb: dict = {}
         self._word: dict = {}
@@ -592,6 +631,39 @@ def _cyclo_eval(terms: Iterable, ctx: ScalarContext) -> list:
     return out
 
 
+def _cyclo_conj(a, k: int, ctx: ScalarContext) -> list:
+    """sigma_k(a) for k a unit mod p: the automorphism that maps q^j to q^(j*k)."""
+    return _cyclo_eval(((j * k, x) for j, x in enumerate(a)), ctx)
+
+
+def _norm_cofactor(a: tuple, ctx: ScalarContext) -> tuple:
+    """(prod_{k != 1} sigma_k(a), N(a)) for a nonzero numerator vector a.
+
+    Walks the context's Galois chain: with N_H(a) the product of the
+    conjugates over H, N_(H<g>)(a) = prod_(i < n) sigma_g^i(N_H(a)), and
+    the cofactor gains the factors with i >= 1.  The run
+    P(m) = prod_(i < m) sigma_g^i(y) doubles as P(2m) = P(m) sigma_g^m(P(m))
+    and steps as P(m + 1) = y sigma_g(P(m)), so a step of order n costs
+    O(log n) products (the "rotate and combine" of Halevi and Shoup,
+    Algorithms in HElib, 2014) where the conjugates one by one cost n.
+    """
+    p = ctx.p
+    cof, norm = None, a
+    for g, n in ctx._galois:
+        # rest = P(n - 1) for y = sigma_g(norm), i.e. prod_(1 <= i < n) sigma_g^i(norm)
+        y = rest = _cyclo_conj(norm, g, ctx)
+        m = 1
+        for bit in bin(n - 1)[3:]:
+            rest = _cyclo_mul(rest, _cyclo_conj(rest, pow(g, m, p), ctx), ctx)
+            m *= 2
+            if bit == "1":
+                rest = _cyclo_mul(y, _cyclo_conj(rest, g, ctx), ctx)
+                m += 1
+        cof = rest if cof is None else _cyclo_mul(cof, rest, ctx)
+        norm = _cyclo_mul(norm, rest, ctx)
+    return cof, norm[0]
+
+
 def _cyclo_canonical(ctx: ScalarContext, num: list, den: int) -> "CycloScalar":
     """The scalar num/den (den != 0) with common factors and the sign moved out."""
     g = math.gcd(den, *num)
@@ -677,22 +749,25 @@ class CycloScalar:
         return _cyclo_canonical(ctx, num, den)
 
     def inverse(self) -> "CycloScalar":
+        """1 / self; a rational inverts directly, any other scalar by its norm.
+
+        x * prod_{k != 1} sigma_k(x) is the norm N(x), a nonzero integer,
+        where sigma_k (k a unit mod p) maps q^j to q^(j*k).  The cofactor
+        is multiplied up along the context's Galois chain in O(log phi(p))
+        products (:func:`_norm_cofactor`), and each result is kept in the
+        context's ``_inv`` table, so a scalar is inverted once per context.
+        """
         ctx, num, den = self.ctx, self.num, self.den
         if not any(num[1:]):
             c = num[0]
             if not c:
                 raise ZeroDivisionError("inverse of zero scalar")
             return _cyclo_canonical(ctx, [den] + [0] * (ctx.phi - 1), c)
-        # x * prod_{k != 1} sigma_k(x) is the norm N(x), a nonzero integer,
-        # where sigma_k (k a unit mod p) maps q^j to q^(j*k)
-        p = ctx.p
-        others = None
-        for k in range(2, p):
-            if math.gcd(k, p) == 1:
-                conj = _cyclo_eval(((j * k, x) for j, x in enumerate(num)), ctx)
-                others = conj if others is None else _cyclo_mul(others, conj, ctx)
-        norm = _cyclo_mul(num, others, ctx)[0]
-        return _cyclo_canonical(ctx, [den * x for x in others], norm)
+        got = ctx._inv.get((num, den))
+        if got is None:
+            others, norm = _norm_cofactor(num, ctx)
+            got = ctx._inv[num, den] = _cyclo_canonical(ctx, [den * x for x in others], norm)
+        return got
 
     def __truediv__(self, other: "CycloScalar") -> "CycloScalar":
         return self * other.inverse()

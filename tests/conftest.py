@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from qheis import Element, Monomial, ScalarContext
 from qheis.heisenberg import (MONO_A, MONO_B, commutator, multiply, normal_to_element,
                               normal_word_product, straighten)
 from qheis.liepoly import RowReducer
-from qheis.qscalar import q_int, specialize
+from qheis.qscalar import _cyclo_canonical, _cyclo_eval, _cyclo_mul, q_int, specialize
 
 
 @pytest.fixture
@@ -224,3 +225,29 @@ def word_product_reference(x, y):
     """x * y by straightening both whole elements and multiplying their normal forms."""
     ctx = x.ctx
     return normal_to_element(ctx, normal_word_product(ctx, straighten(x), straighten(y)))
+
+
+# ---------------------------------------------------------------------------
+# The cyclotomic inverse by all conjugates, kept to check the Galois chain
+# ---------------------------------------------------------------------------
+
+def inverse_reference(scalar):
+    """1 / scalar for a torsion scalar, the norm cofactor as the product of
+    all phi(p) - 1 conjugates one by one (O(phi^3)); no table is read or filled.
+    """
+    ctx, num, den = scalar.ctx, scalar.num, scalar.den
+    if not any(num[1:]):
+        c = num[0]
+        if not c:
+            raise ZeroDivisionError("inverse of zero scalar")
+        return _cyclo_canonical(ctx, [den] + [0] * (ctx.phi - 1), c)
+    # x * prod_{k != 1} sigma_k(x) is the norm N(x), a nonzero integer,
+    # where sigma_k (k a unit mod p) maps q^j to q^(j*k)
+    p = ctx.p
+    others = None
+    for k in range(2, p):
+        if math.gcd(k, p) == 1:
+            conj = _cyclo_eval(((j * k, x) for j, x in enumerate(num)), ctx)
+            others = conj if others is None else _cyclo_mul(others, conj, ctx)
+    norm = _cyclo_mul(num, others, ctx)[0]
+    return _cyclo_canonical(ctx, [den * x for x in others], norm)

@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import CONTEXTS, inverse_reference
 from qheis.qscalar import (
     ContextMismatchError,
     ScalarContext,
@@ -89,6 +91,55 @@ def test_inverse_is_two_sided(p):
         assert x * inv == ctx.one()
         assert inv * x == ctx.one()
         assert inv.inverse() == x
+
+
+# The unit group mod p is not cyclic at p = 8, 12, 15, 16, 20, 21, 24, ..., 64
+# and 128, so the Galois chain there takes two or three steps.
+@pytest.mark.parametrize("p", [*range(2, 41), 64, 127, 128])
+def test_inverse_matches_the_all_conjugates_reference(p):
+    ctx = ScalarContext.torsion(p)
+    rng = random.Random(400 + p)
+    for _ in range(20 if p <= 40 else 3):
+        x = random_scalar(ctx, rng)
+        if x:
+            assert x.inverse() == inverse_reference(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([p for p in CONTEXTS if p != "generic"]), st.data())
+def test_inverse_times_scalar_is_one(p, data):
+    ctx = CONTEXTS[p]
+    coords = data.draw(st.lists(st.fractions(-9, 9, max_denominator=6),
+                                min_size=ctx.phi, max_size=ctx.phi))
+    x = parse_scalar([str(c) for c in coords], ctx)
+    assume(x)
+    assert x * x.inverse() == ctx.one()
+
+
+@pytest.mark.parametrize("p", ORDERS)
+def test_inverse_table_holds_each_norm_route_scalar_once(p):
+    ctx = ScalarContext.torsion(p)
+    rng = random.Random(500 + p)
+    xs = [x for x in (random_scalar(ctx, rng) for _ in range(20)) if x]
+    xs += [ctx.from_fraction(Fraction(-3, 4)), ctx.from_int(7), ctx.q() - ctx.one()]
+    for x in xs:
+        first = x.inverse()
+        # the same object again, also from an equal scalar built anew
+        if any(x.num[1:]):
+            assert x.inverse() is first
+            assert parse_scalar(format_scalar(x), ctx).inverse() is first
+    assert set(ctx._inv) == {(x.num, x.den) for x in xs if any(x.num[1:])}
+    assert all(any(num[1:]) for num, _ in ctx._inv)
+
+
+def test_generic_inverses_leave_the_table_empty():
+    ctx = ScalarContext.generic()
+    qm1 = ctx.q() - ctx.one()
+    for x in (qm1, qm1 ** 3 + ctx.q_power(-2), ctx.from_int(-5)):
+        assert x * x.inverse() == ctx.one()
+    for l in range(6):
+        inv_qm1_power(ctx, l)
+    assert ctx._inv == {}
 
 
 def test_rational_inverse_and_zero():

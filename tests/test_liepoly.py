@@ -413,6 +413,19 @@ def test_closure_outputs_are_pinned(capsys):
     assert digest == "c49cc453316661d13e9235171b62749217e1f8219cb58cdb3c7f88ed85881f9e"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--p", "128", "--format", "json", "closure", "--depth", "16"],
+     "327d724c281a323de8535777f27cc362755f34e6613567cc6503d430860d1720"),
+    (["--p", "127", "--format", "json", "normalize", "A^126*B^126"],
+     "dad87477b54f80f4bb7878d0745c8c0b8f00d64a14ec22713591e392681cf7bd"),
+], ids=["closure-p128", "normalize-p127"])
+def test_large_order_outputs_are_pinned(argv, digest, capsys):
+    # inverses at the largest orders the CLI takes; the digests were
+    # computed with the all-conjugates inverse
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_closure_depth_validation(p3):
     with pytest.raises(ValueError):
         closure_rows(p3, 0)
