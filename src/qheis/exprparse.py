@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .heisenberg import MONO_I, Element, Monomial, _add_into, _mono_product, commutator
+from .heisenberg import (MONO_A, MONO_B, MONO_C, MONO_I, Element, Monomial, _add_into,
+                         _mono_product, commutator)
 from .qscalar import Scalar, ScalarContext
 
 __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
@@ -191,12 +192,7 @@ def parse_expression(text: str):
     return node
 
 
-_ATOMS = {
-    "A": Monomial(0, -1),
-    "B": Monomial(0, 1),
-    "C": Monomial(1, 0),
-    "I": Monomial(0, 0),
-}
+_ATOMS = {"A": MONO_A, "B": MONO_B, "C": MONO_C, "I": MONO_I}
 
 
 def _scalar_factor(node, ctx: ScalarContext) -> Scalar | None:
@@ -266,7 +262,7 @@ def elaborate(node, ctx: ScalarContext) -> Element:
     if kind == "sum":
         out: dict = {}
         for sign, sub in node[1]:
-            _add_into(out, elaborate(sub, ctx).terms, subtract=sign < 0)
+            _add_into(out, elaborate(sub, ctx).terms.items(), subtract=sign < 0)
         return Element(ctx, out, _clean=True)
     raise AssertionError(f"unhandled node {node!r}")
 

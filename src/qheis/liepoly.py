@@ -215,7 +215,7 @@ def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
             else:
                 out: dict = {}
                 for c, sub in node.items:
-                    _add_into(out, value(sub).terms, c)
+                    _add_into(out, value(sub).terms.items(), c)
                 got = Element(ctx, out, _clean=True)
             done[id(node)] = got
         return got
@@ -376,7 +376,7 @@ def obase_G_documented(ctx: ScalarContext, k: int) -> Element:
     one, q = ctx.one(), ctx.q()
     acc: dict = {}
     for i in range(k + 1):
-        _add_into(acc, base_G(ctx, i).terms, (q - one).inverse() ** i)
+        _add_into(acc, base_G(ctx, i).terms.items(), (q - one).inverse() ** i)
     return Element(ctx, acc, _clean=True).scale(ctx.q_power(k) * (one - q ** (k + 1)).inverse())
 
 
@@ -386,12 +386,12 @@ def special_A(ctx: ScalarContext, k: int, l: int) -> Element:
     Equals (1 - q^(k+1)) C^(k+1) A^l under the stated congruences
     (l ≡ 0, k+1 not ≡ 0 mod p).
     """
-    return commutator(obase_A(ctx, k, l - 1), _elem(ctx, 0, -1))
+    return commutator(obase_A(ctx, k, l - 1), Element.monomial(ctx, MONO_A))
 
 
 def special_B(ctx: ScalarContext, k: int, l: int) -> Element:
     """[obase_B(k-1, l), C]; equals (1 - q^l) B^l C^(k+1) when k+1 ≡ 0, l not ≡ 0 (mod p)."""
-    return commutator(obase_B(ctx, k - 1, l), _elem(ctx, 1, 0))
+    return commutator(obase_B(ctx, k - 1, l), Element.monomial(ctx, MONO_C))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,7 @@ class RowReducer:
             row = self.rows.get(lead)
             if row is None:
                 break
-            _add_into(terms, row.terms, terms[lead], subtract=True)
+            _add_into(terms, row.terms.items(), terms[lead], subtract=True)
         return Element(self.ctx, terms, _clean=True)
 
     def insert(self, x: Element) -> Element | None:
@@ -532,7 +532,7 @@ class RowReducer:
                 other = out[other_lead]
                 c = other.get(lead)
                 if c is not None:
-                    _add_into(other, row, c, subtract=True)
+                    _add_into(other, row.items(), c, subtract=True)
         return [Element(self.ctx, out[lead], _clean=True) for lead in order]
 
 

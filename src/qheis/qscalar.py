@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 __all__ = [
+    "MAX_TORSION_ORDER",
     "ScalarContext",
     "GenericScalar",
     "CycloScalar",
@@ -359,6 +360,15 @@ def _galois_chain(p: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Scalar context
 # ---------------------------------------------------------------------------
+
+# Work budget on a torsion order read from input (the CLI's --p, a JSON
+# element read without a context).  Measured in-process on a 2-core x86-64
+# host: at p = 127 a default closure takes 0.1 s and normalize
+# "A^126*B^126" 0.6 s; normalize "A^(p-1)*B^(p-1)" passes 1 s near p = 150
+# (1.3 s at p = 149, 8 s at p = 257), its cost then being dense cyclotomic
+# products.  A context's reduction table alone holds p * phi(p) integers.
+MAX_TORSION_ORDER = 128
+
 
 class ScalarContext:
     """Carrier for the scalar field: generic q or a primitive p-th root.

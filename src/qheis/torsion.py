@@ -24,7 +24,7 @@ exact statement is A^p B^p = B^p A^p = (I - C^p)/(1-q)^p, available as
 
 from __future__ import annotations
 
-from .heisenberg import Element, Monomial, commutator, multiply
+from .heisenberg import MONO_A, MONO_B, Element, Monomial, commutator, multiply
 from .qscalar import ContextMismatchError, Scalar, ScalarContext, inv_qm1_power
 
 __all__ = [
@@ -139,6 +139,6 @@ def multiply_fastpath(x: Element, y: Element) -> Element:
 
 def is_central(x: Element) -> bool:
     """True iff x commutes with both generators (which generate H(q))."""
-    a = Element.monomial(x.ctx, Monomial(0, -1))
-    b = Element.monomial(x.ctx, Monomial(0, 1))
+    a = Element.monomial(x.ctx, MONO_A)
+    b = Element.monomial(x.ctx, MONO_B)
     return commutator(x, a).is_zero() and commutator(x, b).is_zero()

@@ -18,6 +18,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .heisenberg import (
+    MONO_A,
+    MONO_B,
     Element,
     Monomial,
     commutator,
@@ -208,7 +210,7 @@ def verify_derived_algebra(ctx: ScalarContext, kmax: int, dmax: int,
                  if classify_monomial(ctx, m, defn2_literal).is_lie]
         for (m1, x), (m2, y) in itertools.combinations(basis, 2):
             bad = [mono for mono in commutator(x, y).support()
-                   if mono in (Monomial(0, -1), Monomial(0, 1))
+                   if mono in (MONO_A, MONO_B)
                    or not classify_monomial(ctx, mono, defn2_literal).is_lie]
             if not rep.check(not bad):
                 for mono in bad:

@@ -72,6 +72,22 @@ def test_identity_is_neutral(generic):
     assert multiply(x, I) == x
 
 
+@pytest.mark.parametrize("p", range(2, 13))
+def test_mono_product_holds_no_zero_scalar(p):
+    # at a root of unity structure scalars vanish on q-Lucas zeros; whether one does
+    # depends on (i, j) alone, the C exponents only move q powers, so the window runs
+    # every letter pair with |d| <= 2p against the C exponents 0, 1, p and 2p
+    ctx = ScalarContext.torsion(p)
+    w = 2 * p
+    window = [Monomial(k, d) for d in range(-w, w + 1) for k in sorted({0, 1, p, w})]
+    for x, y in itertools.product(window, repeat=2):
+        assert all(c for _, c in heisenberg._mono_product(ctx, x, y)), (x, y)
+    if p == 2:
+        # A^2 B^2 = c_0(2) I + c_1(2) C + c_2(2) C^2 with c_1(2) a multiple of (2 1)_q = 1 + q
+        assert [m for m, _ in heisenberg._mono_product(ctx, Monomial(0, -2), Monomial(0, 2))] \
+            == [Monomial(0, 0), Monomial(2, 0)]
+
+
 # ---------------------------------------------------------------------------
 # commutators
 # ---------------------------------------------------------------------------
@@ -318,6 +334,7 @@ def _term(k=1, d=-1, coeff=("1", "1/2")):
     pytest.param({"mode": "torsion", "p": 3, "terms": [{"k": 1, "d": -1}]}, id="missing-coeff"),
     pytest.param({"mode": "torsion", "terms": []}, id="missing-p"),
     pytest.param({"mode": "torsion", "p": 3.0, "terms": []}, id="float-p"),
+    pytest.param({"mode": "torsion", "p": 129, "terms": []}, id="order-above-the-cap"),
     pytest.param({"mode": "weird", "terms": []}, id="unknown-mode"),
     pytest.param({"terms": []}, id="missing-mode"),
     pytest.param({"mode": "generic", "terms": [{"k": 0, "d": 1, "coeff": 0.5}]}, id="float-generic-coeff"),
@@ -334,6 +351,15 @@ def _term(k=1, d=-1, coeff=("1", "1/2")):
 def test_element_json_rejects_input_it_could_not_write(obj):
     with pytest.raises(ValueError):
         Element.from_json_obj(obj)
+
+
+def test_element_json_reads_any_order_with_its_context():
+    # above MAX_TORSION_ORDER only a caller-built context is read
+    ctx = ScalarContext.torsion(131)
+    x = mono(ctx, 130, -2, ctx.q() - ctx.one()) + mono(ctx, 0, 5, ctx.from_fraction(Fraction(1, 3)))
+    assert Element.from_json(x.to_json(), ctx) == x
+    with pytest.raises(ValueError, match="above the cap 128"):
+        Element.from_json(x.to_json())
 
 
 def test_element_json_reads_integer_coordinates(p3):
@@ -470,25 +496,34 @@ def test_oracle_catches_a_planted_structure_constant_fault(monkeypatch):
         assert verify_oracle(ScalarContext.torsion(p), pairs=50, seed=0).violations_total == 6
 
 
-# sha256 of the JSON lines of [x, y] for every pair of unit monomials C^k-and-letters
-# (k, d) with k, |d| <= w, computed as the two products xy and yx before brackets read
-# kernels; p None is generic
-COMMUTATOR_GRID_DIGESTS = {
-    (2, 6): "55fee559ab409570a009c5a0337b121130f01dd656802e7187d23a033bda9f00",
-    (3, 8): "4f5ef610525b349ba1a12999e0a6d27bff1405c81d576c102f6608f38ebb56b4",
-    (5, 5): "10b7beaa2bc17e5430af92134abf5ff1a5863118c5701d3880b2b612be65cad2",
-    (None, 4): "d16203a98118f3ca727fe3d5c7bb0efd5caa879e2c226c5777843293d9093c28",
+# sha256 of the JSON lines of op(x, y) for every pair of unit monomials C^k-and-letters
+# (k, d) with k, |d| <= w; p None is generic.  The commutator grids were computed as
+# the two products xy and yx before brackets read kernels, the multiply grids while
+# `multiply` still dropped the vanishing structure scalars itself
+GRID_DIGESTS = {
+    (commutator, 2, 6): "55fee559ab409570a009c5a0337b121130f01dd656802e7187d23a033bda9f00",
+    (commutator, 3, 8): "4f5ef610525b349ba1a12999e0a6d27bff1405c81d576c102f6608f38ebb56b4",
+    (commutator, 5, 5): "10b7beaa2bc17e5430af92134abf5ff1a5863118c5701d3880b2b612be65cad2",
+    (commutator, None, 4): "d16203a98118f3ca727fe3d5c7bb0efd5caa879e2c226c5777843293d9093c28",
+    (multiply, 2, 6): "a10801d53090efaa0bc3298b7df247b64815838b1d8ec896a9894c5e0245e3fe",
+    (multiply, 3, 8): "0930df679f1bce63f1d3682975b53f7091f91aff35e686659c0f031d55760fc9",
+    (multiply, 5, 5): "b53737d748f01975f3b386ca3b27e9ba3cb1910801795ebba46ab50a60f26e07",
+    (multiply, None, 4): "7c74e8ae0305e025526cd702edcb2509c781b3a154f2419b97cd323248aea67c",
 }
 
 
-@pytest.mark.parametrize("p, w", list(COMMUTATOR_GRID_DIGESTS))
-def test_commutator_grid_is_pinned(p, w):
+# the commutator grids keep their earlier "p-w" ids, so test records naming them still match
+@pytest.mark.parametrize("op, p, w", [
+    pytest.param(op, p, w, id=f"{p}-{w}" if op is commutator else f"{op.__name__}-{p}-{w}")
+    for op, p, w in GRID_DIGESTS
+])
+def test_commutator_grid_is_pinned(op, p, w):
     ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
     units = [mono(ctx, k, d) for d in range(-w, w + 1) for k in range(w + 1)]
     h = hashlib.sha256()
     for x, y in itertools.product(units, repeat=2):
-        h.update(commutator(x, y).to_json().encode() + b"\n")
-    assert h.hexdigest() == COMMUTATOR_GRID_DIGESTS[p, w]
-    if p is None:
+        h.update(op(x, y).to_json().encode() + b"\n")
+    assert h.hexdigest() == GRID_DIGESTS[op, p, w]
+    if op is commutator and p is None:
         # no residues alias in generic mode: one kernel per unordered pair of monomials
         assert len(ctx._comm) == len(units) * (len(units) + 1) // 2
