@@ -272,7 +272,10 @@ class Element:
 
         Without ``ctx``, a torsion order above ``MAX_TORSION_ORDER`` raises
         ValueError before any context is built; with a matching ``ctx``
-        any order reads.
+        any order reads.  Coefficients are read by `qscalar.parse_scalar`:
+        a torsion coordinate is an int or a string ``n`` or ``n/d``, and a
+        generic polynomial of degree above ``MAX_SERIALIZED_DEGREE`` raises
+        ValueError before it is built.
         """
         if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
             raise ValueError("serialized element needs a 'terms' list")

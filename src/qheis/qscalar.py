@@ -38,6 +38,7 @@ from typing import Iterable, Union
 
 __all__ = [
     "MAX_TORSION_ORDER",
+    "MAX_SERIALIZED_DEGREE",
     "ScalarContext",
     "GenericScalar",
     "CycloScalar",
@@ -238,7 +239,7 @@ def _cancel(num: IntPoly, den: IntPoly) -> tuple:
     return num, den
 
 
-def poly_to_str(a: IntPoly, var: str = "q") -> str:
+def poly_to_str(a: IntPoly) -> str:
     """Sparse text form, descending degree, e.g. ``3*q^5 - q + 2``."""
     if not a:
         return "0"
@@ -250,7 +251,7 @@ def poly_to_str(a: IntPoly, var: str = "q") -> str:
         if e == 0:
             body = str(abs(c))
         else:
-            head = var if e == 1 else f"{var}^{e}"
+            head = "q" if e == 1 else f"q^{e}"
             body = head if abs(c) == 1 else f"{abs(c)}*{head}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -259,13 +260,20 @@ def poly_to_str(a: IntPoly, var: str = "q") -> str:
     return " ".join(parts)
 
 
+# Largest degree of a polynomial read from text: 80 times the largest
+# exponent in the output of generic normalize "A^160*B^160" (12,880).  At
+# the cap a read takes about 0.1 s and 41 MB; the list it fills grows with
+# the degree, whatever the length of the text.
+MAX_SERIALIZED_DEGREE = 1 << 20
+
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>\d+)\s*\*?\s*)?(?:(?P<var>[a-zA-Z]\w*)(?:\^(?P<exp>\d+))?)?\s*"
+    r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>[0-9]+)\s*\*?\s*)?(?:(?P<var>q)(?:\^(?P<exp>[0-9]+))?)?\s*"
 )
 
 
-def poly_from_str(s: str, var: str = "q") -> IntPoly:
-    """Inverse of :func:`poly_to_str`."""
+def poly_from_str(s: str) -> IntPoly:
+    """Inverse of :func:`poly_to_str`; a degree above ``MAX_SERIALIZED_DEGREE``
+    raises ValueError before any coefficient list is built."""
     s = s.strip()
     if s in ("0", "-0", "+0"):
         return P_ZERO
@@ -284,12 +292,10 @@ def poly_from_str(s: str, var: str = "q") -> IntPoly:
         c = int(coef) if coef is not None else 1
         if sign == "-":
             c = -c
-        if v is None:
-            e = 0
-        else:
-            if v != var:
-                raise ValueError(f"unexpected variable {v!r} in {s!r}")
-            e = int(exp) if exp is not None else 1
+        e = 0 if v is None else 1 if exp is None else int(exp)
+        if e > MAX_SERIALIZED_DEGREE:
+            raise ValueError(f"polynomial exponent above the cap MAX_SERIALIZED_DEGREE = "
+                             f"{MAX_SERIALIZED_DEGREE} at offset {pos}")
         coeffs[e] = coeffs.get(e, 0) + c
         pos = m.end()
         first = False
@@ -373,9 +379,11 @@ MAX_TORSION_ORDER = 128
 class ScalarContext:
     """Carrier for the scalar field: generic q or a primitive p-th root.
 
-    Contexts are immutable and shareable; per-context memo tables are
-    only ever populated with idempotent values, so a memoized entry is
-    the same whichever computation filled it first.  The scalar tables
+    Contexts are shareable across threads under one rule: a table value
+    is never changed after it is stored.  Each entry is computed on the
+    side and stored with one assignment, so a racing thread at worst
+    recomputes an entry or replaces it with an equal one (for ``_qbin``,
+    possibly a shorter prefix of the same row).  The scalar tables
     (``_qbin``, ``_struct``, ``_inv_qm1``, ``_inv``) belong to this
     module: ``_inv`` maps the canonical ``(num, den)`` of each torsion
     scalar inverted through the Galois norm to its inverse, and stays
@@ -817,12 +825,13 @@ def q_binomial(ctx: ScalarContext, n: int, k: int) -> Scalar:
     """Gaussian binomial (n k)_q by the product formula over Z[q].
 
     (n k) = (n k-1) (1 - q^(n-k+1)) / (1 - q^k), for k <= n/2 only, as
-    (n k) = (n n-k).  Row n of the context's table holds the (polynomial,
-    scalar) pairs for k = 0, 1, ... asked for so far; the scalar is the
-    polynomial at the root in torsion mode.  Only the last polynomial of
-    a row feeds the next step, so a torsion row keeps that one alone (the
-    others read None); a generic scalar is its polynomial, so generic
-    rows keep them all at no cost.
+    (n k) = (n n-k).  Row n of the context's table is the pair (polynomial
+    of the last entry, tuple of the scalars for k = 0, 1, ...) asked for
+    so far; only the last polynomial feeds the next step, and the scalar
+    is the polynomial at the root in torsion mode.  A short row is
+    extended on a local list and stored with one assignment, never
+    changed in place, so a racing thread at worst recomputes a row or
+    stores a shorter one.
     """
     if n < 0 or k < 0:
         raise ValueError("q_binomial needs n, k >= 0")
@@ -830,24 +839,21 @@ def q_binomial(ctx: ScalarContext, n: int, k: int) -> Scalar:
         return ctx.zero()
     k = min(k, n - k)
     row = ctx._qbin.get(n)
-    if row is None:
-        row = ctx._qbin[n] = [(P_ONE, ctx.one())]
-    while len(row) <= k:
-        j = len(row)
-        a, m = row[-1][0], n - j + 1
-        c = list(a) + [0] * m  # a (1 - q^m)
-        for i, x in enumerate(a):
-            c[i + m] -= x
-        top = len(c) - j  # divide by 1 - q^j in place: quo[i] = c[i] + quo[i-j]
-        for i in range(j, top):
-            c[i] += c[i - j]
-        poly = tuple(c[:top])
-        if ctx.is_torsion:
-            row[-1] = (None, row[-1][1])
-            row.append((poly, _eval_poly_cyclo(poly, ctx)))
-        else:
-            row.append((poly, GenericScalar(poly, P_ONE, _canonical=True)))
-    return row[k][1]
+    if row is None or len(row[1]) <= k:
+        a, vals = row or (P_ONE, (ctx.one(),))
+        vals = list(vals)
+        for j in range(len(vals), k + 1):
+            m = n - j + 1
+            c = list(a) + [0] * m  # a (1 - q^m)
+            for i, x in enumerate(a):
+                c[i + m] -= x
+            top = len(c) - j  # divide by 1 - q^j in place: quo[i] = c[i] + quo[i-j]
+            for i in range(j, top):
+                c[i] += c[i - j]
+            a = tuple(c[:top])
+            vals.append(_eval_poly_cyclo(a, ctx) if ctx.is_torsion else GenericScalar(a, P_ONE, _canonical=True))
+        row = ctx._qbin[n] = (a, tuple(vals))
+    return row[1][k]
 
 
 def q_binomial_lucas(ctx: ScalarContext, n: int, k: int) -> Scalar:
@@ -998,14 +1004,20 @@ def scalar_text(s: Scalar) -> str:
     return out or "0"
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_scalar(data, ctx: ScalarContext) -> Scalar:
-    """Inverse of :func:`format_scalar`; input it could not have written,
-    such as a zero denominator, raises ValueError."""
+    """Inverse of :func:`format_scalar`; input it could not have written
+    raises ValueError.  That covers a zero denominator, a torsion
+    coordinate other than an int or a string ``n`` or ``n/d`` of ASCII
+    digits (no decimal point, exponent, space or underscore), and a
+    generic polynomial of degree above ``MAX_SERIALIZED_DEGREE``."""
     if ctx.is_torsion:
         if not isinstance(data, (list, tuple)) or len(data) != ctx.phi:
             raise ValueError(f"torsion scalar needs exactly {ctx.phi} coordinates")
-        if not all(type(c) in (int, str) for c in data):
-            raise ValueError("torsion coordinates must be integers or rational strings")
+        if not all(type(c) is int or (type(c) is str and _RATIONAL_RE.fullmatch(c)) for c in data):
+            raise ValueError("torsion coordinates must be integers or strings n or n/d")
         try:
             coords = [Fraction(c) for c in data]
         except ZeroDivisionError:

@@ -188,11 +188,12 @@ def test_binomial_matches_lucas_far_past_recursion_depth(p):
 
 
 def test_binomial_table_keeps_the_row_prefix_asked_for():
-    # one row per n, holding (n 0) .. (n k) for the smaller of k and n - k
+    # one row per n: the polynomial of (n k) and the scalars (n 0) .. (n k),
+    # for the smaller of k and n - k
     for ctx, n, k in ((ScalarContext.torsion(3), 1500, 3), (ScalarContext.generic(), 160, 80)):
         q_binomial(ctx, n, k)
         q_binomial(ctx, n, n - k)
-        assert list(ctx._qbin) == [n] and len(ctx._qbin[n]) == k + 1
+        assert list(ctx._qbin) == [n] and len(ctx._qbin[n][1]) == k + 1
 
 
 # ---------------------------------------------------------------------------

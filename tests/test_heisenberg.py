@@ -24,7 +24,7 @@ from qheis.heisenberg import (
 )
 from qheis import heisenberg, verify
 from qheis.liepoly import construct_basis_element, lie_closure
-from qheis.qscalar import ContextMismatchError, ScalarContext, q_int, struct_d
+from qheis.qscalar import MAX_SERIALIZED_DEGREE, ContextMismatchError, ScalarContext, q_int, struct_d
 from qheis.verify import verify_oracle
 
 from conftest import letters, mono, specialize_element
@@ -344,6 +344,14 @@ def _term(k=1, d=-1, coeff=("1", "1/2")):
                  id="zero-generic-denominator"),
     pytest.param({"mode": "torsion", "p": 3, "terms": [_term(coeff=("1/0", "0"))]},
                  id="zero-torsion-denominator"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(coeff=("1e10000000", "0"))]},
+                 id="exponent-notation-coordinate"),
+    pytest.param({"mode": "torsion", "p": 3, "terms": [_term(coeff=("1.5", "0"))]},
+                 id="decimal-string-coordinate"),
+    pytest.param({"mode": "generic", "terms": [{"k": 0, "d": 0, "coeff": "q^99999999999999999999"}]},
+                 id="huge-generic-exponent"),
+    pytest.param({"mode": "generic", "terms": [{"k": 0, "d": 0, "coeff": f"(1)/(q^{MAX_SERIALIZED_DEGREE + 1})"}]},
+                 id="generic-degree-above-the-cap"),
     pytest.param({"mode": "generic", "terms": [{"k": 0, "d": 0, "coeff": "2*q"},
                                                {"k": 0, "d": 0, "coeff": "3"}]},
                  id="repeated-monomial"),
@@ -360,6 +368,11 @@ def test_element_json_reads_any_order_with_its_context():
     assert Element.from_json(x.to_json(), ctx) == x
     with pytest.raises(ValueError, match="above the cap 128"):
         Element.from_json(x.to_json())
+
+
+def test_element_json_reads_a_generic_degree_at_the_cap(generic):
+    x = mono(generic, 0, 0, generic.q_power(MAX_SERIALIZED_DEGREE) - generic.one())
+    assert Element.from_json(x.to_json()) == x
 
 
 def test_element_json_reads_integer_coordinates(p3):

@@ -1,9 +1,11 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qheis.heisenberg import Element, Monomial, commutator, word_product
 from qheis.qscalar import (
     ContextMismatchError,
     CycloScalar,
@@ -177,6 +179,31 @@ def test_lucas_factorization_matches_recursion(p):
             q_binomial_lucas(ctx, n, k)
         with pytest.raises(ValueError):
             q_binomial(ctx, n, k)
+
+
+def _context_reads(ctx, n):
+    """Binomials of row n, q-integers, a bracket grid and word products, read through ctx."""
+    out = [q_binomial(ctx, n, k) for k in range(n // 2 + 1)]
+    out += [q_int(ctx, i) for i in range(40)]
+    grid = [Element.monomial(ctx, Monomial(k, d)) for k in range(2) for d in range(-3, 4)]
+    out += [commutator(x, y) for x in grid for y in grid]
+    out += [word_product(x, y) for x in grid[:4] for y in grid[-4:]]
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(None, 120), (127, 80)], ids=["generic", "p127"])
+def test_threads_sharing_a_context_read_what_one_thread_reads(p, n):
+    # every table value is stored once and never changed, so two threads
+    # racing through one context read exactly what one thread reads
+    def fresh():
+        return ScalarContext.torsion(p) if p else ScalarContext.generic()
+
+    expected = _context_reads(fresh(), n)
+    for _ in range(2):
+        ctx = fresh()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(_context_reads, ctx, n) for _ in range(2)]
+            assert [f.result(timeout=120) for f in futures] == [expected, expected]
 
 
 # ---------------------------------------------------------------------------
