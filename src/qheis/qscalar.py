@@ -2,14 +2,16 @@
 
 Two scalar fields are supported, selected by a :class:`ScalarContext`:
 
-* generic mode -- the field of rational functions in an indeterminate ``q``
-  with integer polynomial numerator/denominator, kept in canonical reduced
-  form so that equality is structural.  Every denominator the algebra
-  produces has the form ``c * q^a * (q-1)^b`` (the structure scalars carry
-  ``(q-1)^(-l)``, inverse powers of q carry ``q^n``), so reduction cancels
-  those two factors directly -- trailing zeros for q, synthetic division
-  at 1 for q-1 -- and runs a polynomial gcd only for a denominator with
-  some other factor;
+* generic mode -- the field of rational functions in an indeterminate ``q``,
+  each stored as ``q^v * num/den`` with integer polynomials num and den
+  that do not vanish at 0, kept in canonical reduced form so that equality
+  is structural.  A power of q is its valuation v alone, so ``q^n`` costs
+  O(1) whatever n.  Every denominator the algebra produces has the form
+  ``c * (q-1)^b`` (the structure scalars carry ``(q-1)^(-l)``), so a sum
+  is taken over the lcm of the two denominators (Henrici's rational
+  addition, Knuth, TAOCP vol. 2, 4.5.1) and a product cancels (q - 1)
+  only across the operands, by synthetic division at 1; a polynomial gcd
+  runs only for a denominator with some other factor;
 * torsion mode -- the cyclotomic field generated by a primitive ``p``-th
   root of unity, represented by integer numerators over the power basis
   ``1, q, ..., q^(phi(p)-1)`` modulo the ``p``-th cyclotomic polynomial,
@@ -95,6 +97,8 @@ def _pneg(a: IntPoly) -> IntPoly:
 def _pmul(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return P_ZERO
+    if len(a) == 1:  # a constant, as in each structure scalar's (q-1)^(-l) times a binomial
+        return b if a[0] == 1 else tuple([a[0] * y for y in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -190,42 +194,59 @@ def _div_qm1(a: IntPoly) -> IntPoly:
     return tuple(out)
 
 
-def _is_q_qm1_power(a: IntPoly) -> bool:
-    """True when the nonzero a is c * q^i * (q - 1)^b for integers c, i, b.
+def _mul_qm1(a: IntPoly, m: int) -> IntPoly:
+    """a * (q - 1)^m for a nonzero a, one shift-and-subtract per factor."""
+    for _ in range(m):
+        a = tuple([x - y for x, y in zip((0, *a), (*a, 0))])
+    return a
+
+
+def _qm1_power(c: int, b: int) -> IntPoly:
+    """c * (q - 1)^b, coefficient by coefficient from the top."""
+    out = [0] * (b + 1)
+    term = c  # c * (-1)^(b-k) * binom(b, k) for k = b, b-1, ..., 0
+    for k in range(b, -1, -1):
+        out[k] = term
+        term = -term * k // (b - k + 1)
+    return tuple(out)
+
+
+def _is_qm1_power(a: IntPoly) -> bool:
+    """True when the nonzero a is c * (q - 1)^b for integers c, b.
 
     Compares a with c * (q - 1)^b coefficient by coefficient, binomial
     by binomial from the top, so it costs O(b) integer operations.
     """
+    b = len(a) - 1
+    term = a[-1]
+    for k in range(b, 0, -1):
+        if a[k] != term:
+            return False
+        term = -term * k // (b - k + 1)
+    return a[0] == term
+
+
+def _valuation(a: IntPoly) -> int:
+    """The exponent of the lowest nonzero term of the nonzero a."""
     i = 0
     while a[i] == 0:
         i += 1
-    b = len(a) - 1 - i
-    term = a[-1]  # c * (-1)^(b-k) * binom(b, k) for k = b, b-1, ..., 0
-    for k in range(b, 0, -1):
-        if a[i + k] != term:
-            return False
-        term = -term * k // (b - k + 1)
-    return a[i] == term
+    return i
 
 
 def _cancel(num: IntPoly, den: IntPoly) -> tuple:
-    """Canonical (num, den) of the fraction num/den; both nonzero.
+    """Canonical (num, den) of the fraction num/den; both nonzero at 0.
 
-    Common powers of q and of (q - 1) are cancelled directly.  What is
-    left has no common factor q or q - 1, so when either side is
-    constant, or the denominator is c * q^a * (q-1)^b, the gcd is a
-    constant and no polynomial gcd runs; otherwise ``_pgcd`` removes the
-    remaining common factor.  Last, the integer content and the sign of
-    the denominator's leading coefficient are normalized.
+    Common powers of (q - 1) are cancelled directly.  What is left has no
+    common factor q - 1, so when either side is constant, or the
+    denominator is c * (q-1)^b, the gcd is a constant and no polynomial
+    gcd runs; otherwise ``_pgcd`` removes the remaining common factor.
+    Last, the integer content and the sign of the denominator's leading
+    coefficient are normalized.
     """
-    i = 0
-    while num[i] == 0 and den[i] == 0:
-        i += 1
-    if i:
-        num, den = num[i:], den[i:]
     while sum(num) == 0 and sum(den) == 0:
         num, den = _div_qm1(num), _div_qm1(den)
-    if len(num) > 1 and not _is_q_qm1_power(den):
+    if len(num) > 1 and not _is_qm1_power(den):
         g = _pgcd(num, den)
         if len(g) > 1:
             num = _pdiv_exact(num, g)
@@ -239,15 +260,16 @@ def _cancel(num: IntPoly, den: IntPoly) -> tuple:
     return num, den
 
 
-def poly_to_str(a: IntPoly) -> str:
-    """Sparse text form, descending degree, e.g. ``3*q^5 - q + 2``."""
+def poly_to_str(a: IntPoly, shift: int = 0) -> str:
+    """Sparse text form of q^shift * a (shift >= 0), descending degree, e.g. ``3*q^5 - q + 2``."""
     if not a:
         return "0"
     parts = []
-    for e in range(len(a) - 1, -1, -1):
-        c = a[e]
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
         if c == 0:
             continue
+        e = i + shift
         if e == 0:
             body = str(abs(c))
         else:
@@ -436,8 +458,8 @@ class ScalarContext:
             self.modulus = None
             self.phi = 0
             self._red = self._qpow = self._galois = ()
-            self._zero = GenericScalar(P_ZERO, P_ONE, _canonical=True)
-            self._one = GenericScalar(P_ONE, P_ONE, _canonical=True)
+            self._zero = _G_ZERO
+            self._one = _generic(0, P_ONE, P_ONE)
         self.mode = mode
         self.p = p
         self._qbin: dict = {}
@@ -494,16 +516,15 @@ class ScalarContext:
         f = Fraction(f)
         if self.is_torsion:
             return CycloScalar(self, (f.numerator,) + (0,) * (self.phi - 1), f.denominator)
-        return GenericScalar((f.numerator,) if f.numerator else P_ZERO,
-                             (f.denominator,), _canonical=True)
+        if not f:
+            return _G_ZERO
+        return _generic(0, (f.numerator,), (f.denominator,))
 
     def q_power(self, n: int) -> "Scalar":
-        """q^n; negative n allowed (inverse power)."""
+        """q^n; negative n allowed (inverse power).  O(1) in both modes."""
         if self.is_torsion:
             return self._qpow[n % self.p]
-        if n >= 0:
-            return GenericScalar((0,) * n + (1,), P_ONE, _canonical=True)
-        return GenericScalar(P_ONE, (0,) * (-n) + (1,), _canonical=True)
+        return _generic(n, P_ONE, P_ONE)
 
     def ensure_same(self, other: "ScalarContext") -> None:
         if other is not self and self != other:
@@ -511,38 +532,41 @@ class ScalarContext:
 
 
 # ---------------------------------------------------------------------------
-# Generic scalars: reduced fractions of integer polynomials in q
+# Generic scalars: q^v times a reduced fraction of integer polynomials in q
 # ---------------------------------------------------------------------------
 
 class GenericScalar:
-    """A rational function in q, canonically reduced.
+    """A rational function in q, stored as ``q^v * num/den``, canonically reduced.
 
-    Canonical form: gcd(num, den) is constant, gcd of the integer
-    contents is 1, and the denominator has positive leading coefficient.
-    Equality is therefore structural.
+    Canonical form: num and den do not vanish at q = 0 (the power of q
+    lives in v alone), gcd(num, den) is constant, gcd of the integer
+    contents is 1, and the denominator has positive leading coefficient;
+    zero is ``(0, (), (1,))``.  Equality is therefore structural.
 
-    The constructor is the one canonicalizing entry.  Callers whose result
-    is canonical by construction (polynomial sums and products, ``q^n``,
-    rationals, negation, inversion) pass ``_canonical=True``; every other
-    input goes through :func:`_cancel`, which cancels q and (q - 1)
-    without a gcd and reaches the polynomial gcd only for a denominator
-    with a factor other than q and q - 1.
+    The constructor takes a dense numerator and denominator, q-powers
+    included, and splits off the valuation; unless ``_canonical=True``
+    says the pair is already reduced, it canonicalizes through
+    :func:`_cancel`, which reaches the polynomial gcd only for a
+    denominator with a factor other than q - 1.  Sums and products whose
+    denominators are both c * (q-1)^b -- everything the algebra itself
+    makes -- are reduced directly and built by :func:`_generic`; any
+    other denominator is cross-multiplied and goes through the
+    constructor.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("v", "num", "den")
 
     def __init__(self, num: IntPoly, den: IntPoly, _canonical: bool = False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            self.num = P_ZERO
-            self.den = P_ONE
+            self.v, self.num, self.den = 0, P_ZERO, P_ONE
             return
-        self.num, self.den = _cancel(num, den)
+        i, j = _valuation(num), _valuation(den)
+        num, den = num[i:], den[j:]
+        if not _canonical:
+            num, den = _cancel(num, den)
+        self.v, self.num, self.den = i - j, num, den
 
     # -- predicates ----------------------------------------------------
 
@@ -555,39 +579,79 @@ class GenericScalar:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GenericScalar)
+            and self.v == other.v
             and self.num == other.num
             and self.den == other.den
         )
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.v, self.num, self.den))
 
     # -- field operations ----------------------------------------------
 
     def __add__(self, other: "GenericScalar") -> "GenericScalar":
-        if self.den == P_ONE and other.den == P_ONE:
-            # polynomial + polynomial is already canonical
-            return GenericScalar(_padd(self.num, other.num), P_ONE, _canonical=True)
-        return GenericScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        # only the operand of larger valuation is shifted
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        v = self.v
+        if other.v > v:
+            n2 = (0,) * (other.v - v) + n2
+        elif other.v < v:
+            n1 = (0,) * (v - other.v) + n1
+            v = other.v
+        if d1 == P_ONE and d2 == P_ONE:
+            c, b, num = 1, 0, _padd(n1, n2)
+        elif _is_qm1_power(d1) and _is_qm1_power(d2):
+            # over lcm(c1, c2) (q-1)^max(b1, b2), each numerator lifted to it
+            c1, c2, b1, b2 = d1[-1], d2[-1], len(d1) - 1, len(d2) - 1
+            c, b = math.lcm(c1, c2), max(b1, b2)
+            if c != c1:
+                n1 = tuple([x * (c // c1) for x in n1])
+            if c != c2:
+                n2 = tuple([x * (c // c2) for x in n2])
+            num = _padd(_mul_qm1(n1, b - b1), _mul_qm1(n2, b - b2))
+        else:
+            return _cross_cancelled(v, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        if not num:
+            return _G_ZERO
+        i = _valuation(num)
+        if i:
+            num, v = num[i:], v + i
+        while b and sum(num) == 0:
+            num, b = _div_qm1(num), b - 1
+        return _generic(v, *_drop_content(num, c, b))
 
     def __sub__(self, other: "GenericScalar") -> "GenericScalar":
         return self + (-other)
 
     def __neg__(self) -> "GenericScalar":
-        return GenericScalar(_pneg(self.num), self.den, _canonical=True)
+        return _generic(self.v, _pneg(self.num), self.den)
 
     def __mul__(self, other: "GenericScalar") -> "GenericScalar":
-        # unit coefficients make x * 1 common in products; scalars are immutable
-        if other.num == P_ONE and other.den == P_ONE:
-            return self
-        if self.num == P_ONE and self.den == P_ONE:
-            return other
-        if self.den == P_ONE and other.den == P_ONE:
-            return GenericScalar(_pmul(self.num, other.num), P_ONE, _canonical=True)
-        return GenericScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1 or not n2:
+            return _G_ZERO
+        # a power of q (1 included) only moves the valuation; scalars are immutable
+        v = self.v + other.v
+        if n2 == P_ONE and d2 == P_ONE:
+            return _generic(v, n1, d1) if other.v else self
+        if n1 == P_ONE and d1 == P_ONE:
+            return _generic(v, n2, d2) if self.v else other
+        if d1 == P_ONE and d2 == P_ONE:
+            return _generic(v, _pmul(n1, n2), P_ONE)
+        if not (_is_qm1_power(d1) and _is_qm1_power(d2)):
+            return _cross_cancelled(v, _pmul(n1, n2), _pmul(d1, d2))
+        # each side is reduced, so only a factor q - 1 of one numerator can
+        # meet the other denominator
+        b1, b2 = len(d1) - 1, len(d2) - 1
+        while b2 and sum(n1) == 0:
+            n1, b2 = _div_qm1(n1), b2 - 1
+        while b1 and sum(n2) == 0:
+            n2, b1 = _div_qm1(n2), b1 - 1
+        return _generic(v, *_drop_content(_pmul(n1, n2), d1[-1] * d2[-1], b1 + b2))
 
     def inverse(self) -> "GenericScalar":
         num, den = self.num, self.den
@@ -595,8 +659,8 @@ class GenericScalar:
             raise ZeroDivisionError("inverse of zero scalar")
         # swapping a canonical pair keeps it reduced; only the sign moves
         if num[-1] < 0:
-            return GenericScalar(_pneg(den), _pneg(num), _canonical=True)
-        return GenericScalar(den, num, _canonical=True)
+            return _generic(-self.v, _pneg(den), _pneg(num))
+        return _generic(-self.v, den, num)
 
     def __truediv__(self, other: "GenericScalar") -> "GenericScalar":
         return self * other.inverse()
@@ -604,13 +668,41 @@ class GenericScalar:
     def __pow__(self, n: int) -> "GenericScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = GenericScalar(P_ONE, P_ONE, _canonical=True)
+        out = _generic(0, P_ONE, P_ONE)
         for _ in range(n):
             out = out * self
         return out
 
     def __repr__(self) -> str:
         return f"GenericScalar({format_scalar(self)!r})"
+
+
+def _generic(v: int, num: IntPoly, den: IntPoly) -> GenericScalar:
+    """q^v * num/den from a pair already canonical, bypassing the constructor."""
+    s = object.__new__(GenericScalar)
+    s.v, s.num, s.den = v, num, den
+    return s
+
+
+_G_ZERO = _generic(0, P_ZERO, P_ONE)
+
+
+def _drop_content(num: IntPoly, c: int, b: int) -> tuple:
+    """(num', c' (q-1)^b) for num / (c (q-1)^b), c > 0, with the integer content moved out."""
+    if c != 1:
+        g = math.gcd(c, *num)
+        if g != 1:
+            num, c = tuple([x // g for x in num]), c // g
+    return num, P_ONE if c == 1 and not b else _qm1_power(c, b)
+
+
+def _cross_cancelled(v: int, num: IntPoly, den: IntPoly) -> GenericScalar:
+    """q^v * num/den for any cross-multiplied pair (num may be zero), through
+    the constructor's gcd route; the valuation is added after."""
+    s = GenericScalar(num, den)
+    if s.num:
+        s.v += v
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +943,7 @@ def q_binomial(ctx: ScalarContext, n: int, k: int) -> Scalar:
             for i in range(j, top):
                 c[i] += c[i - j]
             a = tuple(c[:top])
-            vals.append(_eval_poly_cyclo(a, ctx) if ctx.is_torsion else GenericScalar(a, P_ONE, _canonical=True))
+            vals.append(_eval_poly_cyclo(a, ctx) if ctx.is_torsion else _generic(0, a, P_ONE))
         row = ctx._qbin[n] = (a, tuple(vals))
     return row[1][k]
 
@@ -960,7 +1052,7 @@ def specialize(s: GenericScalar, ctx: ScalarContext) -> CycloScalar:
     den = _eval_poly_cyclo(s.den, ctx)
     if den.is_zero():
         raise ZeroDivisionError("denominator vanishes at the root of unity")
-    return _eval_poly_cyclo(s.num, ctx) * den.inverse()
+    return _eval_poly_cyclo(s.num, ctx) * ctx.q_power(s.v) * den.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -977,9 +1069,11 @@ def _rational_text(n: int, d: int) -> str:
 def format_scalar(s: Scalar):
     """Serialize a scalar: generic to a string, torsion to a list of rationals."""
     if isinstance(s, GenericScalar):
-        if s.den == P_ONE:
-            return poly_to_str(s.num)
-        return f"({poly_to_str(s.num)})/({poly_to_str(s.den)})"
+        # the dense form of q^v * num/den puts q^v on the numerator or q^(-v) on the denominator
+        v = s.v
+        if s.den == P_ONE and v >= 0:
+            return poly_to_str(s.num, v)
+        return f"({poly_to_str(s.num, max(v, 0))})/({poly_to_str(s.den, max(-v, 0))})"
     return [_rational_text(x, s.den) for x in s.num]
 
 
@@ -1012,7 +1106,9 @@ def parse_scalar(data, ctx: ScalarContext) -> Scalar:
     raises ValueError.  That covers a zero denominator, a torsion
     coordinate other than an int or a string ``n`` or ``n/d`` of ASCII
     digits (no decimal point, exponent, space or underscore), and a
-    generic polynomial of degree above ``MAX_SERIALIZED_DEGREE``."""
+    generic polynomial of degree above ``MAX_SERIALIZED_DEGREE``.  A generic
+    scalar is read in its dense written form, and the constructor splits
+    off its power of q as the valuation."""
     if ctx.is_torsion:
         if not isinstance(data, (list, tuple)) or len(data) != ctx.phi:
             raise ValueError(f"torsion scalar needs exactly {ctx.phi} coordinates")

@@ -329,7 +329,12 @@ def test_specialize_is_a_homomorphism(p):
     one, q = g.one(), g.q()
     samples = [one, q, q ** 3 + one, (q - one).inverse(),
                (q ** 2 + q + one) * (q - one).inverse() ** 2,
-               GenericScalar((1, 2), (3,))]
+               GenericScalar((1, 2), (3,)),
+               # valuations of both signs, over shaped and other denominators
+               g.q_power(-3) * (q ** 2 - one) * (q - one).inverse() ** 3,
+               g.q_power(7) * (q ** 2 + one).inverse(),
+               GenericScalar((0, 0, 2, 1), (0, 0, 0, 0, 0, -2, 2))]
+    assert [s.v for s in samples[-3:]] == [-3, 7, -3]
     for a in samples:
         for b in samples:
             assert specialize(a + b, t) == specialize(a, t) + specialize(b, t)
