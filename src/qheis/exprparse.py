@@ -11,8 +11,9 @@ Grammar (whitespace insensitive, '*' mandatory between factors):
 Rationals are ``a`` or ``a/b``; 'C' is surface syntax for [A, B]; scalar
 atoms commute with everything during elaboration.  Exponents are
 nonnegative integers and are capped to keep elaboration finite; integer
-literals are capped at ``MAX_LITERAL_DIGITS`` digits.  Digits are ASCII
-``0-9`` only.
+literals are capped at ``MAX_LITERAL_DIGITS`` digits, and brackets and
+parentheses nest at most ``MAX_NESTING`` deep.  Digits are ASCII ``0-9``
+only.
 
 A product is elaborated by folding its factors directly: its scalar
 factors (rationals, q and their powers) into one scalar applied once,
@@ -33,6 +34,10 @@ __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
 MAX_EXPONENT = 4096
 # Python converts at most 4300 digits between int and str by default
 MAX_LITERAL_DIGITS = 4300
+# Deepest nesting of '(' and '[' together.  Parsing and elaboration recurse
+# a few frames per level, and a CLI call reaches Python's default recursion
+# limit near 247 levels; the cap stays well inside it.
+MAX_NESTING = 100
 # str.isdigit also accepts other scripts' digits and superscripts
 _DIGITS = frozenset("0123456789")
 
@@ -102,6 +107,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # '(' and '[' open around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -167,18 +173,21 @@ class _Parser:
                                      den.line, den.col)
                 return ("num", Fraction(tok.value, den.value))
             return ("num", Fraction(tok.value))
-        if tok.kind == "[":
+        if tok.kind in ("[", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", tok.line, tok.col)
             self.advance()
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect("]")
-            return ("bracket", left, right)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            self.depth += 1
+            if tok.kind == "[":
+                left = self.expr()
+                self.expect(",")
+                node = ("bracket", left, self.expr())
+                self.expect("]")
+            else:
+                node = self.expr()
+                self.expect(")")
+            self.depth -= 1
+            return node
         raise ParseError(f"expected an atom, found {tok.value!r}", tok.line, tok.col)
 
 

@@ -10,14 +10,18 @@ Two scalar fields are supported, selected by a :class:`ScalarContext`:
   ``c * (q-1)^b`` (the structure scalars carry ``(q-1)^(-l)``), so a sum
   is taken over the lcm of the two denominators (Henrici's rational
   addition, Knuth, TAOCP vol. 2, 4.5.1) and a product cancels (q - 1)
-  only across the operands, by synthetic division at 1; a polynomial gcd
-  runs only for a denominator with some other factor;
+  only across the operands, by synthetic division at 1 (a denominator 1
+  is the case c = 1, b = 0); a polynomial gcd runs only for a
+  denominator with some other factor;
 * torsion mode -- the cyclotomic field generated by a primitive ``p``-th
   root of unity, represented by integer numerators over the power basis
   ``1, q, ..., q^(phi(p)-1)`` modulo the ``p``-th cyclotomic polynomial,
   all over one common positive integer denominator.  Arithmetic is
   integer arithmetic with one gcd normalization per result; ``Fraction``
   appears only where scalars are built from or written as rationals.
+
+Both fields raise powers by one square-and-multiply (:func:`_power`) and
+write their text through one signed-term writer (:func:`_terms_text`).
 
 On top of the two fields the module provides the q-combinatorial scalars:
 q-integers, Gaussian (q-)binomial coefficients, and the structure-constant
@@ -34,6 +38,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Union
@@ -217,13 +222,21 @@ def _is_qm1_power(a: IntPoly) -> bool:
     Compares a with c * (q - 1)^b coefficient by coefficient, binomial
     by binomial from the top, so it costs O(b) integer operations.
     """
-    b = len(a) - 1
+    b = k = len(a) - 1
     term = a[-1]
-    for k in range(b, 0, -1):
+    while k:
         if a[k] != term:
             return False
         term = -term * k // (b - k + 1)
+        k -= 1
     return a[0] == term
+
+
+def _strip_qm1(num: IntPoly, b: int) -> tuple:
+    """(num / (q-1)^j, b - j) for the largest j <= b with (q - 1)^j dividing num."""
+    while b and sum(num) == 0:
+        num, b = _div_qm1(num), b - 1
+    return num, b
 
 
 def _valuation(a: IntPoly) -> int:
@@ -260,26 +273,26 @@ def _cancel(num: IntPoly, den: IntPoly) -> tuple:
     return num, den
 
 
+def _terms_text(coeffs: Iterable, e: int, step: int, den: int = 1) -> str:
+    """Signed text of the sum of (c/den) * q^e over coeffs in order, e moving by step, zeros skipped."""
+    parts = []
+    for c in coeffs:
+        if c:
+            body = str(abs(c)) if den == 1 else _rational_text(abs(c), den)
+            if e:
+                head = "q" if e == 1 else f"q^{e}"
+                body = head if body == "1" else f"{body}*{head}"
+            if parts:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            else:
+                parts.append(body if c > 0 else f"-{body}")
+        e += step
+    return " ".join(parts) or "0"
+
+
 def poly_to_str(a: IntPoly, shift: int = 0) -> str:
     """Sparse text form of q^shift * a (shift >= 0), descending degree, e.g. ``3*q^5 - q + 2``."""
-    if not a:
-        return "0"
-    parts = []
-    for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        e = i + shift
-        if e == 0:
-            body = str(abs(c))
-        else:
-            head = "q" if e == 1 else f"q^{e}"
-            body = head if abs(c) == 1 else f"{abs(c)}*{head}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _terms_text(reversed(a), len(a) - 1 + shift, -1)
 
 
 # Largest degree of a polynomial read from text: 80 times the largest
@@ -459,7 +472,7 @@ class ScalarContext:
             self.phi = 0
             self._red = self._qpow = self._galois = ()
             self._zero = _G_ZERO
-            self._one = _generic(0, P_ONE, P_ONE)
+            self._one = _G_ONE
         self.mode = mode
         self.p = p
         self._qbin: dict = {}
@@ -544,29 +557,26 @@ class GenericScalar:
     zero is ``(0, (), (1,))``.  Equality is therefore structural.
 
     The constructor takes a dense numerator and denominator, q-powers
-    included, and splits off the valuation; unless ``_canonical=True``
-    says the pair is already reduced, it canonicalizes through
+    included, splits off the valuation and canonicalizes through
     :func:`_cancel`, which reaches the polynomial gcd only for a
     denominator with a factor other than q - 1.  Sums and products whose
     denominators are both c * (q-1)^b -- everything the algebra itself
-    makes -- are reduced directly and built by :func:`_generic`; any
-    other denominator is cross-multiplied and goes through the
-    constructor.
+    makes, 1 included -- are reduced directly and built by
+    :func:`_generic`; any other denominator is cross-multiplied and goes
+    through the constructor.  No scalar changes after it is made.
     """
 
     __slots__ = ("v", "num", "den")
 
-    def __init__(self, num: IntPoly, den: IntPoly, _canonical: bool = False):
+    def __init__(self, num: IntPoly, den: IntPoly):
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             self.v, self.num, self.den = 0, P_ZERO, P_ONE
             return
         i, j = _valuation(num), _valuation(den)
-        num, den = num[i:], den[j:]
-        if not _canonical:
-            num, den = _cancel(num, den)
-        self.v, self.num, self.den = i - j, num, den
+        self.v = i - j
+        self.num, self.den = _cancel(num[i:], den[j:])
 
     # -- predicates ----------------------------------------------------
 
@@ -602,26 +612,27 @@ class GenericScalar:
         elif other.v < v:
             n1 = (0,) * (v - other.v) + n1
             v = other.v
-        if d1 == P_ONE and d2 == P_ONE:
-            c, b, num = 1, 0, _padd(n1, n2)
-        elif _is_qm1_power(d1) and _is_qm1_power(d2):
-            # over lcm(c1, c2) (q-1)^max(b1, b2), each numerator lifted to it
-            c1, c2, b1, b2 = d1[-1], d2[-1], len(d1) - 1, len(d2) - 1
-            c, b = math.lcm(c1, c2), max(b1, b2)
-            if c != c1:
-                n1 = tuple([x * (c // c1) for x in n1])
-            if c != c2:
-                n2 = tuple([x * (c // c2) for x in n2])
-            num = _padd(_mul_qm1(n1, b - b1), _mul_qm1(n2, b - b2))
-        else:
+        if not (_is_qm1_power(d1) and _is_qm1_power(d2)):
             return _cross_cancelled(v, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        # over lcm(c1, c2) (q-1)^b, b = max(b1, b2), each numerator lifted to it
+        c1, c2, b, b2 = d1[-1], d2[-1], len(d1) - 1, len(d2) - 1
+        c = math.lcm(c1, c2)
+        if c != c1:
+            n1 = tuple([x * (c // c1) for x in n1])
+        if c != c2:
+            n2 = tuple([x * (c // c2) for x in n2])
+        if b < b2:
+            n1, b = _mul_qm1(n1, b2 - b), b2
+        elif b > b2:
+            n2 = _mul_qm1(n2, b - b2)
+        num = _padd(n1, n2)
         if not num:
             return _G_ZERO
         i = _valuation(num)
         if i:
             num, v = num[i:], v + i
-        while b and sum(num) == 0:
-            num, b = _div_qm1(num), b - 1
+        if b:
+            num, b = _strip_qm1(num, b)
         return _generic(v, *_drop_content(num, c, b))
 
     def __sub__(self, other: "GenericScalar") -> "GenericScalar":
@@ -640,17 +651,15 @@ class GenericScalar:
             return _generic(v, n1, d1) if other.v else self
         if n1 == P_ONE and d1 == P_ONE:
             return _generic(v, n2, d2) if self.v else other
-        if d1 == P_ONE and d2 == P_ONE:
-            return _generic(v, _pmul(n1, n2), P_ONE)
         if not (_is_qm1_power(d1) and _is_qm1_power(d2)):
             return _cross_cancelled(v, _pmul(n1, n2), _pmul(d1, d2))
         # each side is reduced, so only a factor q - 1 of one numerator can
         # meet the other denominator
         b1, b2 = len(d1) - 1, len(d2) - 1
-        while b2 and sum(n1) == 0:
-            n1, b2 = _div_qm1(n1), b2 - 1
-        while b1 and sum(n2) == 0:
-            n2, b1 = _div_qm1(n2), b1 - 1
+        if b2:
+            n1, b2 = _strip_qm1(n1, b2)
+        if b1:
+            n2, b1 = _strip_qm1(n2, b1)
         return _generic(v, *_drop_content(_pmul(n1, n2), d1[-1] * d2[-1], b1 + b2))
 
     def inverse(self) -> "GenericScalar":
@@ -666,12 +675,7 @@ class GenericScalar:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "GenericScalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _generic(0, P_ONE, P_ONE)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, _G_ONE)
 
     def __repr__(self) -> str:
         return f"GenericScalar({format_scalar(self)!r})"
@@ -685,6 +689,7 @@ def _generic(v: int, num: IntPoly, den: IntPoly) -> GenericScalar:
 
 
 _G_ZERO = _generic(0, P_ZERO, P_ONE)
+_G_ONE = _generic(0, P_ONE, P_ONE)
 
 
 def _drop_content(num: IntPoly, c: int, b: int) -> tuple:
@@ -700,9 +705,21 @@ def _cross_cancelled(v: int, num: IntPoly, den: IntPoly) -> GenericScalar:
     """q^v * num/den for any cross-multiplied pair (num may be zero), through
     the constructor's gcd route; the valuation is added after."""
     s = GenericScalar(num, den)
-    if s.num:
-        s.v += v
-    return s
+    return _generic(s.v + v, s.num, s.den) if s.num else s
+
+
+def _power(x: "Scalar", n: int, one: "Scalar") -> "Scalar":
+    """x^n by square-and-multiply, with one the unit of x's field; n < 0 inverts x first."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +791,18 @@ def _norm_cofactor(a: tuple, ctx: ScalarContext) -> tuple:
     return cof, norm[0]
 
 
-def _cyclo_canonical(ctx: ScalarContext, num: list, den: int) -> "CycloScalar":
+def _cyclo_sum(a: "CycloScalar", b: "CycloScalar", op) -> "CycloScalar":
+    """op(a, b) for op ``operator.add`` or ``operator.sub``, over one denominator when the two agree."""
+    ctx = a.ctx
+    ctx.ensure_same(b.ctx)
+    da, db = a.den, b.den
+    if da == db:
+        num = tuple(map(op, a.num, b.num))
+        return CycloScalar(ctx, num, 1) if da == 1 else _cyclo_canonical(ctx, num, da)
+    return _cyclo_canonical(ctx, [op(x * db, y * da) for x, y in zip(a.num, b.num)], da * db)
+
+
+def _cyclo_canonical(ctx: ScalarContext, num: list | tuple, den: int) -> "CycloScalar":
     """The scalar num/den (den != 0) with common factors and the sign moved out."""
     g = math.gcd(den, *num)
     if den < 0:
@@ -819,26 +847,10 @@ class CycloScalar:
         return hash((self.ctx.p, self.num, self.den))
 
     def __add__(self, other: "CycloScalar") -> "CycloScalar":
-        ctx = self.ctx
-        ctx.ensure_same(other.ctx)
-        da, db = self.den, other.den
-        if da == db:
-            num = [x + y for x, y in zip(self.num, other.num)]
-            if da == 1:
-                return CycloScalar(ctx, tuple(num), 1)
-            return _cyclo_canonical(ctx, num, da)
-        return _cyclo_canonical(ctx, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
+        return _cyclo_sum(self, other, operator.add)
 
     def __sub__(self, other: "CycloScalar") -> "CycloScalar":
-        ctx = self.ctx
-        ctx.ensure_same(other.ctx)
-        da, db = self.den, other.den
-        if da == db:
-            num = [x - y for x, y in zip(self.num, other.num)]
-            if da == 1:
-                return CycloScalar(ctx, tuple(num), 1)
-            return _cyclo_canonical(ctx, num, da)
-        return _cyclo_canonical(ctx, [x * db - y * da for x, y in zip(self.num, other.num)], da * db)
+        return _cyclo_sum(self, other, operator.sub)
 
     def __neg__(self) -> "CycloScalar":
         return CycloScalar(self.ctx, tuple([-x for x in self.num]), self.den)
@@ -883,17 +895,7 @@ class CycloScalar:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "CycloScalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        # by squaring: the structure scalars raise q - 1 to letter exponents
-        out, base = self.ctx.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, self.ctx._one)
 
     def __repr__(self) -> str:
         return f"CycloScalar(p={self.ctx.p}, {format_scalar(self)})"
@@ -1081,21 +1083,7 @@ def scalar_text(s: Scalar) -> str:
     """Human-readable (and, in torsion mode, parseable) scalar text."""
     if isinstance(s, GenericScalar):
         return format_scalar(s)
-    out = ""
-    for e, x in enumerate(s.num):
-        if x == 0:
-            continue
-        mag = _rational_text(abs(x), s.den)
-        if e == 0:
-            body = mag
-        else:
-            head = "q" if e == 1 else f"q^{e}"
-            body = head if mag == "1" else f"{mag}*{head}"
-        if not out:
-            out = body if x > 0 else f"-{body}"
-        else:
-            out += f" + {body}" if x > 0 else f" - {body}"
-    return out or "0"
+    return _terms_text(s.num, 0, 1, s.den)
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")

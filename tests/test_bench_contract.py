@@ -2,8 +2,7 @@
 
 ``bench/tracer.py`` patches ``multiply_fastpath``, ``q_binomial_lucas``,
 the ``struct_*``/``scaled_struct_*`` functions, ``GenericScalar.__init__``
-(with its ``_canonical`` keyword) and more, then runs a tiny job with known
-span counts.  A rename in the library fails here rather than in a traced
+and more, then runs a tiny job with known span counts.  A rename in the library fails here rather than in a traced
 benchmark run.
 """
 

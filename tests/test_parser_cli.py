@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qheis import heisenberg
 from qheis.cli import _build_parser, main
-from qheis.exprparse import ParseError, parse_element, parse_expression
-from qheis.heisenberg import Element, Monomial
+from qheis.exprparse import MAX_NESTING, ParseError, parse_element, parse_expression
+from qheis.heisenberg import Element, Monomial, commutator
 from qheis.qscalar import ScalarContext
 
-from conftest import elaborate_reference, mono
+from conftest import elaborate_reference, letters, mono
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +412,34 @@ def test_cli_rejects_inputs_over_a_work_budget(argv, message):
 def test_cli_accepts_inputs_at_a_work_budget(argv):
     code, stdout, err = _call(argv)
     assert code == 0 and stdout and err == ""
+
+
+NESTED = {
+    "parentheses": lambda n: "(" * n + "A" + ")" * n,
+    "brackets": lambda n: "[A," * n + "B" + "]" * n,
+}
+
+
+@pytest.mark.parametrize("p", ["generic", "3"])
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_is_capped(p, kind):
+    ctx = ScalarContext.generic() if p == "generic" else ScalarContext.torsion(int(p))
+    a, b, _, _ = letters(ctx)
+    want = a
+    if kind == "brackets":
+        want = b
+        for _ in range(MAX_NESTING):
+            want = commutator(a, want)
+    text = NESTED[kind](MAX_NESTING)
+    assert parse_element(text, ctx) == want
+    code, stdout, err = _call(["--p", p, "normalize", "--", text])
+    assert (code, err) == (0, "") and stdout
+    for depth in (MAX_NESTING + 1, 400):
+        code, stdout, err = _call(["--p", p, "normalize", "--", NESTED[kind](depth)])
+        assert (code, stdout) == (2, "")
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"nested deeper than {MAX_NESTING}" in lines[0]
 
 
 def test_cli_member_without_a_witness_is_a_mathematical_no(capsys):

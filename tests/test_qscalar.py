@@ -28,6 +28,8 @@ from qheis.qscalar import (
 )
 from qheis.qscalar import P_ONE, _pmul, _pdiv_exact
 
+from conftest import CONTEXT_NAMES, CONTEXTS
+
 
 def totient(n):
     return sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
@@ -385,7 +387,56 @@ def test_torsion_serialization_length_checked(p3):
         parse_scalar(["1"], p3)
 
 
-def test_scalar_text_forms(p3, generic):
+def test_scalar_text_forms(p3, p5, generic):
     assert scalar_text(p3.zero()) == "0"
     assert scalar_text(p3.one() - p3.q()) == "1 - q"
     assert scalar_text((generic.q() - generic.one()).inverse()) == "(1)/(q - 1)"
+    # exact strings written at the parent of the shared term writer
+    for coeffs, shift, text in [
+        ((), 0, "0"),
+        ((5,), 0, "5"),
+        ((-1,), 0, "-1"),
+        ((1, 1), 0, "q + 1"),
+        ((0, 1), 0, "q"),
+        ((-1, -1, 0, 1), 0, "q^3 - q - 1"),
+        ((1, 0, -3), 0, "-3*q^2 + 1"),
+        ((-1,), 1, "-q"),
+        ((7, -1), 2, "-q^3 + 7*q^2"),
+        ((2, 0, -1), 3, "-q^5 + 2*q^3"),
+    ]:
+        assert poly_to_str(coeffs, shift) == text
+    for ctx, coords, text in [
+        (p5, ["1/2", "-1", "0", "3/4"], "1/2 - q + 3/4*q^3"),
+        (p5, ["-2/3", "1", "-1/3", "0"], "-2/3 + q - 1/3*q^2"),
+        (p5, ["0", "-1", "0", "1"], "-q + q^3"),
+        (p3, ["1/2", "1"], "1/2 + q"),
+        (p3, ["-5", "-7/2"], "-5 - 7/2*q"),
+    ]:
+        assert scalar_text(parse_scalar(coords, ctx)) == text
+
+
+# (a, b, e, c, j): the scalar (a/b q^e + c) / (q - 1)^j, zero when a = c = 0 and e = 0
+POWER_BASE = st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(-4, 4),
+                       st.integers(-2, 2), st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONTEXT_NAMES), POWER_BASE, st.integers(-8, 16))
+def test_power_is_the_product_of_its_factors(name, spec, n):
+    ctx = CONTEXTS[name]
+    a, b, e, c, j = spec
+    x = ctx.from_fraction(Fraction(a, b)) * ctx.q_power(e) + ctx.from_int(c)
+    for _ in range(j):
+        x = x * (ctx.q() - ctx.one()).inverse()
+    assert x ** 0 == ctx.one()
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero() ** -1
+    if n < 0 and not x:
+        with pytest.raises(ZeroDivisionError):
+            x ** n
+        return
+    factor = x if n >= 0 else x.inverse()
+    want = ctx.one()
+    for _ in range(abs(n)):
+        want = want * factor
+    assert x ** n == want
