@@ -14,14 +14,18 @@ cases take one rule each: with j the smaller letter exponent, A^j B^j
 or B^j A^j expands through the structure scalars c_i(j) or d_i(j), and
 the leftover letter power moves past a C power.
 
-`commutator` reads the bracket of two basis monomials from a
-per-context table ``ctx._comm`` of cancelled kernels, one per unordered
-pair of keys ([y, x] = -[x, y] serves the other order).  In generic mode
+Two routes read the bracket of two basis monomials from a per-context
+table ``ctx._comm`` of cancelled kernels, one per unordered pair of keys
+([y, x] = -[x, y] serves the other order): `commutator`, which scales
+the kernels by the coefficients of its elements, and `bracket_support`,
+which returns the monomials of one bracket with no scalar product, for
+checks that only read which monomials a bracket holds.  In generic mode
 the key is the pair of monomials itself.  At a primitive p-th root of
 unity C^p is central, so the bracket depends on (k1 mod p, d1, k2 mod p,
 d2) alone, up to raising every C exponent of the result by the multiples
-of p dropped from k1 and k2; the key is that residue pair.  `multiply`
-and the word oracle below never read the table, so both stay
+of p dropped from k1 and k2; the key is that residue pair.  Both routes
+find a kernel through `_kernel_read`, the one statement of that rule.
+`multiply` and the word oracle below never read the table, so both stay
 independent checks of it.
 
 An independent oracle is provided by free words in A, B: `reduce_word`
@@ -71,6 +75,7 @@ __all__ = [
     "MONO_C",
     "multiply",
     "commutator",
+    "bracket_support",
     "grade",
     "graded_components",
     "reduce_word",
@@ -372,37 +377,64 @@ def _comm_kernel(ctx: ScalarContext, key: tuple) -> tuple:
     return tuple(_add_into(out, _mono_product(ctx, y, x), subtract=True).items())
 
 
-def commutator(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y] = xy - yx, read from per-pair kernels.
+def _kernel_read(ctx: ScalarContext, x: Monomial, y: Monomial) -> tuple[tuple, int, bool]:
+    """(kernel, shift, add) for the bracket [x, y] of two basis monomials.
 
-    The bracket of basis monomials (k1, d1) and (k2, d2) is the kernel of
-    the key (r1, d1, r2, d2) with every C exponent raised by
-    (k1 - r1) + (k2 - r2).  In generic mode r = k and the shift is 0.
-    In torsion mode C^p is central, so [C^(k1 + p) x, y] = C^p [C^k1 x, y]
+    The one statement of the residue, ordered-key and shift rule: [x, y]
+    is the kernel of the key (r1, d1, r2, d2) with every C exponent raised
+    by ``shift`` = (k1 - r1) + (k2 - r2), added when ``add`` and
+    subtracted otherwise.  In generic mode r = k and the shift is 0.  In
+    torsion mode C^p is central, so [C^(k1 + p) x, y] = C^p [C^k1 x, y]
     and r = k mod p.  Since [y, x] = -[x, y], the per-context table
     ``ctx._comm`` holds one kernel per unordered key pair (the smaller
     key first), and a swapped pair subtracts it.  A missing kernel is
     built once by `_comm_kernel` on unit monomials.
+    """
+    p = ctx.p
+    k1, d1 = x
+    k2, d2 = y
+    r1 = k1 % p if p else k1
+    r2 = k2 % p if p else k2
+    add = r1 < r2 or (r1 == r2 and d1 <= d2)
+    key = (r1, d1, r2, d2) if add else (r2, d2, r1, d1)
+    kernel = ctx._comm.get(key)
+    if kernel is None:
+        kernel = ctx._comm[key] = _comm_kernel(ctx, key)
+    return kernel, k1 - r1 + k2 - r2, add
 
-    The kernel read writes out the get/add/drop-zero step, the C shift
-    and the sign folded in: through `_add_into` (a generator for the
-    shift) the torsion-grid benchmark lost 4% ops/s and 10% median op
-    time, in each of 4 alternating pairs of 8 s runs on a 2-core host.
+
+def bracket_support(ctx: ScalarContext, x: Monomial, y: Monomial) -> list[Monomial]:
+    """The monomials of [x, y] for basis monomials x and y, in kernel order.
+
+    They are the monomials of the kernel `_kernel_read` finds, each C
+    exponent raised by its shift; no scalar is multiplied and no
+    `Element` is built.  A kernel holds no zero coefficient and the
+    shift maps monomials one to one, so this is the support of
+    ``commutator`` of the two unit elements.
+    """
+    kernel, shift, _ = _kernel_read(ctx, x, y)
+    if shift:
+        return [Monomial(mono.k + shift, mono.d) for mono, _ in kernel]
+    return [mono for mono, _ in kernel]
+
+
+def commutator(x: Element, y: Element) -> Element:
+    """Lie bracket [x, y] = xy - yx, read from per-pair kernels.
+
+    Each pair of terms reads its kernel, shift and sign from
+    `_kernel_read` and adds the kernel scaled by the product of the two
+    coefficients.  The kernel read writes out the get/add/drop-zero
+    step, the C shift and the sign folded in: through `_add_into` (a
+    generator for the shift) the torsion-grid benchmark lost 4% ops/s
+    and 10% median op time, in each of 4 alternating pairs of 8 s runs
+    on a 2-core host.
     """
     ctx = x.ctx
     ctx.ensure_same(y.ctx)
-    p, table = ctx.p, ctx._comm
     out: dict = {}
-    for (k1, d1), cx in x.terms.items():
-        r1 = k1 % p if p else k1
-        for (k2, d2), cy in y.terms.items():
-            r2 = k2 % p if p else k2
-            add = r1 < r2 or (r1 == r2 and d1 <= d2)
-            key = (r1, d1, r2, d2) if add else (r2, d2, r1, d1)
-            kernel = table.get(key)
-            if kernel is None:
-                kernel = table[key] = _comm_kernel(ctx, key)
-            shift = k1 - r1 + k2 - r2
+    for mx, cx in x.terms.items():
+        for my, cy in y.terms.items():
+            kernel, shift, add = _kernel_read(ctx, mx, my)
             cxy = cx * cy
             for mono, coef in kernel:
                 if shift:

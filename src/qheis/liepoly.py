@@ -522,17 +522,26 @@ class RowReducer:
         return self.reduce(x).is_zero()
 
     def rref_rows(self) -> list[Element]:
-        """Rows fully back-substituted, sorted by leading monomial."""
+        """Rows fully back-substituted, sorted by leading monomial.
+
+        Pivots are cleared from the last up.  A row holds no monomial
+        below its pivot, so by the time a pivot is cleared its row holds
+        no other pivot, and subtracting it adds only non-pivot monomials.
+        The rows holding each pivot therefore never change before it is
+        cleared, and are indexed once.
+        """
         order = sorted(self.rows, key=_mono_key)
         out = {lead: dict(self.rows[lead].terms) for lead in order}
-        for i in range(len(order) - 1, -1, -1):
-            lead = order[i]
+        holders: dict = {lead: [] for lead in order}
+        for lead, terms in out.items():
+            for mono in terms:
+                if mono != lead and mono in holders:
+                    holders[mono].append(lead)
+        for lead in reversed(order):
             row = out[lead]
-            for other_lead in order[:i]:
+            for other_lead in holders[lead]:
                 other = out[other_lead]
-                c = other.get(lead)
-                if c is not None:
-                    _add_into(other, row.items(), c, subtract=True)
+                _add_into(other, row.items(), other[lead], subtract=True)
         return [Element(self.ctx, out[lead], _clean=True) for lead in order]
 
 

@@ -11,6 +11,7 @@ from qheis.heisenberg import (
     FreePoly,
     Monomial,
     ba_to_cbasis,
+    bracket_support,
     cbasis_to_free,
     commutator,
     free_to_element,
@@ -459,6 +460,36 @@ def test_commutator_table_is_keyed_by_residues():
             commutator(mono(ctx, k, -a), mono(ctx, m, b))
             pairs.add(tuple(sorted([(k % p, -a), (m % p, b)])))
     assert 0 < len(ctx._comm) <= len(pairs)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 4, 5, 6, 7])
+def test_bracket_support_is_the_support_of_the_commutator(p):
+    # every ordered pair of a window with k up to 2p + 1, so that C exponents
+    # at and above p read residue kernels with a shift; p None is generic
+    def context():
+        return ScalarContext.generic() if p is None else ScalarContext.torsion(p)
+
+    kmax = 2 * (p or 2) + 1
+    monos = [Monomial(k, d) for d in range(-3, 4) for k in range(kmax + 1)]
+    pairs = list(itertools.product(monos, repeat=2))
+    ref = context()
+    want = {(m1, m2): set(commutator(Element.monomial(ref, m1), Element.monomial(ref, m2)).terms)
+            for m1, m2 in pairs}
+
+    # a fresh table, filled by bracket_support itself
+    fresh = context()
+    for m1, m2 in pairs:
+        got = bracket_support(fresh, m1, m2)
+        assert len(got) == len(set(got)) and set(got) == want[m1, m2], (m1, m2)
+
+    # a table filled by commutator from the swapped pairs in the opposite order
+    filled = context()
+    for m1, m2 in reversed(pairs):
+        commutator(Element.monomial(filled, m2), Element.monomial(filled, m1))
+    size = len(filled._comm)
+    for m1, m2 in pairs:
+        assert set(bracket_support(filled, m1, m2)) == want[m1, m2], (m1, m2)
+    assert len(filled._comm) == size == len(fresh._comm)
 
 
 def test_independent_routes_leave_the_commutator_table_empty(monkeypatch):

@@ -8,8 +8,10 @@ import pytest
 
 from qheis import verify
 from qheis.cli import main
+from qheis.heisenberg import Monomial
 from qheis.qscalar import ScalarContext
-from qheis.verify import run_suites, verify_derived_algebra, verify_oracle, verify_theorem1
+from qheis.verify import (run_suites, verify_derived_algebra, verify_lemma3, verify_no_N_leakage,
+                          verify_oracle, verify_theorem1)
 
 # sha256 of the theorem1 reports (depth 6, reachability window 4 x 4) and the
 # derived-algebra report (window 2p+2 x 2p+2), without "elapsed".  The literal
@@ -63,6 +65,61 @@ def test_oracle_reports_are_pinned(capsys, p, seed):
             del rep["elapsed"]
     text = json.dumps(obj, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGESTS[p, seed]
+
+
+# sha256 of the `--p N --format json verify lemma2 lemma3 torsion-paths` payload
+# without "elapsed", computed while lemma3 read whole commutators and the mixed
+# products loop paired every unit of the window; torsion-paths records red
+# mixed-product violations, so this fixes their order too
+GRID_SUITE_DIGESTS = {
+    "2": "70b3e69567f891b7e06e47d4bf1b0697ba2e49139d8739c72e91f35f1a83cf8b",
+    "3": "e933a0d77860966e1be72cf6a67e9db1028c9576a17eb923ed27fdbb6f1a2b31",
+    "5": "90e8dd64115490e8d13e0a3450bf8cbd2674be608711aaf6ed49d9c5316899ec",
+}
+
+
+@pytest.mark.parametrize("p", sorted(GRID_SUITE_DIGESTS))
+def test_grid_suite_reports_are_pinned(capsys, p):
+    assert main(["--p", p, "--format", "json", "verify", "lemma2", "lemma3", "torsion-paths"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    for rep in obj["reports"]:
+        del rep["elapsed"]
+    text = json.dumps(obj, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_SUITE_DIGESTS[p]
+
+
+def _entries(rep):
+    return rep.pairs_checked, rep.violations_total, rep.violations
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_planted_kernels_reach_the_violation_entries(p):
+    # kmax, mmax < p: each planted residue key is read by exactly one pair
+    ctx = ScalarContext.torsion(p)
+    one, q = ctx.one(), ctx.q()
+    # [B, B] planted as C + q B^p C^p: only the second term lies in N
+    ctx._comm[0, 1, 0, 1] = ((Monomial(1, 0), one), (Monomial(p, p), q))
+    assert _entries(verify_no_N_leakage(ctx, 1, 2)) == (
+        100, 1, [{"left": "B", "right": "B", "residual": f"(q)*B^{p}*C^{p}"}])
+
+    # [C A, B C] planted as C^2 + q I: the identity has C power 0
+    ctx = ScalarContext.torsion(p)
+    ctx._comm[1, -1, 1, 1] = ((Monomial(2, 0), one), (Monomial(0, 0), q))
+    assert _entries(verify_lemma3(ctx, 2, 2)) == (
+        16, 1, [{"left": "C*A", "right": "B*C", "term": "I"}])
+
+    # two offending monomials are reported in the canonical order, not kernel order
+    ctx = ScalarContext.torsion(p)
+    ctx._comm[1, -1, 1, 1] = ((Monomial(0, 1), q), (Monomial(2, 0), one), (Monomial(0, 0), one))
+    assert _entries(verify_lemma3(ctx, 2, 2)) == (16, 2, [
+        {"left": "C*A", "right": "B*C", "term": "I"},
+        {"left": "C*A", "right": "B*C", "term": "B"}])
+    ctx = ScalarContext.torsion(p)
+    ctx._comm[0, -1, 0, 1] = ((Monomial(0, 1), one), (Monomial(0, 0), q), (Monomial(1, 0), one))
+    rep = verify_derived_algebra(ctx, 2, 2)
+    assert (rep.violations_total, rep.violations) == (2, [
+        {"left": "A", "right": "B", "term": "I"},
+        {"left": "A", "right": "B", "term": "B"}])
 
 
 def test_every_report_times_its_own_block():
