@@ -11,9 +11,14 @@ Grammar (whitespace insensitive, '*' mandatory between factors):
 Rationals are ``a`` or ``a/b``; 'C' is surface syntax for [A, B]; scalar
 atoms commute with everything during elaboration.  Exponents are
 nonnegative integers and are capped to keep elaboration finite; integer
-literals are capped at ``MAX_LITERAL_DIGITS`` digits, and brackets and
-parentheses nest at most ``MAX_NESTING`` deep.  Digits are ASCII ``0-9``
-only.
+literals are capped at ``MAX_LITERAL_DIGITS`` digits, a rational literal
+raised to a power that surely has more digits is refused before the
+power is taken, and brackets and parentheses nest at most
+``MAX_NESTING`` deep.  Digits are ASCII ``0-9`` only.
+
+One compiled regular expression scans the text to ``(kind, value)``
+tokens.  A token carries no position: a ``ParseError`` scans the text
+again to the offending token and reports its line and column.
 
 A product is elaborated by folding its factors directly: its scalar
 factors (rationals, q and their powers) into one scalar applied once,
@@ -23,6 +28,9 @@ monomial.  Only the remaining factors are multiplied as elements.
 
 from __future__ import annotations
 
+import itertools
+import math
+import re
 from fractions import Fraction
 
 from .heisenberg import (MONO_A, MONO_B, MONO_C, MONO_I, Element, Monomial, _add_into,
@@ -38,8 +46,14 @@ MAX_LITERAL_DIGITS = 4300
 # a few frames per level, and a CLI call reaches Python's default recursion
 # limit near 247 levels; the cap stays well inside it.
 MAX_NESTING = 100
-# str.isdigit also accepts other scripts' digits and superscripts
-_DIGITS = frozenset("0123456789")
+# One token per match: a run of ASCII digits, a word, an operator, or any
+# other non-space character.  \s and \w make the same Unicode tests as
+# str.isspace and str.isalnum (plus '_'); str.isdigit would also accept
+# other scripts' digits and superscripts.
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(\w+)|([-+*^\[\](),/])|(\S))")
+# x^n has at least n*(b - 1)*log10(2) digits when b is the larger bit length
+# of x's numerator and denominator
+_MAX_LITERAL_BITS = int(MAX_LITERAL_DIGITS * math.log2(10))
 
 
 class ParseError(ValueError):
@@ -49,96 +63,73 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+def _position(text: str, i: int) -> tuple[int, int]:
+    """(line, column) of token i of text; past the last token, of the end of text."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), i, None), None)
+    offset = len(text) if m is None else m.start(m.lastindex)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, value) tokens of text, ending with ("end", None)."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "+-*^[](),/":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            if j - i > MAX_LITERAL_DIGITS:
-                raise ParseError(f"integer literal of {j - i} digits exceeds {MAX_LITERAL_DIGITS}",
-                                 line, col)
-            tokens.append(_Token("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
+    for i, (digits, word, op, other) in enumerate(_TOKEN_RE.findall(text)):
+        if digits:
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal of {len(digits)} digits exceeds "
+                                 f"{MAX_LITERAL_DIGITS}", *_position(text, i))
+            tokens.append(("int", int(digits)))
+        elif op:
+            tokens.append((op, op))
+        elif word[:1].isalpha():
+            tokens.append(("name", word))
+        else:
+            raise ParseError(f"unexpected character {(word or other)[0]!r}",
+                             *_position(text, i))
+    tokens.append(("end", None))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # '(' and '[' open around the current token
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token `at`, by default the current token."""
+        return ParseError(message, *_position(self.text, self.pos if at is None else at))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the current token."""
+        return self.tokens[self.pos][0]
+
+    def advance(self):
+        """The value of the current token; moves past it."""
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.line, tok.col)
+    def expect(self, kind: str):
+        if self.peek() != kind:
+            raise self.error(f"expected {kind!r}, found {self.tokens[self.pos][1]!r}")
         return self.advance()
 
     # expr := term (('+'|'-') term)*
     def expr(self):
         parts = [(1, self.term())]
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.advance() == "+" else -1
             parts.append((sign, self.term()))
         return ("sum", tuple(parts))
 
     # term := '-'? factor ('*' factor)*
     def term(self):
-        negate = False
-        if self.peek().kind == "-":
+        negate = self.peek() == "-"
+        if negate:
             self.advance()
-            negate = True
         factors = [self.factor()]
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.advance()
             factors.append(self.factor())
         node = ("product", tuple(factors))
@@ -147,38 +138,42 @@ class _Parser:
     # factor := atom ('^' nat)?
     def factor(self):
         node = self.atom()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            tok = self.expect("int")
-            if tok.value > MAX_EXPONENT:
-                raise ParseError(f"exponent overflow: {tok.value} > {MAX_EXPONENT}",
-                                 tok.line, tok.col)
-            node = ("pow", node, tok.value)
+        if self.peek() == "^":
+            self.advance()
+            n = self.expect("int")
+            if n > MAX_EXPONENT:
+                raise self.error(f"exponent overflow: {n} > {MAX_EXPONENT}", self.pos - 1)
+            if node[0] == "num":
+                x = node[1]
+                bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+                if n * (bits - 1) > _MAX_LITERAL_BITS:
+                    raise self.error(f"literal power too long to print (more than "
+                                     f"{MAX_LITERAL_DIGITS} digits)", self.pos - 1)
+            node = ("pow", node, n)
         return node
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "name":
+        kind = self.peek()
+        if kind == "name":
+            name = self.advance()
+            if name in ("A", "B", "C", "I", "q"):
+                return ("atom", name)
+            raise self.error(f"unknown symbol {name!r}", self.pos - 1)
+        if kind == "int":
+            num = self.advance()
+            if self.peek() != "/":
+                return ("num", Fraction(num))
             self.advance()
-            if tok.value in ("A", "B", "C", "I", "q"):
-                return ("atom", tok.value)
-            raise ParseError(f"unknown symbol {tok.value!r}", tok.line, tok.col)
-        if tok.kind == "int":
-            self.advance()
-            if self.peek().kind == "/":
-                self.advance()
-                den = self.expect("int")
-                if den.value == 0:
-                    raise ParseError("zero denominator in rational literal",
-                                     den.line, den.col)
-                return ("num", Fraction(tok.value, den.value))
-            return ("num", Fraction(tok.value))
-        if tok.kind in ("[", "("):
+            den = self.expect("int")
+            if den == 0:
+                raise self.error("zero denominator in rational literal", self.pos - 1)
+            return ("num", Fraction(num, den))
+        if kind in ("[", "("):
             if self.depth == MAX_NESTING:
-                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", tok.line, tok.col)
+                raise self.error(f"brackets nested deeper than {MAX_NESTING}")
             self.advance()
             self.depth += 1
-            if tok.kind == "[":
+            if kind == "[":
                 left = self.expr()
                 self.expect(",")
                 node = ("bracket", left, self.expr())
@@ -188,16 +183,15 @@ class _Parser:
                 self.expect(")")
             self.depth -= 1
             return node
-        raise ParseError(f"expected an atom, found {tok.value!r}", tok.line, tok.col)
+        raise self.error(f"expected an atom, found {self.tokens[self.pos][1]!r}")
 
 
 def parse_expression(text: str):
     """Parse expression text to an AST; raises ParseError with position."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input starting at {tok.value!r}", tok.line, tok.col)
+    if parser.peek() != "end":
+        raise parser.error(f"trailing input starting at {parser.tokens[parser.pos][1]!r}")
     return node
 
 

@@ -15,6 +15,7 @@ that fails reports its offending monomials in the canonical order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -229,12 +230,12 @@ def verify_derived_algebra(ctx: ScalarContext, kmax: int, dmax: int,
         parameters={"p": ctx.p, "kmax": kmax, "dmax": dmax,
                     "defn2_literal": defn2_literal},
     ) as rep:
-        basis = [m for m in _window_monomials(kmax, dmax)
-                 if classify_monomial(ctx, m, defn2_literal).is_lie]
+        # brackets repeat few monomials: classify each once per run
+        is_lie = functools.cache(lambda m: classify_monomial(ctx, m, defn2_literal).is_lie)
+        basis = [m for m in _window_monomials(kmax, dmax) if is_lie(m)]
         for m1, m2 in itertools.combinations(basis, 2):
             bad = [mono for mono in bracket_support(ctx, m1, m2)
-                   if mono in (MONO_A, MONO_B)
-                   or not classify_monomial(ctx, mono, defn2_literal).is_lie]
+                   if mono in (MONO_A, MONO_B) or not is_lie(mono)]
             if not rep.check(not bad):
                 for mono in sorted(bad, key=_mono_key):
                     rep.add_violation(lambda: {"left": m1.text(), "right": m2.text(),

@@ -70,18 +70,32 @@ def test_parse_errors_carry_positions():
         parse_expression("A*x")
     with pytest.raises(ParseError):
         parse_expression("[A B]")
+    for text, message, line, col in [
+        ("A\t*\u00e9", "unknown symbol '\u00e9'", 1, 4),
+        ("A1*B", "unknown symbol 'A1'", 1, 1),
+        ("A+\r\n", "expected an atom, found None", 2, 1),
+        ("[A,\nB\n", "expected ']'", 3, 1),
+        ("A +\n  " + "1" * 4301, "integer literal of 4301 digits", 2, 3),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_expression(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+    # an information separator is whitespace to str.isspace
+    assert parse_expression("A\x1c*B") == parse_expression("A*B")
 
 
-@pytest.mark.parametrize("text, col", [("A^\u00b2", 3), ("A^3\u0663", 4)])
+@pytest.mark.parametrize("text, col", [("A^\u00b2", 3), ("A^3\u0663", 4), ("A*\u2167", 3),
+                                       ("A*_B", 3), ("A*\uff11", 3)])
 def test_digits_are_ascii_only(capsys, text, col):
     # a superscript two is not an exponent, and an Arabic-Indic three does
-    # not extend the ASCII 3 to 33
+    # not extend the ASCII 3 to 33; a Roman numeral, a fullwidth one and an
+    # underscore start no name
     with pytest.raises(ParseError, match="unexpected character") as err:
         parse_expression(text)
     assert (err.value.line, err.value.col) == (1, col)
     code, out, err = run_cli(capsys, "normalize", "--", text)
     assert code == 2 and out == ""
-    assert err == f"error: unexpected character {text[-1]!r} (line 1, column {col})\n"
+    assert err == f"error: unexpected character {text[col - 1]!r} (line 1, column {col})\n"
 
 
 # (text, degree) for atoms; degree counts A and B once and C twice
@@ -375,6 +389,8 @@ def test_cli_rejects_empty_or_invalid_bounds(capsys, argv):
     (["normalize", "1" * 4400], "integer literal of 4400 digits"),
     (["--p", "3", "normalize", "99999^1000*A"], "too long to print"),
     (["--format", "json", "normalize", "99999^1000*A"], "too long to print"),
+    # each literal power is under the digit limit, their product is not
+    (["--format", "json", "normalize", "99999^800*99999^800*A"], "too long to print"),
 ])
 def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
     out = tmp_path / "out.json"
@@ -394,6 +410,9 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
      "must be at most 256, got 257"),
     (["--p", "129", "normalize", "A*B"], "--p must be at most 128, got 129"),
     (["--p", "3001", "normalize", "A*B"], "--p must be at most 128"),
+    # a literal power past the digit limit is refused before it is taken
+    (["--format", "json", "normalize", "--", "9" * 4300 + "^4096"], "too long to print"),
+    (["normalize", "--", "9" * 4300 + "/7^4096"], "too long to print"),
 ])
 def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     t0 = time.perf_counter()
@@ -408,6 +427,7 @@ def test_cli_rejects_inputs_over_a_work_budget(argv, message):
 @pytest.mark.parametrize("argv", [
     ["--p", "3", "construct", "C*A^255"],
     ["--p", "128", "normalize", "A*B"],
+    ["normalize", "9^4096*A"],      # a coefficient of 3,909 digits
 ])
 def test_cli_accepts_inputs_at_a_work_budget(argv):
     code, stdout, err = _call(argv)
@@ -505,9 +525,11 @@ def test_main_is_reentrant(tmp_path):
         _call(["--p", "3", "--format", "json", "normalize", "--", "A*B"])[1])
 
 
-# the grammar's alphabet plus non-ASCII digits and letters, and grammar text
+# the grammar's alphabet plus other whitespace, '_', non-ASCII digits and
+# letters, and grammar text
 _FUZZ_TEXT = st.one_of(
-    st.text(alphabet="ABCIq0123+-*^[](),/ \n\u00b2\u0663\u00e9x", max_size=12).filter(
+    st.text(alphabet="ABCIq0123+-*^[](),/ \n\t\r_\x1c\u00b2\u0663\u2167\u00e9\u00dfx\uff11",
+            max_size=12).filter(
         lambda s: not re.search("[0-9]{2}", s)),    # exponents stay at most 3
     GRAMMAR.map(lambda e: e[0]),
 )

@@ -78,14 +78,35 @@ GRID_SUITE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("p", sorted(GRID_SUITE_DIGESTS))
-def test_grid_suite_reports_are_pinned(capsys, p):
-    assert main(["--p", p, "--format", "json", "verify", "lemma2", "lemma3", "torsion-paths"]) == 1
+# sha256 of the `--p N --format json [--defn2-literal] verify lemma4` payload
+# without "elapsed", computed while lemma4 classified every bracket monomial
+# afresh; the literal reading reports violations, the default none
+LEMMA4_DIGESTS = {
+    ("2", False): "2ba12d3fe8ead0ce5047607662f281162cd761dd8605af79b4e3276b9e94c030",
+    ("2", True): "0989c380c7c6992a79d0afee117a13126a3eb518e4bdd3f1dcbfa5a204fe46ea",
+    ("3", False): "4707d5d3b9c76a06f336369391f7c4769d1d3fc7afe4333b0c084793f9854c8d",
+    ("3", True): "fa2196ce894987a01a02ccc76d1e0d6f5e1ef14e41b6622bba80c44ea373ddd2",
+    ("5", False): "61f581967f999e0617b53dcb9030f53af23bd71a624b60f3c5a09cde81ec22e7",
+    ("5", True): "8834ee77ea8f80adc598cf4f05551329554e1b48b289c222c8cb1b1ef040e713",
+}
+
+
+def _report_digest(capsys, argv, code):
+    assert main(argv) == code
     obj = json.loads(capsys.readouterr().out)
     for rep in obj["reports"]:
         del rep["elapsed"]
-    text = json.dumps(obj, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == GRID_SUITE_DIGESTS[p]
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p", sorted(GRID_SUITE_DIGESTS))
+def test_grid_suite_reports_are_pinned(capsys, p):
+    argv = ["--p", p, "--format", "json", "verify", "lemma2", "lemma3", "torsion-paths"]
+    assert _report_digest(capsys, argv, 1) == GRID_SUITE_DIGESTS[p]
+    for literal in (False, True):
+        flags = ["--defn2-literal"] if literal else []
+        argv = ["--p", p, "--format", "json", *flags, "verify", "lemma4"]
+        assert _report_digest(capsys, argv, int(literal)) == LEMMA4_DIGESTS[p, literal]
 
 
 def _entries(rep):
