@@ -11,10 +11,11 @@ Grammar (whitespace insensitive, '*' mandatory between factors):
 Rationals are ``a`` or ``a/b``; 'C' is surface syntax for [A, B]; scalar
 atoms commute with everything during elaboration.  Exponents are
 nonnegative integers and are capped to keep elaboration finite; integer
-literals are capped at ``MAX_LITERAL_DIGITS`` digits, a rational literal
-raised to a power that surely has more digits is refused before the
-power is taken, and brackets and parentheses nest at most
-``MAX_NESTING`` deep.  Digits are ASCII ``0-9`` only.
+literals are capped at ``MAX_LITERAL_DIGITS`` digits, a signed rational
+literal or a power of one, inside any parentheses, raised to a power
+that surely has more digits is refused before the power is taken, and
+brackets and parentheses nest at most ``MAX_NESTING`` deep.  Digits are
+ASCII ``0-9`` only.
 
 One compiled regular expression scans the text to ``(kind, value)``
 tokens.  A token carries no position: a ``ParseError`` scans the text
@@ -90,6 +91,29 @@ def _tokenize(text: str) -> list[tuple]:
     return tokens
 
 
+def _literal_power(node) -> tuple[Fraction, int] | None:
+    """(x, e) when node is a signed rational literal x, or x^e, inside any parentheses.
+
+    A sum or product of more than one term or factor is not a literal
+    power, and neither is anything else; nested exponents multiply.
+    """
+    e = 1
+    while True:
+        kind = node[0]
+        if kind == "num":
+            return node[1], e
+        if kind == "pow":
+            e *= node[2]
+            node = node[1]
+        elif kind == "neg":
+            node = node[1]
+        elif kind in ("sum", "product") and len(node[1]) == 1:
+            # a parenthesized term is a sum of one part, with sign +1
+            node = node[1][0][1] if kind == "sum" else node[1][0]
+        else:
+            return None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -143,10 +167,11 @@ class _Parser:
             n = self.expect("int")
             if n > MAX_EXPONENT:
                 raise self.error(f"exponent overflow: {n} > {MAX_EXPONENT}", self.pos - 1)
-            if node[0] == "num":
-                x = node[1]
+            literal = _literal_power(node)
+            if literal is not None:
+                x, e = literal
                 bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-                if n * (bits - 1) > _MAX_LITERAL_BITS:
+                if n * e * (bits - 1) > _MAX_LITERAL_BITS:
                     raise self.error(f"literal power too long to print (more than "
                                      f"{MAX_LITERAL_DIGITS} digits)", self.pos - 1)
             node = ("pow", node, n)

@@ -15,15 +15,17 @@ or B^j A^j expands through the structure scalars c_i(j) or d_i(j), and
 the leftover letter power moves past a C power.
 
 Two routes read the bracket of two basis monomials from a per-context
-table ``ctx._comm`` of cancelled kernels, one per unordered pair of keys
-([y, x] = -[x, y] serves the other order): `commutator`, which scales
-the kernels by the coefficients of its elements, and `bracket_support`,
-which returns the monomials of one bracket with no scalar product, for
-checks that only read which monomials a bracket holds.  In generic mode
-the key is the pair of monomials itself.  At a primitive p-th root of
+table ``ctx._comm`` of cancelled kernels, one per ordered pair of keys,
+each stored with its sign: `commutator`, which adds the kernels scaled
+by the coefficients of its elements, and `bracket_support`, which
+returns the monomials of one bracket with no scalar product, for checks
+that only read which monomials a bracket holds.  In generic mode the key
+is the ordered pair of monomials itself.  At a primitive p-th root of
 unity C^p is central, so the bracket depends on (k1 mod p, d1, k2 mod p,
 d2) alone, up to raising every C exponent of the result by the multiples
-of p dropped from k1 and k2; the key is that residue pair.  Both routes
+of p dropped from k1 and k2; the key is that residue pair.  The kernel
+of a key whose twin (the swapped pair) is stored is the twin negated, so
+the monomial products are formed once per unordered pair.  Both routes
 find a kernel through `_kernel_read`, the one statement of that rule.
 `multiply` and the word oracle below never read the table, so both stay
 independent checks of it.
@@ -377,64 +379,67 @@ def _comm_kernel(ctx: ScalarContext, key: tuple) -> tuple:
     return tuple(_add_into(out, _mono_product(ctx, y, x), subtract=True).items())
 
 
-def _kernel_read(ctx: ScalarContext, x: Monomial, y: Monomial) -> tuple[tuple, int, bool]:
-    """(kernel, shift, add) for the bracket [x, y] of two basis monomials.
+def _kernel_read(ctx: ScalarContext, x: Monomial, y: Monomial) -> tuple[tuple, int]:
+    """(kernel, shift) for the bracket [x, y] of two basis monomials.
 
-    The one statement of the residue, ordered-key and shift rule: [x, y]
-    is the kernel of the key (r1, d1, r2, d2) with every C exponent raised
-    by ``shift`` = (k1 - r1) + (k2 - r2), added when ``add`` and
-    subtracted otherwise.  In generic mode r = k and the shift is 0.  In
-    torsion mode C^p is central, so [C^(k1 + p) x, y] = C^p [C^k1 x, y]
-    and r = k mod p.  Since [y, x] = -[x, y], the per-context table
-    ``ctx._comm`` holds one kernel per unordered key pair (the smaller
-    key first), and a swapped pair subtracts it.  A missing kernel is
-    built once by `_comm_kernel` on unit monomials.
+    The one statement of the residue and shift rule: [x, y] is the
+    kernel of the ordered key (r1, d1, r2, d2) with every C exponent
+    raised by ``shift`` = (k1 - r1) + (k2 - r2).  In generic mode r = k
+    and the shift is 0.  In torsion mode C^p is central, so
+    [C^(k1 + p) x, y] = C^p [C^k1 x, y] and r = k mod p.  The
+    per-context table ``ctx._comm`` holds the signed kernel of each
+    ordered key read.  A missing kernel is its twin (r2, d2, r1, d1)
+    negated term by term when the twin is stored, since [y, x] = -[x, y];
+    otherwise `_comm_kernel` builds it on unit monomials.  So the two
+    monomial products are formed once per unordered key pair.
     """
     p = ctx.p
     k1, d1 = x
     k2, d2 = y
     r1 = k1 % p if p else k1
     r2 = k2 % p if p else k2
-    add = r1 < r2 or (r1 == r2 and d1 <= d2)
-    key = (r1, d1, r2, d2) if add else (r2, d2, r1, d1)
-    kernel = ctx._comm.get(key)
+    table = ctx._comm
+    key = (r1, d1, r2, d2)
+    kernel = table.get(key)
     if kernel is None:
-        kernel = ctx._comm[key] = _comm_kernel(ctx, key)
-    return kernel, k1 - r1 + k2 - r2, add
+        twin = table.get((r2, d2, r1, d1))
+        kernel = table[key] = (_comm_kernel(ctx, key) if twin is None
+                               else tuple((mono, -coef) for mono, coef in twin))
+    return kernel, k1 - r1 + k2 - r2
 
 
 def bracket_support(ctx: ScalarContext, x: Monomial, y: Monomial) -> list[Monomial]:
     """The monomials of [x, y] for basis monomials x and y, in kernel order.
 
-    They are the monomials of the kernel `_kernel_read` finds, each C
-    exponent raised by its shift; no scalar is multiplied and no
+    They are the monomials of the signed kernel `_kernel_read` finds,
+    each C exponent raised by its shift; no scalar is multiplied and no
     `Element` is built.  A kernel holds no zero coefficient and the
     shift maps monomials one to one, so this is the support of
     ``commutator`` of the two unit elements.
     """
-    kernel, shift, _ = _kernel_read(ctx, x, y)
+    kernel, shift = _kernel_read(ctx, x, y)
     if shift:
         return [Monomial(mono.k + shift, mono.d) for mono, _ in kernel]
     return [mono for mono, _ in kernel]
 
 
 def commutator(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y] = xy - yx, read from per-pair kernels.
+    """Lie bracket [x, y] = xy - yx, read from signed per-pair kernels.
 
-    Each pair of terms reads its kernel, shift and sign from
-    `_kernel_read` and adds the kernel scaled by the product of the two
-    coefficients.  The kernel read writes out the get/add/drop-zero
-    step, the C shift and the sign folded in: through `_add_into` (a
-    generator for the shift) the torsion-grid benchmark lost 4% ops/s
-    and 10% median op time, in each of 4 alternating pairs of 8 s runs
-    on a 2-core host.
+    Each pair of terms reads its kernel and shift from `_kernel_read`
+    and adds the kernel scaled by the product of the two coefficients;
+    the kernel carries the sign of its ordered key, so every term is
+    added.  The kernel read writes out the get/add/drop-zero step with
+    the C shift folded in: through `_add_into` (a generator for the
+    shift) the torsion-grid benchmark lost 4% ops/s and 10% median op
+    time, in each of 4 alternating pairs of 8 s runs on a 2-core host.
     """
     ctx = x.ctx
     ctx.ensure_same(y.ctx)
     out: dict = {}
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
-            kernel, shift, add = _kernel_read(ctx, mx, my)
+            kernel, shift = _kernel_read(ctx, mx, my)
             cxy = cx * cy
             for mono, coef in kernel:
                 if shift:
@@ -442,9 +447,9 @@ def commutator(x: Element, y: Element) -> Element:
                 term = cxy * coef
                 got = out.get(mono)
                 if got is None:
-                    out[mono] = term if add else -term
+                    out[mono] = term
                     continue
-                s = got + term if add else got - term
+                s = got + term
                 if s.is_zero():
                     del out[mono]
                 else:

@@ -378,8 +378,11 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
 
     with VerifyReport(claim="structure-scalar-endpoints",
                       parameters={"p": p, "lmin": p, "lmax": 3 * p}) as endpoints:
+        # (q - 1)^(-l), each power one product from the last
+        step = (q - one).inverse()
+        target = step ** (p - 1)
         for l in range(p, 3 * p + 1):
-            target = (q - one).inverse() ** l
+            target = target * step
             cl = struct_c(ctx, l, l)
             dl = struct_d(ctx, l, l)
             if not endpoints.check(cl == target and dl == target):

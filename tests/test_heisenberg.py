@@ -458,8 +458,40 @@ def test_commutator_table_is_keyed_by_residues():
     for k, m in itertools.product(range(6 * p + 1), repeat=2):
         for a, b in itertools.product(range(4), repeat=2):
             commutator(mono(ctx, k, -a), mono(ctx, m, b))
-            pairs.add(tuple(sorted([(k % p, -a), (m % p, b)])))
-    assert 0 < len(ctx._comm) <= len(pairs)
+            pairs.add((k % p, -a, m % p, b))
+    # one signed kernel per ordered residue pair read, and no other
+    assert set(ctx._comm) == pairs
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_ordered_table_builds_one_kernel_per_unordered_pair(monkeypatch, p):
+    # [x, y] for every ordered pair of a window with k up to 2p + 1, so that
+    # C exponents at and above p read residue kernels with a shift; p None is generic
+    ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
+    built = []
+    build = heisenberg._comm_kernel
+
+    def counting(ctx, key):
+        built.append(key)
+        return build(ctx, key)
+
+    monkeypatch.setattr(heisenberg, "_comm_kernel", counting)
+    kmax = 2 * (p or 2) + 1
+    units = [mono(ctx, k, d) for d in range(-3, 4) for k in range(kmax + 1)]
+    for x, y in itertools.product(units, repeat=2):
+        commutator(x, y)
+
+    residues = {(k % p if p else k, d) for k in range(kmax + 1) for d in range(-3, 4)}
+    assert set(ctx._comm) == {a + b for a, b in itertools.product(residues, repeat=2)}
+    # the products are formed once per unordered residue pair
+    assert len(built) == len(residues) * (len(residues) + 1) // 2
+    assert {frozenset((key[:2], key[2:])) for key in built} == {
+        frozenset((a, b)) for a, b in itertools.product(residues, repeat=2)}
+    for a, b in itertools.product(residues, repeat=2):
+        kernel, twin = ctx._comm[a + b], ctx._comm[b + a]
+        assert twin == tuple((m, -c) for m, c in kernel), (a, b)
+        # the negated kernel shares its twin's monomials
+        assert all(m is n for (m, _), (n, _) in zip(kernel, twin)), (a, b)
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 4, 5, 6, 7])
@@ -569,5 +601,5 @@ def test_commutator_grid_is_pinned(op, p, w):
         h.update(op(x, y).to_json().encode() + b"\n")
     assert h.hexdigest() == GRID_DIGESTS[op, p, w]
     if op is commutator and p is None:
-        # no residues alias in generic mode: one kernel per unordered pair of monomials
-        assert len(ctx._comm) == len(units) * (len(units) + 1) // 2
+        # no residues alias in generic mode: one signed kernel per ordered pair of monomials
+        assert len(ctx._comm) == len(units) ** 2

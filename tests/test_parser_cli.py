@@ -413,6 +413,12 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
     # a literal power past the digit limit is refused before it is taken
     (["--format", "json", "normalize", "--", "9" * 4300 + "^4096"], "too long to print"),
     (["normalize", "--", "9" * 4300 + "/7^4096"], "too long to print"),
+    # so is one inside parentheses, signed, or a power of one; exponents multiply
+    (["--format", "json", "normalize", "--", "(" + "9" * 4300 + ")^256"], "too long to print"),
+    (["--p", "3", "--format", "json", "normalize", "--", "(" + "9" * 4300 + ")^256"],
+     "too long to print"),
+    (["normalize", "--", "((-" + "9" * 4300 + "/7))^256*A"], "too long to print"),
+    (["--p", "3", "normalize", "--", "(" + "9" * 4300 + "^2)^200"], "too long to print"),
 ])
 def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     t0 = time.perf_counter()
@@ -428,6 +434,8 @@ def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     ["--p", "3", "construct", "C*A^255"],
     ["--p", "128", "normalize", "A*B"],
     ["normalize", "9^4096*A"],      # a coefficient of 3,909 digits
+    ["normalize", "--", "((-9)^64)^64*A"],
+    ["--p", "3", "normalize", "--", "(9^64)^65*A"],   # 3,970 digits
 ])
 def test_cli_accepts_inputs_at_a_work_budget(argv):
     code, stdout, err = _call(argv)
