@@ -31,6 +31,16 @@ from .verify import SUITE_NAMES, run_suites
 USAGE_ERROR = 2
 VIOLATION_ERROR = 1
 
+# Work budget on a verify run: the most checks one grid suite may take.
+# With W = (kmax + 1)(2 dmax + 1) window monomials, lemma2 and
+# torsion-paths take W^2, lemma4 W(W - 1)/2 and lemma3 (2p)^4.  Measured
+# as a process on a 2-core x86-64 host: the default window
+# kmax = dmax = 2p + 2 passes up to p = 8, where verify all takes 11 s
+# (lemma2 494,209 checks in 5 s); --p 5 verify lemma2 --kmax 100
+# --dmax 3 (499,849) takes 2.5 s; --p 5 verify lemma2 --kmax 60
+# --dmax 60 would take 54.5 million checks and is refused.
+MAX_VERIFY_GRID = 500_000
+
 
 def _ascii_int(text: str) -> int:
     """The integer option type: ASCII digits, as in the expression grammar (``int``
@@ -122,9 +132,24 @@ def _require_torsion(ctx: ScalarContext, what: str) -> None:
         raise SystemExit(_usage_error(f"{what} needs --p <int>; generic mode is not enough"))
 
 
-def _check_bounds(args) -> None:
-    """Reject window bounds below 0, depth or pair counts below 1, and a
-    reachability window whose witnesses exceed `MAX_WITNESS_DEGREE`."""
+def _verify_window(args, p: int) -> tuple[int, int]:
+    """The verify window (kmax, dmax), 2p + 2 where not given."""
+    return (args.kmax if args.kmax is not None else 2 * p + 2,
+            args.dmax if args.dmax is not None else 2 * p + 2)
+
+
+def _verify_grids(suites, p: int, kmax: int, dmax: int) -> dict[str, int]:
+    """Checks each grid suite among `suites` takes, estimated before any work."""
+    w = (kmax + 1) * (2 * dmax + 1)
+    sizes = {"lemma2": w * w, "lemma3": (2 * p) ** 4, "lemma4": w * (w - 1) // 2,
+             "torsion-paths": w * w}
+    return {name: size for name, size in sizes.items() if name in suites or "all" in suites}
+
+
+def _check_bounds(args, ctx: ScalarContext) -> None:
+    """Reject window bounds below 0, depth or pair counts below 1, a
+    reachability window whose witnesses exceed `MAX_WITNESS_DEGREE`, and a
+    torsion verify grid over `MAX_VERIFY_GRID`."""
     for name in ("kmax", "dmax", "lmax", "reach_kmax", "reach_dmax"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
@@ -138,6 +163,15 @@ def _check_bounds(args) -> None:
     if reach > MAX_WITNESS_DEGREE:
         raise SystemExit(_usage_error(
             f"--reach-kmax + --reach-dmax must be at most {MAX_WITNESS_DEGREE}, got {reach}"))
+    if args.command == "verify" and ctx.is_torsion:
+        kmax, dmax = _verify_window(args, ctx.p)
+        for name, size in _verify_grids(args.suites, ctx.p, kmax, dmax).items():
+            if size > MAX_VERIFY_GRID:
+                # lemma3's grid is set by p alone
+                window = "" if name == "lemma3" else f", kmax = {kmax}, dmax = {dmax}"
+                raise SystemExit(_usage_error(
+                    f"verify {name} at p = {ctx.p}{window} would take {size} checks, "
+                    f"above the budget MAX_VERIFY_GRID = {MAX_VERIFY_GRID}"))
 
 
 def _usage_error(msg: str) -> int:
@@ -199,7 +233,7 @@ def _single_monomial(x: Element) -> Monomial | None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     ctx = _context(args)
-    _check_bounds(args)
+    _check_bounds(args, ctx)
 
     if args.command == "normalize":
         elem = _parse_or_exit(args.expr, ctx)
@@ -275,8 +309,7 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         _require_torsion(ctx, "verification")
-        kmax = args.kmax if args.kmax is not None else 2 * ctx.p + 2
-        dmax = args.dmax if args.dmax is not None else 2 * ctx.p + 2
+        kmax, dmax = _verify_window(args, ctx.p)
         reports = run_suites(
             ctx, args.suites, kmax=kmax, dmax=dmax, depth=args.depth,
             reach_kmax=args.reach_kmax, reach_dmax=args.reach_dmax,

@@ -97,18 +97,17 @@ class Monomial(NamedTuple):
     d: int  # grade: -l encodes C^k A^l, +l encodes B^l C^k
 
     def text(self) -> str:
-        def pw(letter: str, e: int) -> str:
-            return letter if e == 1 else f"{letter}^{e}"
-
-        if self.k == 0 and self.d == 0:
-            return "I"
-        if self.d == 0:
-            return pw("C", self.k)
-        if self.k == 0:
-            return pw("A", -self.d) if self.d < 0 else pw("B", self.d)
-        if self.d < 0:
-            return f"{pw('C', self.k)}*{pw('A', -self.d)}"
-        return f"{pw('B', self.d)}*{pw('C', self.k)}"
+        k, d = self.k, self.d
+        if d < 0:
+            letter = "A" if d == -1 else f"A^{-d}"
+        elif d:
+            letter = "B" if d == 1 else f"B^{d}"
+        else:
+            return ("C" if k == 1 else f"C^{k}") if k else "I"
+        if not k:
+            return letter
+        c = "C" if k == 1 else f"C^{k}"
+        return f"{c}*{letter}" if d < 0 else f"{letter}*{c}"
 
 
 MONO_I = Monomial(0, 0)

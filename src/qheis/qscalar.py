@@ -419,10 +419,13 @@ class ScalarContext:
     side and stored with one assignment, so a racing thread at worst
     recomputes an entry or replaces it with an equal one (for ``_qbin``,
     possibly a shorter prefix of the same row).  The scalar tables
-    (``_qbin``, ``_struct``, ``_inv_qm1``, ``_inv``) belong to this
-    module: ``_inv`` maps the canonical ``(num, den)`` of each torsion
+    (``_qbin``, ``_struct``, ``_inv_qm1``, ``_inv``, ``_text``) belong to
+    this module: ``_inv`` maps the canonical ``(num, den)`` of each torsion
     scalar inverted through the Galois norm to its inverse, and stays
-    empty in generic mode, where an inverse is a swap.  A torsion
+    empty in generic mode, where an inverse is a swap; ``_text`` maps the
+    canonical ``(num, den)`` of each torsion scalar rendered by
+    :func:`scalar_text` to its text, and stays empty in generic mode,
+    where the CLI builds a fresh context for each query.  A torsion
     context also keeps ``_galois``, the chain of cyclic steps through
     the Galois group (Z/p)^x (see :func:`_galois_chain`) along which
     the norm is multiplied up, built once in the constructor.
@@ -435,7 +438,7 @@ class ScalarContext:
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
         "_struct", "_qpow", "_inv_qm1", "_inv", "_galois", "_mono_nf", "_awb",
-        "_word", "_comm",
+        "_word", "_comm", "_text",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -479,6 +482,7 @@ class ScalarContext:
         self._struct: dict = {}
         self._inv_qm1: dict = {}
         self._inv: dict = {}
+        self._text: dict = {}
         self._mono_nf: dict = {}
         self._awb: dict = {}
         self._word: dict = {}
@@ -1080,10 +1084,18 @@ def format_scalar(s: Scalar):
 
 
 def scalar_text(s: Scalar) -> str:
-    """Human-readable (and, in torsion mode, parseable) scalar text."""
+    """Human-readable (and, in torsion mode, parseable) scalar text.
+
+    A torsion scalar's text is written once per context and read back
+    from the context's ``_text`` table.
+    """
     if isinstance(s, GenericScalar):
         return format_scalar(s)
-    return _terms_text(s.num, 0, 1, s.den)
+    key = (s.num, s.den)
+    text = s.ctx._text.get(key)
+    if text is None:
+        text = s.ctx._text[key] = _terms_text(s.num, 0, 1, s.den)
+    return text
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")

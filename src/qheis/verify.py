@@ -29,6 +29,7 @@ from .heisenberg import (
     MONO_B,
     Element,
     Monomial,
+    _add_into,
     _mono_key,
     bracket_support,
     commutator,
@@ -412,7 +413,7 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
     rng = random.Random(seed)
 
     def random_element():
-        out = Element.zero(ctx)
+        out: dict = {}
         for _ in range(rng.randint(1, terms)):
             k = rng.randint(0, expmax)
             d = rng.randint(-expmax, expmax)
@@ -421,8 +422,8 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
             coeff = ctx.from_fraction(Fraction(num, den))
             if rng.random() < 0.3:
                 coeff = coeff * ctx.q_power(rng.randint(0, 3))
-            out = out + Element.monomial(ctx, Monomial(k, d), coeff)
-        return out
+            _add_into(out, ((Monomial(k, d), coeff),))
+        return Element(ctx, out, _clean=True)
 
     with VerifyReport(
         claim="multiply-matches-word-oracle",

@@ -64,6 +64,22 @@ def build(ctx, spec):
     return out
 
 
+def monomial_text_reference(m):
+    """The text of a basis monomial, written through one letter-power helper."""
+    def pw(letter, e):
+        return letter if e == 1 else f"{letter}^{e}"
+
+    if m.k == 0 and m.d == 0:
+        return "I"
+    if m.d == 0:
+        return pw("C", m.k)
+    if m.k == 0:
+        return pw("A", -m.d) if m.d < 0 else pw("B", m.d)
+    if m.d < 0:
+        return f"{pw('C', m.k)}*{pw('A', -m.d)}"
+    return f"{pw('B', m.d)}*{pw('C', m.k)}"
+
+
 def specialize_element(x, ctx, memo=None):
     """A generic element with every coefficient evaluated at the root of ctx.
 

@@ -28,7 +28,7 @@ from qheis.liepoly import construct_basis_element, lie_closure
 from qheis.qscalar import MAX_SERIALIZED_DEGREE, ContextMismatchError, ScalarContext, q_int, struct_d
 from qheis.verify import verify_oracle
 
-from conftest import letters, mono, specialize_element
+from conftest import letters, mono, monomial_text_reference, specialize_element
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,12 @@ def test_monomial_text_forms():
     assert Monomial(2, -1).text() == "C^2*A"
     assert Monomial(1, 3).text() == "B^3*C"
     assert Monomial(0, -4).text() == "A^4"
+
+
+def test_monomial_text_matches_the_reference_writer():
+    for k in range(13):
+        for d in range(-12, 13):
+            assert Monomial(k, d).text() == monomial_text_reference(Monomial(k, d))
 
 
 @pytest.mark.parametrize("mode", ["generic", "torsion5"])

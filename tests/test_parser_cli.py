@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qheis import heisenberg
-from qheis.cli import _build_parser, main
+from qheis.cli import MAX_VERIFY_GRID, _build_parser, _verify_grids, main
 from qheis.exprparse import MAX_NESTING, ParseError, parse_element, parse_expression
 from qheis.heisenberg import Element, Monomial, commutator
 from qheis.qscalar import ScalarContext
@@ -419,6 +419,13 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
      "too long to print"),
     (["normalize", "--", "((-" + "9" * 4300 + "/7))^256*A"], "too long to print"),
     (["--p", "3", "normalize", "--", "(" + "9" * 4300 + "^2)^200"], "too long to print"),
+    # a verify grid is estimated before any work
+    (["--p", "5", "verify", "lemma2", "--kmax", "60", "--dmax", "60"], "would take 54479161 checks"),
+    (["--p", "3", "verify", "lemma4", "--kmax", "10", "--dmax", "50"], "verify lemma4 at p = 3"),
+    (["--p", "3", "verify", "torsion-paths", "--kmax", "0", "--dmax", "400"],
+     "verify torsion-paths at p = 3, kmax = 0, dmax = 400"),
+    (["--p", "14", "verify", "lemma3"], "MAX_VERIFY_GRID = 500000"),
+    (["--p", "9", "verify", "all"], "verify lemma2 at p = 9, kmax = 20, dmax = 20"),
 ])
 def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     t0 = time.perf_counter()
@@ -440,6 +447,39 @@ def test_cli_rejects_inputs_over_a_work_budget(argv, message):
 def test_cli_accepts_inputs_at_a_work_budget(argv):
     code, stdout, err = _call(argv)
     assert code == 0 and stdout and err == ""
+
+
+def test_verify_grid_estimates_count_the_suites_checks():
+    p, kmax, dmax = 3, 1, 3
+    w = (kmax + 1) * (2 * dmax + 1)
+    code, stdout, _ = _call(["--p", str(p), "--format", "json", "verify", "lemma2", "lemma3",
+                             "lemma4", "torsion-paths", "--kmax", str(kmax), "--dmax", str(dmax)])
+    assert code == 1
+    checks = {r["claim"]: r["pairs_checked"] for r in json.loads(stdout)["reports"]}
+    sizes = _verify_grids(["all"], p, kmax, dmax)
+    assert sizes["lemma2"] == checks["commutators-avoid-forbidden-subspace"] == w * w
+    assert sizes["lemma3"] == checks["equal-grade-commutators-positive-C"]
+    assert sizes["torsion-paths"] == checks["fastpath-equivalence"]
+    # lemma4 pairs only the claimed basis monomials of the window
+    assert checks["derived-algebra-closure"] <= sizes["lemma4"] == w * (w - 1) // 2
+    # the default window kmax = dmax = 2p + 2 passes up to p = 8
+    assert max(_verify_grids(["all"], 8, 18, 18).values()) <= MAX_VERIFY_GRID
+    assert max(_verify_grids(["all"], 9, 20, 20).values()) > MAX_VERIFY_GRID
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["lemma2", "lemma4", "torsion-paths", "all"]), st.integers(2, 13),
+       st.sampled_from([[], ["--format", "json"]]), st.integers(0, 300), st.integers(0, 300))
+def test_cli_fuzz_over_budget_verify_exits_cleanly(suite, p, fmt, kmax, dmax):
+    # W >= 1001 window monomials put every window suite over the budget
+    assume((kmax + 1) * (2 * dmax + 1) >= 1001)
+    t0 = time.perf_counter()
+    code, stdout, err = _call(["--p", str(p), *fmt, "verify", suite,
+                               "--kmax", str(kmax), "--dmax", str(dmax)])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, stdout) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "MAX_VERIFY_GRID" in lines[0]
 
 
 NESTED = {

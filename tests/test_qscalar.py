@@ -26,7 +26,7 @@ from qheis.qscalar import (
     struct_c,
     struct_d,
 )
-from qheis.qscalar import P_ONE, _pmul, _pdiv_exact
+from qheis.qscalar import P_ONE, _pmul, _pdiv_exact, _terms_text
 
 from conftest import CONTEXT_NAMES, CONTEXTS
 
@@ -184,11 +184,14 @@ def test_lucas_factorization_matches_recursion(p):
 
 
 def _context_reads(ctx, n):
-    """Binomials of row n, q-integers, a bracket grid and word products, read through ctx."""
+    """Binomials of row n, q-integers, a bracket grid with its text and word
+    products, read through ctx."""
     out = [q_binomial(ctx, n, k) for k in range(n // 2 + 1)]
     out += [q_int(ctx, i) for i in range(40)]
     grid = [Element.monomial(ctx, Monomial(k, d)) for k in range(2) for d in range(-3, 4)]
-    out += [commutator(x, y) for x in grid for y in grid]
+    brackets = [commutator(x, y) for x in grid for y in grid]
+    out += brackets
+    out += [f.text() for f in brackets]
     out += [word_product(x, y) for x in grid[:4] for y in grid[-4:]]
     return out
 
@@ -420,14 +423,42 @@ POWER_BASE = st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(-4, 4)
                        st.integers(-2, 2), st.integers(0, 2))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(CONTEXT_NAMES), POWER_BASE, st.integers(-8, 16))
-def test_power_is_the_product_of_its_factors(name, spec, n):
-    ctx = CONTEXTS[name]
+def _power_base(ctx, spec):
     a, b, e, c, j = spec
     x = ctx.from_fraction(Fraction(a, b)) * ctx.q_power(e) + ctx.from_int(c)
     for _ in range(j):
         x = x * (ctx.q() - ctx.one()).inverse()
+    return x
+
+
+def test_torsion_scalar_text_is_written_once_per_context():
+    ctx = ScalarContext.torsion(5)
+    scalars = [q_binomial(ctx, 7, i) for i in range(8)] + [struct_c(ctx, 2, 6), ctx.zero()]
+    first = [scalar_text(s) for s in scalars]
+    again = [scalar_text(s) for s in scalars]
+    assert all(a is b for a, b in zip(first, again))
+    assert set(ctx._text) == {(s.num, s.den) for s in scalars}
+
+
+def test_generic_scalar_text_fills_no_table():
+    ctx = ScalarContext.generic()
+    for spec in [(1, 2, 3, -1, 0), (-3, 1, 0, 2, 2), (0, 1, 0, 0, 0)]:
+        scalar_text(_power_base(ctx, spec))
+    assert ctx._text == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([name for name in CONTEXT_NAMES if name != "generic"]), POWER_BASE)
+def test_torsion_scalar_text_reads_what_the_writer_writes(name, spec):
+    x = _power_base(CONTEXTS[name], spec)
+    assert scalar_text(x) == _terms_text(x.num, 0, 1, x.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONTEXT_NAMES), POWER_BASE, st.integers(-8, 16))
+def test_power_is_the_product_of_its_factors(name, spec, n):
+    ctx = CONTEXTS[name]
+    x = _power_base(ctx, spec)
     assert x ** 0 == ctx.one()
     with pytest.raises(ZeroDivisionError):
         ctx.zero() ** -1
