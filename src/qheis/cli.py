@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Callable
 
-from .exprparse import ParseError, parse_element
+from .exprparse import parse_element
 from .heisenberg import Element, Monomial, commutator
 from .liepoly import (
     MAX_WITNESS_DEGREE,
@@ -26,19 +26,16 @@ from .liepoly import (
     lie_closure,
 )
 from .qscalar import MAX_TORSION_ORDER, ScalarContext
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, _window_monomials, run_suites, suite_costs
 
 USAGE_ERROR = 2
 VIOLATION_ERROR = 1
 
-# Work budget on a verify run: the most checks one grid suite may take.
-# With W = (kmax + 1)(2 dmax + 1) window monomials, lemma2 and
-# torsion-paths take W^2, lemma4 W(W - 1)/2 and lemma3 (2p)^4.  Measured
-# as a process on a 2-core x86-64 host: the default window
-# kmax = dmax = 2p + 2 passes up to p = 8, where verify all takes 11 s
-# (lemma2 494,209 checks in 5 s); --p 5 verify lemma2 --kmax 100
-# --dmax 3 (499,849) takes 2.5 s; --p 5 verify lemma2 --kmax 60
-# --dmax 60 would take 54.5 million checks and is refused.
+# Work budget on a verify run: the most work one suite may take, as
+# `verify.suite_costs` estimates it.  Measured as a process on a 2-core
+# x86-64 host: the default window passes up to p = 8, where verify all
+# takes 11 s (lemma2 494,209 checks in 5 s), and --p 5 verify lemma2
+# --kmax 100 --dmax 3 (499,849 checks) takes 2.5 s.
 MAX_VERIFY_GRID = 500_000
 
 
@@ -132,24 +129,10 @@ def _require_torsion(ctx: ScalarContext, what: str) -> None:
         raise SystemExit(_usage_error(f"{what} needs --p <int>; generic mode is not enough"))
 
 
-def _verify_window(args, p: int) -> tuple[int, int]:
-    """The verify window (kmax, dmax), 2p + 2 where not given."""
-    return (args.kmax if args.kmax is not None else 2 * p + 2,
-            args.dmax if args.dmax is not None else 2 * p + 2)
-
-
-def _verify_grids(suites, p: int, kmax: int, dmax: int) -> dict[str, int]:
-    """Checks each grid suite among `suites` takes, estimated before any work."""
-    w = (kmax + 1) * (2 * dmax + 1)
-    sizes = {"lemma2": w * w, "lemma3": (2 * p) ** 4, "lemma4": w * (w - 1) // 2,
-             "torsion-paths": w * w}
-    return {name: size for name, size in sizes.items() if name in suites or "all" in suites}
-
-
 def _check_bounds(args, ctx: ScalarContext) -> None:
     """Reject window bounds below 0, depth or pair counts below 1, a
     reachability window whose witnesses exceed `MAX_WITNESS_DEGREE`, and a
-    torsion verify grid over `MAX_VERIFY_GRID`."""
+    torsion verify suite estimated over `MAX_VERIFY_GRID`."""
     for name in ("kmax", "dmax", "lmax", "reach_kmax", "reach_dmax"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
@@ -164,13 +147,11 @@ def _check_bounds(args, ctx: ScalarContext) -> None:
         raise SystemExit(_usage_error(
             f"--reach-kmax + --reach-dmax must be at most {MAX_WITNESS_DEGREE}, got {reach}"))
     if args.command == "verify" and ctx.is_torsion:
-        kmax, dmax = _verify_window(args, ctx.p)
-        for name, size in _verify_grids(args.suites, ctx.p, kmax, dmax).items():
+        costs = suite_costs(ctx, args.suites, kmax=args.kmax, dmax=args.dmax, pairs=args.pairs)
+        for name, (size, unit, inputs) in costs.items():
             if size > MAX_VERIFY_GRID:
-                # lemma3's grid is set by p alone
-                window = "" if name == "lemma3" else f", kmax = {kmax}, dmax = {dmax}"
                 raise SystemExit(_usage_error(
-                    f"verify {name} at p = {ctx.p}{window} would take {size} checks, "
+                    f"verify {name} at p = {ctx.p}{inputs} would take {size} {unit}, "
                     f"above the budget MAX_VERIFY_GRID = {MAX_VERIFY_GRID}"))
 
 
@@ -205,9 +186,11 @@ def _emit(args, text: Callable[[], str], json_obj: Callable[[], dict]) -> None:
 
 
 def _parse_or_exit(text: str, ctx: ScalarContext) -> Element:
+    """The element text denotes; a parse error, or a generic sum of powers of q
+    too far apart (`ValueError`), is one ``error:`` line and exit 2."""
     try:
         return parse_element(text, ctx)
-    except ParseError as exc:
+    except ValueError as exc:
         raise SystemExit(_usage_error(str(exc)))
 
 
@@ -243,7 +226,11 @@ def main(argv=None) -> int:
     if args.command == "comm":
         left = _parse_or_exit(args.left, ctx)
         right = _parse_or_exit(args.right, ctx)
-        result = commutator(left, right)
+        try:
+            result = commutator(left, right)
+        except ValueError as exc:
+            # a generic sum of powers of q too far apart
+            raise SystemExit(_usage_error(str(exc)))
         _emit(args, result.text, result.to_json_obj)
         return 0
 
@@ -309,9 +296,8 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         _require_torsion(ctx, "verification")
-        kmax, dmax = _verify_window(args, ctx.p)
         reports = run_suites(
-            ctx, args.suites, kmax=kmax, dmax=dmax, depth=args.depth,
+            ctx, args.suites, kmax=args.kmax, dmax=args.dmax, depth=args.depth,
             reach_kmax=args.reach_kmax, reach_dmax=args.reach_dmax,
             defn2_literal=args.defn2_literal, seed=args.seed, pairs=args.pairs,
         )
@@ -323,13 +309,7 @@ def main(argv=None) -> int:
         return 0 if all(r.ok for r in reports) else VIOLATION_ERROR
 
     if args.command == "tables":
-        monos = []
-        for m in range(0, args.kmax + 1):
-            monos.append(Monomial(m, 0))
-            for n in range(1, args.lmax + 1):
-                monos.append(Monomial(m, -n))
-                monos.append(Monomial(m, n))
-        monos.sort(key=lambda mm: (mm.d, mm.k))
+        monos = list(_window_monomials(args.kmax, args.lmax))
         products = [(m1, m2, Element.monomial(ctx, m1) * Element.monomial(ctx, m2))
                     for m1 in monos for m2 in monos]
         _emit(args,

@@ -43,7 +43,6 @@ from .qscalar import (
     q_int,
     scalar_text,
 )
-from .torsion import _require_torsion
 
 __all__ = [
     "MonomialClass",
@@ -112,7 +111,7 @@ def classify_monomial(ctx: ScalarContext, m: Monomial, defn2_literal: bool = Fal
     spanning-set reading (C^n excluded when n >= 2 and n-1 ≡ 0 mod p)
     instead of the closure-backed default (C^n excluded iff p | n).
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("classify_monomial")
     p = ctx.p
     k, d = m
     if k < 0:
@@ -142,7 +141,7 @@ def classify_monomial(ctx: ScalarContext, m: Monomial, defn2_literal: bool = Fal
 
 def project_N(x: Element) -> Element:
     """Component of x on the forbidden subspace (see `_in_forbidden_subspace`)."""
-    _require_torsion(x.ctx)
+    x.ctx.require_torsion("project_N")
     p = x.ctx.p
     terms = {m: c for m, c in x.terms.items() if _in_forbidden_subspace(p, m)}
     return Element(x.ctx, terms, _clean=True)
@@ -155,7 +154,7 @@ def is_lie_polynomial(x: Element, defn2_literal: bool = False):
     non-member basis monomials all vanish, because the claimed basis
     monomials are linearly independent.
     """
-    _require_torsion(x.ctx)
+    x.ctx.require_torsion("is_lie_polynomial")
     residual_terms = {
         m: c
         for m, c in x.terms.items()
@@ -349,7 +348,7 @@ def obase_G(ctx: ScalarContext, k: int) -> Element:
     combination reaches C^(k+2) at all, and when k+1 ≡ 0 the
     central-power bracket [C^k A, B C] is the construction that works.
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("obase_G")
     p = ctx.p
     if (k + 1) % p == 0:
         raise ConstructionError(
@@ -370,7 +369,7 @@ def obase_G_documented(ctx: ScalarContext, k: int) -> Element:
     Evaluates the stated formula verbatim (needs k+1 not divisible by
     p).  The verification suite compares it with C^(k+2).
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("obase_G_documented")
     if (k + 1) % ctx.p == 0:
         raise ConstructionError("documented normalization divides by 1 - q^(k+1)")
     one, q = ctx.one(), ctx.q()
@@ -618,7 +617,7 @@ def lie_closure(
     |d| <= dmax) and the projections are row-reduced exactly into a
     deterministic reduced-echelon basis.
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("lie_closure")
     return _window_span(ctx, closure_rows(ctx, depth), kmax, dmax)
 
 

@@ -66,7 +66,7 @@ __all__ = [
 
 
 class ContextMismatchError(ValueError):
-    """Raised when values from different scalar contexts are combined."""
+    """Raised when scalar contexts are mixed, or a generic one reaches a torsion-only operation."""
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +414,11 @@ MAX_TORSION_ORDER = 128
 class ScalarContext:
     """Carrier for the scalar field: generic q or a primitive p-th root.
 
+    Every operation that holds only at a root of unity (the q-Lucas
+    binomials, specialization, the torsion claims, the Lie layer and its
+    suites) first calls :meth:`require_torsion`, the one place that
+    refuses a generic context with `ContextMismatchError`.
+
     Contexts are shareable across threads under one rule: a table value
     is never changed after it is stored.  Each entry is computed on the
     side and stored with one assignment, so a racing thread at worst
@@ -547,6 +552,11 @@ class ScalarContext:
         if other is not self and self != other:
             raise ContextMismatchError(f"context mismatch: {self} vs {other}")
 
+    def require_torsion(self, what: str) -> None:
+        """Refuse a generic context for the operation `what` (formatted only on a raise)."""
+        if self.mode != "torsion":
+            raise ContextMismatchError(f"{what} needs a torsion context")
+
 
 # ---------------------------------------------------------------------------
 # Generic scalars: q^v times a reduced fraction of integer polynomials in q
@@ -567,7 +577,10 @@ class GenericScalar:
     denominators are both c * (q-1)^b -- everything the algebra itself
     makes, 1 included -- are reduced directly and built by
     :func:`_generic`; any other denominator is cross-multiplied and goes
-    through the constructor.  No scalar changes after it is made.
+    through the constructor.  No scalar changes after it is made.  A sum
+    whose numerator, lifted to the lower valuation, would have degree above
+    ``MAX_SERIALIZED_DEGREE`` raises ValueError before the lift, so every
+    scalar built can be read back by :func:`parse_scalar`.
     """
 
     __slots__ = ("v", "num", "den")
@@ -611,6 +624,12 @@ class GenericScalar:
         # only the operand of larger valuation is shifted
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         v = self.v
+        if v != other.v:
+            # refused before the dense lift, so every sum built can be read back
+            degree = abs(other.v - v) + len(n2 if other.v > v else n1) - 1
+            if degree > MAX_SERIALIZED_DEGREE:
+                raise ValueError(f"sum has a numerator of degree {degree}, above the cap "
+                                 f"MAX_SERIALIZED_DEGREE = {MAX_SERIALIZED_DEGREE}")
         if other.v > v:
             n2 = (0,) * (other.v - v) + n2
         elif other.v < v:
@@ -965,8 +984,7 @@ def q_binomial_lucas(ctx: ScalarContext, n: int, k: int) -> Scalar:
     it is checked against (the ``fastpath-equivalence`` claim and the
     test suite).
     """
-    if not ctx.is_torsion:
-        raise ContextMismatchError("lucas factorization needs a torsion context")
+    ctx.require_torsion("q_binomial_lucas")
     if n < 0 or k < 0:
         raise ValueError("q_binomial needs n, k >= 0")
     p = ctx.p
@@ -1053,8 +1071,7 @@ def specialize(s: GenericScalar, ctx: ScalarContext) -> CycloScalar:
     Raises ZeroDivisionError when the denominator vanishes there; the
     library never specializes silently.
     """
-    if not ctx.is_torsion:
-        raise ContextMismatchError("specialization target must be a torsion context")
+    ctx.require_torsion("specialize")
     den = _eval_poly_cyclo(s.den, ctx)
     if den.is_zero():
         raise ZeroDivisionError("denominator vanishes at the root of unity")

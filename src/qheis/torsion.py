@@ -25,7 +25,7 @@ exact statement is A^p B^p = B^p A^p = (I - C^p)/(1-q)^p, available as
 from __future__ import annotations
 
 from .heisenberg import MONO_A, MONO_B, Element, Monomial, commutator, multiply
-from .qscalar import ContextMismatchError, Scalar, ScalarContext, inv_qm1_power
+from .qscalar import Scalar, ScalarContext, inv_qm1_power
 
 __all__ = [
     "reduce_exponent",
@@ -35,11 +35,6 @@ __all__ = [
     "multiply_fastpath",
     "is_central",
 ]
-
-
-def _require_torsion(ctx: ScalarContext) -> None:
-    if not ctx.is_torsion:
-        raise ContextMismatchError("operation needs a torsion context")
 
 
 def _inv_one_minus_q(ctx: ScalarContext, j: int) -> Scalar:
@@ -53,7 +48,7 @@ def reduce_exponent(ctx: ScalarContext, n: int) -> int:
 
     Negative inputs are accepted; q^n equals q^(reduced) in the context.
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("reduce_exponent")
     return n % ctx.p
 
 
@@ -65,7 +60,7 @@ def pow_product_identity(ctx: ScalarContext, l: int) -> Element:
     the torsion-paths suite compares it against `multiply` and records
     the outcome per (p, l).
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("pow_product_identity")
     if l < ctx.p:
         raise ValueError(
             f"simplified power product needs l >= p (got l={l}, p={ctx.p}); "
@@ -84,7 +79,7 @@ def power_product_exact(ctx: ScalarContext) -> Element:
     it follows from c_0(p) = (1-q)^(-p), the vanishing of the middle
     Gaussian binomials at l = p, and c_p(p) = -(1-q)^(-p).
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("power_product_exact")
     inv = _inv_one_minus_q(ctx, ctx.p)
     return (Element.identity(ctx) - Element.monomial(ctx, Monomial(ctx.p, 0))).scale(inv)
 
@@ -106,7 +101,7 @@ def mixed_product_simplified(ctx: ScalarContext, x: Monomial, y: Monomial) -> El
     stated exponent inequalities do not hold.  Used only by the
     verification suite; `multiply_fastpath` never calls it.
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("mixed_product_simplified")
     m, d1 = x
     k, d2 = y
     n, l = abs(d1), abs(d2)
@@ -127,13 +122,9 @@ def mixed_product_simplified(ctx: ScalarContext, x: Monomial, y: Monomial) -> El
 
 
 def multiply_fastpath(x: Element, y: Element) -> Element:
-    """The product `multiply`, after checking for a torsion context.
-
-    In torsion mode `multiply` already evaluates Gaussian binomials
-    through the root-of-unity factorization and reduces exponents modulo
-    p in the scalar layer; this entry only rejects a generic context.
-    """
-    _require_torsion(x.ctx)
+    """`multiply` after `ScalarContext.require_torsion`: in torsion mode `multiply` already
+    takes its Gaussian binomials by the root-of-unity factorization and reduces exponents mod p."""
+    x.ctx.require_torsion("multiply_fastpath")
     return multiply(x, y)
 
 

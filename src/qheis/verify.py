@@ -39,7 +39,6 @@ from .heisenberg import (
 from .liepoly import (
     MAX_WITNESS_DEGREE,
     _in_forbidden_subspace,
-    _require_torsion,
     _window_span,
     classify_monomial,
     closure_rows,
@@ -62,10 +61,15 @@ __all__ = [
     "verify_torsion_paths",
     "verify_oracle",
     "run_suites",
+    "suite_costs",
     "SUITE_NAMES",
 ]
 
 MAX_RECORDED_VIOLATIONS = 20
+
+# The oracle suite's random elements: exponents up to ORACLE_EXPMAX, at most ORACLE_TERMS terms
+ORACLE_EXPMAX = 6
+ORACLE_TERMS = 4
 
 
 @dataclass
@@ -165,7 +169,7 @@ def verify_no_N_leakage(ctx: ScalarContext, kmax: int, dmax: int) -> VerifyRepor
     projection onto the forbidden subspace is built only for a violation
     entry.
     """
-    _require_torsion(ctx)
+    ctx.require_torsion("verify_no_N_leakage")
     p = ctx.p
     with VerifyReport(
         claim="commutators-avoid-forbidden-subspace",
@@ -193,6 +197,7 @@ def verify_lemma3(ctx: ScalarContext, mmax: int, nmax: int) -> VerifyReport:
     read, through `bracket_support`; a failed check reports its
     offending monomials in the canonical order.
     """
+    ctx.require_torsion("verify_lemma3")
     with VerifyReport(
         claim="equal-grade-commutators-positive-C",
         parameters={"p": ctx.p, "mmax": mmax, "nmax": nmax},
@@ -318,6 +323,7 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
     |d| >= p; every pair of the window still counts in
     ``fastpath-equivalence``.
     """
+    ctx.require_torsion("verify_torsion_paths")
     p = ctx.p
     one, q = ctx.one(), ctx.q()
 
@@ -398,7 +404,7 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
 # ---------------------------------------------------------------------------
 
 def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
-                  expmax: int = 6, terms: int = 4) -> VerifyReport:
+                  expmax: int = ORACLE_EXPMAX, terms: int = ORACLE_TERMS) -> VerifyReport:
     """Random products via structure constants match the word-rewrite path.
 
     The word route is `heisenberg.word_product`: each ordered pair of
@@ -444,17 +450,52 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
 SUITE_NAMES = ("lemma2", "lemma3", "lemma4", "theorem1", "torsion-paths", "oracle", "all")
 
 
-def run_suites(ctx: ScalarContext, names, *, kmax: int, dmax: int, depth: int,
+def _selected(names) -> set[str]:
+    """The suites `names` selects, "all" standing for every one."""
+    return set(SUITE_NAMES) - {"all"} if "all" in names else set(names)
+
+
+def _windows(ctx: ScalarContext, kmax: int | None, dmax: int | None) -> tuple[int, int, int]:
+    """(kmax, dmax) of the window suites, 2p + 2 where not given, and
+    lemma3's bound 2p on C and letter exponents, set by p alone."""
+    default = 2 * ctx.p + 2
+    return (default if kmax is None else kmax, default if dmax is None else dmax, 2 * ctx.p)
+
+
+def suite_costs(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
+                pairs: int) -> dict[str, tuple[int, str, str]]:
+    """(size, what it counts, the options it reads) of each selected suite's
+    work, theorem1's aside, estimated before any work from what `run_suites`
+    passes on a torsion context.  lemma3 reads about min(n, s) + 1 terms of
+    each [C^m A^n, B^s C^r] with m, n, r, s <= N = 2p; the oracle forms at most
+    terms^2 term-pair products of at most expmax + 1 terms per pair and route."""
+    kmax, dmax, n = _windows(ctx, kmax, dmax)
+    w = (kmax + 1) * (2 * dmax + 1)
+    window = f", kmax = {kmax}, dmax = {dmax}"
+    costs = {
+        "lemma2": (w * w, "checks", window),
+        # N^2 * sum over n, s <= N of (min(n, s) + 1)
+        "lemma3": (n * n * (n * n + n * (n + 1) * (2 * n + 1) // 6), "bracket terms", ""),
+        "lemma4": (w * (w - 1) // 2, "checks", window),
+        "torsion-paths": (w * w, "checks", window),
+        "oracle": (2 * pairs * ORACLE_TERMS ** 2 * (ORACLE_EXPMAX + 1), "product terms",
+                   f", pairs = {pairs}"),
+    }
+    wanted = _selected(names)
+    return {name: cost for name, cost in costs.items() if name in wanted}
+
+
+def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None, depth: int,
                reach_kmax: int, reach_dmax: int, defn2_literal: bool,
                seed: int, pairs: int) -> list[VerifyReport]:
-    wanted = set(names)
-    if "all" in wanted:
-        wanted = set(SUITE_NAMES) - {"all"}
+    """The reports of the suites `names` selects, on the windows of `_windows`."""
+    kmax, dmax, bound = _windows(ctx, kmax, dmax)
+    wanted = _selected(names)
     out: list[VerifyReport] = []
     if "lemma2" in wanted:
         out.append(verify_no_N_leakage(ctx, kmax, dmax))
     if "lemma3" in wanted:
-        out.append(verify_lemma3(ctx, mmax=2 * ctx.p, nmax=2 * ctx.p))
+        out.append(verify_lemma3(ctx, mmax=bound, nmax=bound))
     if "lemma4" in wanted:
         out.append(verify_derived_algebra(ctx, kmax, dmax, defn2_literal))
     if "theorem1" in wanted:

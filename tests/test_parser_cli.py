@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qheis import heisenberg
-from qheis.cli import MAX_VERIFY_GRID, _build_parser, _verify_grids, main
+from qheis.cli import MAX_VERIFY_GRID, _build_parser, main
 from qheis.exprparse import MAX_NESTING, ParseError, parse_element, parse_expression
-from qheis.heisenberg import Element, Monomial, commutator
+from qheis.heisenberg import Element, Monomial, bracket_support, commutator
 from qheis.qscalar import ScalarContext
+from qheis.verify import suite_costs
 
 from conftest import elaborate_reference, letters, mono
 
@@ -326,6 +328,20 @@ def test_cli_bad_p(capsys):
     assert code == 2
 
 
+# sha256 of the printed `--format json tables --kmax 2 --lmax 2` output
+TABLES_DIGESTS = {
+    "generic": "f07c7fc120f3be0eaf2b645aa3720451c6d1bcfc0fa1c9c68763f66763378d58",
+    "3": "cb0562bbdf42cedcb84a139b3097e3b14f855bec80773405363f4cfa32f75dca",
+}
+
+
+@pytest.mark.parametrize("p", sorted(TABLES_DIGESTS))
+def test_cli_tables_json_is_pinned(capsys, p):
+    code, out, _ = run_cli(capsys, "--p", p, "--format", "json", "tables", "--kmax", "2", "--lmax", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_DIGESTS[p]
+
+
 def test_cli_tables(capsys):
     code, out, _ = run_cli(capsys, "--p", "3", "tables", "--kmax", "1", "--lmax", "1")
     assert code == 0
@@ -426,6 +442,13 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
      "verify torsion-paths at p = 3, kmax = 0, dmax = 400"),
     (["--p", "14", "verify", "lemma3"], "MAX_VERIFY_GRID = 500000"),
     (["--p", "9", "verify", "all"], "verify lemma2 at p = 9, kmax = 20, dmax = 20"),
+    # lemma3 counts the bracket terms it reads, the oracle the product terms it forms
+    (["--p", "13", "verify", "lemma3"], "would take 4648852 bracket terms"),
+    (["--p", "7", "verify", "oracle", "--pairs", "1000000"],
+     "verify oracle at p = 7, pairs = 1000000 would take 224000000 product terms"),
+    # a generic sum of powers of q too far apart is refused before its dense numerator is built
+    (["--format", "json", "normalize", "--", "(q^4096)^4096 + 1"], "MAX_SERIALIZED_DEGREE = 1048576"),
+    (["comm", "--", "A + B", "B + (q^2048)^1024*A"], "numerator of degree 2097152"),
 ])
 def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     t0 = time.perf_counter()
@@ -450,21 +473,38 @@ def test_cli_accepts_inputs_at_a_work_budget(argv):
 
 
 def test_verify_grid_estimates_count_the_suites_checks():
-    p, kmax, dmax = 3, 1, 3
+    p, kmax, dmax, pairs = 3, 1, 3, 50
     w = (kmax + 1) * (2 * dmax + 1)
     code, stdout, _ = _call(["--p", str(p), "--format", "json", "verify", "lemma2", "lemma3",
                              "lemma4", "torsion-paths", "--kmax", str(kmax), "--dmax", str(dmax)])
     assert code == 1
     checks = {r["claim"]: r["pairs_checked"] for r in json.loads(stdout)["reports"]}
-    sizes = _verify_grids(["all"], p, kmax, dmax)
+    ctx = ScalarContext.torsion(p)
+    sizes = {name: size
+             for name, (size, _, _) in suite_costs(ctx, ["all"], kmax=kmax, dmax=dmax,
+                                                   pairs=pairs).items()}
     assert sizes["lemma2"] == checks["commutators-avoid-forbidden-subspace"] == w * w
-    assert sizes["lemma3"] == checks["equal-grade-commutators-positive-C"]
     assert sizes["torsion-paths"] == checks["fastpath-equivalence"]
     # lemma4 pairs only the claimed basis monomials of the window
     assert checks["derived-algebra-closure"] <= sizes["lemma4"] == w * (w - 1) // 2
-    # the default window kmax = dmax = 2p + 2 passes up to p = 8
-    assert max(_verify_grids(["all"], 8, 18, 18).values()) <= MAX_VERIFY_GRID
-    assert max(_verify_grids(["all"], 9, 20, 20).values()) > MAX_VERIFY_GRID
+    # lemma3 counts the terms of the brackets it reads, not its (2p)^4 checks
+    n = 2 * p
+    terms = sum(len(bracket_support(ctx, Monomial(m, -a), Monomial(r, b)))
+                for m, a, r, b in itertools.product(range(1, n + 1), repeat=4))
+    assert checks["equal-grade-commutators-positive-C"] == n ** 4 < terms <= sizes["lemma3"]
+    # the oracle forms at most 4 x 4 term-pair products per random pair on each of its
+    # two routes, each of at most 6 + 1 terms
+    assert sizes["oracle"] == 2 * pairs * 4 * 4 * 7
+    assert "theorem1" not in sizes
+
+    def largest(p, suites):
+        costs = suite_costs(ScalarContext.torsion(p), suites, kmax=2 * p + 2, dmax=2 * p + 2,
+                            pairs=pairs)
+        return max(size for size, _, _ in costs.values())
+
+    # the default window kmax = dmax = 2p + 2 passes up to p = 8, and so does lemma3 alone
+    assert largest(8, ["all"]) <= MAX_VERIFY_GRID < largest(9, ["all"])
+    assert largest(8, ["lemma3"]) <= MAX_VERIFY_GRID < largest(9, ["lemma3"])
 
 
 @settings(max_examples=100, deadline=None)

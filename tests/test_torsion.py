@@ -6,7 +6,15 @@ import pytest
 
 from qheis import verify
 from qheis.heisenberg import Element, Monomial, multiply
-from qheis.qscalar import ContextMismatchError, ScalarContext, q_binomial
+from qheis.liepoly import (
+    classify_monomial,
+    is_lie_polynomial,
+    lie_closure,
+    obase_G,
+    obase_G_documented,
+    project_N,
+)
+from qheis.qscalar import ContextMismatchError, ScalarContext, q_binomial, q_binomial_lucas, specialize
 from qheis.torsion import (
     is_central,
     mixed_product_simplified,
@@ -25,9 +33,33 @@ def test_reduce_exponent():
     assert reduce_exponent(ScalarContext.torsion(5), 10) == 0
 
 
-def test_reduce_exponent_rejects_generic(generic):
-    with pytest.raises(ContextMismatchError):
-        reduce_exponent(generic, 4)
+# Every operation that holds only at a root of unity, called on a generic context
+TORSION_ONLY = {
+    "q_binomial_lucas": lambda g: q_binomial_lucas(g, 3, 1),
+    "specialize": lambda g: specialize(g.q(), g),
+    "reduce_exponent": lambda g: reduce_exponent(g, 4),
+    "pow_product_identity": lambda g: pow_product_identity(g, 3),
+    "power_product_exact": lambda g: power_product_exact(g),
+    "mixed_product_simplified": lambda g: mixed_product_simplified(g, Monomial(0, -3), Monomial(0, 3)),
+    "multiply_fastpath": lambda g: multiply_fastpath(mono(g, 0, 1), mono(g, 0, -1)),
+    "classify_monomial": lambda g: classify_monomial(g, Monomial(1, 0)),
+    "project_N": lambda g: project_N(mono(g, 2, 2)),
+    "is_lie_polynomial": lambda g: is_lie_polynomial(mono(g, 1, 1)),
+    "obase_G": lambda g: obase_G(g, 1),
+    "obase_G_documented": lambda g: obase_G_documented(g, 1),
+    "lie_closure": lambda g: lie_closure(g, 3, 1, 1),
+    "verify_no_N_leakage": lambda g: verify.verify_no_N_leakage(g, 1, 1),
+    "verify_lemma3": lambda g: verify.verify_lemma3(g, 2, 2),
+    "verify_derived_algebra": lambda g: verify.verify_derived_algebra(g, 1, 1),
+    "verify_theorem1": lambda g: verify.verify_theorem1(g, 3, 1, 1),
+    "verify_torsion_paths": lambda g: verify.verify_torsion_paths(g, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_ONLY))
+def test_torsion_only_entry_points_refuse_a_generic_context(generic, name):
+    with pytest.raises(ContextMismatchError, match="needs a torsion context"):
+        TORSION_ONLY[name](generic)
 
 
 def test_pow_product_identity_literal_form(p2, p3):
@@ -96,11 +128,6 @@ def test_fastpath_equals_general_sampled(p):
                 got = multiply_fastpath(mono(ctx, *a), mono(ctx, *b))
                 gen = multiply(mono(generic, *a), mono(generic, *b))
                 assert got == specialize_element(gen, ctx)
-
-
-def test_fastpath_needs_torsion(generic):
-    with pytest.raises(ContextMismatchError):
-        multiply_fastpath(mono(generic, 0, 1), mono(generic, 0, -1))
 
 
 def test_fastpath_claim_catches_a_wrong_lucas_route(monkeypatch):
