@@ -1,9 +1,15 @@
 """Command-line front-end.
 
 Exit codes: 0 success (and every verified claim holds), 1 at least one
-verification violation, 2 usage or parse errors, including a verify
-window that gives some claim nothing to check and an input over a work
-budget (2 takes precedence over 1).
+verification violation or a monomial with no bracket witness, 2 usage or
+parse errors, including a verify window that gives some claim nothing
+to check and an input over a work budget (2 takes precedence over 1).
+
+The library refuses and `main` maps each refusal to its exit code in one
+handler: `NotLiePolynomialError` and `ConstructionError` exit 1, and any
+other `ValueError` (a parse error, a generic context where the Lie layer
+needs ``--p``, an input over a work budget) prints one ``error:`` line
+and exits 2.
 """
 
 from __future__ import annotations
@@ -17,34 +23,35 @@ from typing import Callable
 from .exprparse import parse_element
 from .heisenberg import Element, Monomial, commutator
 from .liepoly import (
-    MAX_WITNESS_DEGREE,
     ConstructionError,
-    LieWitness,
     NotLiePolynomialError,
     construct_basis_element,
     is_lie_polynomial,
     lie_closure,
 )
-from .qscalar import MAX_TORSION_ORDER, ScalarContext
-from .verify import SUITE_NAMES, _window_monomials, run_suites, suite_costs
+from .qscalar import MAX_TORSION_ORDER, ContextMismatchError, ScalarContext
+from .verify import SUITE_NAMES, _window_monomials, run_suites
 
 USAGE_ERROR = 2
 VIOLATION_ERROR = 1
 
-# Work budget on a verify run: the most work one suite may take, as
-# `verify.suite_costs` estimates it.  Measured as a process on a 2-core
-# x86-64 host: the default window passes up to p = 8, where verify all
-# takes 11 s (lemma2 494,209 checks in 5 s), and --p 5 verify lemma2
-# --kmax 100 --dmax 3 (499,849 checks) takes 2.5 s.
-MAX_VERIFY_GRID = 500_000
+# Work budget on `tables`: the most product terms it may print, as
+# `_table_terms` estimates them.  Measured as a process on a 2-core x86-64
+# host with --format json: --kmax 10 --lmax 10 (146,531 terms) takes 3.6 s
+# and 274 MB, 13/13 (463,932) 12.4 s and 774 MB.
+MAX_TABLE_TERMS = 150_000
 
 
-def _ascii_int(text: str) -> int:
-    """The integer option type: ASCII digits, as in the expression grammar (``int``
-    also reads other scripts' digits and ``_``); `_check_bounds` words negatives."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+def _ascii_int(least: int) -> Callable[[str], int]:
+    """The integer option type with its least value: ASCII digits, as in the
+    expression grammar (``int`` also reads other scripts' digits and ``_``)."""
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,72 +94,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("monomial")
 
     sp = sub.add_parser("closure", help="bracket-closure span of {A, B}")
-    sp.add_argument("--depth", type=_ascii_int, default=6)
-    sp.add_argument("--kmax", type=_ascii_int, default=3)
-    sp.add_argument("--dmax", type=_ascii_int, default=3)
+    sp.add_argument("--depth", type=_ascii_int(1), default=6)
+    sp.add_argument("--kmax", type=_ascii_int(0), default=3)
+    sp.add_argument("--dmax", type=_ascii_int(0), default=3)
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("suites", nargs="+", choices=SUITE_NAMES)
-    sp.add_argument("--kmax", type=_ascii_int, default=None,
+    sp.add_argument("--kmax", type=_ascii_int(0), default=None,
                     help="window bound on C exponents (default 2p+2)")
-    sp.add_argument("--dmax", type=_ascii_int, default=None,
+    sp.add_argument("--dmax", type=_ascii_int(0), default=None,
                     help="window bound on letter exponents (default 2p+2)")
-    sp.add_argument("--depth", type=_ascii_int, default=6)
-    sp.add_argument("--reach-kmax", type=_ascii_int, default=4)
-    sp.add_argument("--reach-dmax", type=_ascii_int, default=4)
-    sp.add_argument("--pairs", type=_ascii_int, default=50,
+    sp.add_argument("--depth", type=_ascii_int(1), default=6)
+    sp.add_argument("--reach-kmax", type=_ascii_int(0), default=4)
+    sp.add_argument("--reach-dmax", type=_ascii_int(0), default=4)
+    sp.add_argument("--pairs", type=_ascii_int(1), default=50,
                     help="random pairs for the oracle suite")
-    sp.add_argument("--seed", type=_ascii_int, default=0, help="seed for the oracle suite")
+    sp.add_argument("--seed", type=_ascii_int(0), default=0, help="seed for the oracle suite")
 
     sp = sub.add_parser("tables", help="structure constants of basis products")
-    sp.add_argument("--kmax", type=_ascii_int, default=2)
-    sp.add_argument("--lmax", type=_ascii_int, default=2)
+    sp.add_argument("--kmax", type=_ascii_int(0), default=2)
+    sp.add_argument("--lmax", type=_ascii_int(0), default=2)
     return ap
 
 
 def _context(args) -> ScalarContext:
     if args.p == "generic":
         return ScalarContext.generic()
-    try:
-        p = _ascii_int(args.p)
-    except argparse.ArgumentTypeError:
-        raise SystemExit(_usage_error(f"--p must be an integer >= 2 or 'generic', got {args.p!r}"))
+    if not (args.p.isascii() and args.p.isdigit()):
+        raise ValueError(f"--p must be an integer >= 2 or 'generic', got {args.p!r}")
+    p = int(args.p)
     if p < 2:
-        raise SystemExit(_usage_error("--p must be at least 2"))
+        raise ValueError("--p must be at least 2")
     if p > MAX_TORSION_ORDER:
-        raise SystemExit(_usage_error(f"--p must be at most {MAX_TORSION_ORDER}, got {p}"))
+        raise ValueError(f"--p must be at most {MAX_TORSION_ORDER}, got {p}")
     return ScalarContext.torsion(p)
 
 
-def _require_torsion(ctx: ScalarContext, what: str) -> None:
-    if not ctx.is_torsion:
-        raise SystemExit(_usage_error(f"{what} needs --p <int>; generic mode is not enough"))
-
-
-def _check_bounds(args, ctx: ScalarContext) -> None:
-    """Reject window bounds below 0, depth or pair counts below 1, a
-    reachability window whose witnesses exceed `MAX_WITNESS_DEGREE`, and a
-    torsion verify suite estimated over `MAX_VERIFY_GRID`."""
-    for name in ("kmax", "dmax", "lmax", "reach_kmax", "reach_dmax"):
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            flag = "--" + name.replace("_", "-")
-            raise SystemExit(_usage_error(f"{flag} must be at least 0, got {value}"))
-    for name in ("depth", "pairs"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise SystemExit(_usage_error(f"--{name} must be at least 1, got {value}"))
-    reach = getattr(args, "reach_kmax", 0) + getattr(args, "reach_dmax", 0)
-    if reach > MAX_WITNESS_DEGREE:
-        raise SystemExit(_usage_error(
-            f"--reach-kmax + --reach-dmax must be at most {MAX_WITNESS_DEGREE}, got {reach}"))
-    if args.command == "verify" and ctx.is_torsion:
-        costs = suite_costs(ctx, args.suites, kmax=args.kmax, dmax=args.dmax, pairs=args.pairs)
-        for name, (size, unit, inputs) in costs.items():
-            if size > MAX_VERIFY_GRID:
-                raise SystemExit(_usage_error(
-                    f"verify {name} at p = {ctx.p}{inputs} would take {size} {unit}, "
-                    f"above the budget MAX_VERIFY_GRID = {MAX_VERIFY_GRID}"))
+def _table_terms(kmax: int, lmax: int) -> int:
+    """The product terms `tables` prints, at most: each of the (2·lmax + 1)²
+    letter pairs of a C-exponent pair gives one term, and a pair of opposite
+    signs min(|d1|, |d2|) more."""
+    return (kmax + 1) ** 2 * ((2 * lmax + 1) ** 2 + lmax * (lmax + 1) * (2 * lmax + 1) // 3)
 
 
 def _usage_error(msg: str) -> int:
@@ -173,37 +155,15 @@ def _emit(args, text: Callable[[], str], json_obj: Callable[[], dict]) -> None:
         shown = payload if args.format == "json" else text()
     except ValueError:
         # the only ValueError rendering raises: Python's int-to-str digit limit
-        raise SystemExit(_usage_error(
-            "result has a coefficient too long to print "
-            f"(more than {sys.get_int_max_str_digits()} digits)"))
+        raise ValueError("result has a coefficient too long to print "
+                         f"(more than {sys.get_int_max_str_digits()} digits)") from None
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(payload + "\n")
         except OSError as exc:
-            raise SystemExit(_usage_error(f"cannot write --out: {exc}"))
+            raise ValueError(f"cannot write --out: {exc}") from None
     print(shown)
-
-
-def _parse_or_exit(text: str, ctx: ScalarContext) -> Element:
-    """The element text denotes; a parse error, or a generic sum of powers of q
-    too far apart (`ValueError`), is one ``error:`` line and exit 2."""
-    try:
-        return parse_element(text, ctx)
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
-
-
-def _witness_or_exit(ctx: ScalarContext, mono: Monomial, defn2_literal: bool) -> LieWitness:
-    """The bracket witness of mono; exits 1 when there is none, 2 over the degree budget."""
-    try:
-        return construct_basis_element(ctx, mono, defn2_literal)
-    except (NotLiePolynomialError, ConstructionError) as exc:
-        print(f"not constructible: {exc}", file=sys.stderr)
-        raise SystemExit(VIOLATION_ERROR)
-    except ValueError as exc:
-        # k + |d| is over MAX_WITNESS_DEGREE
-        raise SystemExit(_usage_error(str(exc)))
 
 
 def _single_monomial(x: Element) -> Monomial | None:
@@ -215,33 +175,36 @@ def _single_monomial(x: Element) -> Monomial | None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    ctx = _context(args)
-    _check_bounds(args, ctx)
+    try:
+        return _run(args, _context(args))
+    except (NotLiePolynomialError, ConstructionError) as exc:
+        print(f"not constructible: {exc}", file=sys.stderr)
+        return VIOLATION_ERROR
+    except ContextMismatchError as exc:
+        return _usage_error(f"{exc}: pass --p <int>, generic mode is not enough")
+    except ValueError as exc:
+        return _usage_error(str(exc))
 
+
+def _run(args, ctx: ScalarContext) -> int:
+    """Run the command `args` names; refusals raise and `main` maps them."""
     if args.command == "normalize":
-        elem = _parse_or_exit(args.expr, ctx)
+        elem = parse_element(args.expr, ctx)
         _emit(args, elem.text, elem.to_json_obj)
         return 0
 
     if args.command == "comm":
-        left = _parse_or_exit(args.left, ctx)
-        right = _parse_or_exit(args.right, ctx)
-        try:
-            result = commutator(left, right)
-        except ValueError as exc:
-            # a generic sum of powers of q too far apart
-            raise SystemExit(_usage_error(str(exc)))
+        result = commutator(parse_element(args.left, ctx), parse_element(args.right, ctx))
         _emit(args, result.text, result.to_json_obj)
         return 0
 
     if args.command == "member":
-        _require_torsion(ctx, "membership")
-        elem = _parse_or_exit(args.expr, ctx)
+        elem = parse_element(args.expr, ctx)
         verdict, residual = is_lie_polynomial(elem, args.defn2_literal)
         mono = _single_monomial(elem)
         witness = None
         if verdict and mono is not None:
-            witness = _witness_or_exit(ctx, mono, args.defn2_literal).expr.text()
+            witness = construct_basis_element(ctx, mono, args.defn2_literal).expr.text()
 
         def member_text():
             lines = [f"lie polynomial: {'yes' if verdict else 'no'}",
@@ -264,12 +227,10 @@ def main(argv=None) -> int:
         return 0 if verdict else VIOLATION_ERROR
 
     if args.command == "construct":
-        _require_torsion(ctx, "construction")
-        elem = _parse_or_exit(args.monomial, ctx)
-        mono = _single_monomial(elem)
+        mono = _single_monomial(parse_element(args.monomial, ctx))
         if mono is None:
-            return _usage_error("construct needs a single monomial with coefficient 1")
-        witness = _witness_or_exit(ctx, mono, args.defn2_literal)
+            raise ValueError("construct needs a single monomial with coefficient 1")
+        witness = construct_basis_element(ctx, mono, args.defn2_literal)
         _emit(args, lambda: f"{mono.text()} = {witness.expr.text()}",
               lambda: {
                   "monomial": mono.text(),
@@ -279,7 +240,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "closure":
-        _require_torsion(ctx, "closure")
         basis = lie_closure(ctx, args.depth, args.kmax, args.dmax)
         _emit(args,
               lambda: (f"dimension {basis.dimension} "
@@ -295,7 +255,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        _require_torsion(ctx, "verification")
         reports = run_suites(
             ctx, args.suites, kmax=args.kmax, dmax=args.dmax, depth=args.depth,
             reach_kmax=args.reach_kmax, reach_dmax=args.reach_dmax,
@@ -309,7 +268,12 @@ def main(argv=None) -> int:
         return 0 if all(r.ok for r in reports) else VIOLATION_ERROR
 
     if args.command == "tables":
-        monos = list(_window_monomials(args.kmax, args.lmax))
+        kmax, lmax = args.kmax, args.lmax
+        terms = _table_terms(kmax, lmax)
+        if terms > MAX_TABLE_TERMS:
+            raise ValueError(f"tables at kmax = {kmax}, lmax = {lmax} would print {terms} "
+                             f"product terms, above the budget MAX_TABLE_TERMS = {MAX_TABLE_TERMS}")
+        monos = list(_window_monomials(kmax, lmax))
         products = [(m1, m2, Element.monomial(ctx, m1) * Element.monomial(ctx, m2))
                     for m1 in monos for m2 in monos]
         _emit(args,
@@ -321,7 +285,7 @@ def main(argv=None) -> int:
                   for m1, m2, prod in products]})
         return 0
 
-    return _usage_error(f"unknown command {args.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

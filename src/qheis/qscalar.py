@@ -579,8 +579,10 @@ class GenericScalar:
     :func:`_generic`; any other denominator is cross-multiplied and goes
     through the constructor.  No scalar changes after it is made.  A sum
     whose numerator, lifted to the lower valuation, would have degree above
-    ``MAX_SERIALIZED_DEGREE`` raises ValueError before the lift, so every
-    scalar built can be read back by :func:`parse_scalar`.
+    ``MAX_SERIALIZED_DEGREE`` raises ValueError before the lift, and so
+    does a product whose numerator or denominator would, before it is
+    multiplied out, so every scalar built can be read back by
+    :func:`parse_scalar`.  The valuation is not capped: q^n is one integer.
     """
 
     __slots__ = ("v", "num", "den")
@@ -675,6 +677,7 @@ class GenericScalar:
         if n1 == P_ONE and d1 == P_ONE:
             return _generic(v, n2, d2) if self.v else other
         if not (_is_qm1_power(d1) and _is_qm1_power(d2)):
+            _check_product(len(n1) + len(n2) - 2, len(d1) + len(d2) - 2)
             return _cross_cancelled(v, _pmul(n1, n2), _pmul(d1, d2))
         # each side is reduced, so only a factor q - 1 of one numerator can
         # meet the other denominator
@@ -683,6 +686,7 @@ class GenericScalar:
             n1, b2 = _strip_qm1(n1, b2)
         if b1:
             n2, b1 = _strip_qm1(n2, b1)
+        _check_product(len(n1) + len(n2) - 2, b1 + b2)
         return _generic(v, *_drop_content(_pmul(n1, n2), d1[-1] * d2[-1], b1 + b2))
 
     def inverse(self) -> "GenericScalar":
@@ -702,6 +706,15 @@ class GenericScalar:
 
     def __repr__(self) -> str:
         return f"GenericScalar({format_scalar(self)!r})"
+
+
+def _check_product(num_degree: int, den_degree: int) -> None:
+    """Refuse a product whose numerator or denominator would have degree
+    above ``MAX_SERIALIZED_DEGREE``, before it is built."""
+    for part, degree in (("numerator", num_degree), ("denominator", den_degree)):
+        if degree > MAX_SERIALIZED_DEGREE:
+            raise ValueError(f"product has a {part} of degree {degree}, above the cap "
+                             f"MAX_SERIALIZED_DEGREE = {MAX_SERIALIZED_DEGREE}")
 
 
 def _generic(v: int, num: IntPoly, den: IntPoly) -> GenericScalar:

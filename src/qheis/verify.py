@@ -63,6 +63,7 @@ __all__ = [
     "run_suites",
     "suite_costs",
     "SUITE_NAMES",
+    "MAX_VERIFY_GRID",
 ]
 
 MAX_RECORDED_VIOLATIONS = 20
@@ -253,17 +254,23 @@ def verify_derived_algebra(ctx: ScalarContext, kmax: int, dmax: int,
 # Closure soundness, constructive reachability, grade-0 window facts
 # ---------------------------------------------------------------------------
 
+def _check_reach(kmax: int, dmax: int) -> None:
+    """Refuse a reachability window with kmax + dmax above `MAX_WITNESS_DEGREE`:
+    it holds monomials whose witnesses `construct_basis_element` refuses."""
+    if kmax + dmax > MAX_WITNESS_DEGREE:
+        raise ValueError(f"reachability window kmax + dmax must be at most {MAX_WITNESS_DEGREE}, "
+                         f"got {kmax + dmax}: the witness budget "
+                         f"MAX_WITNESS_DEGREE = {MAX_WITNESS_DEGREE}")
+
+
 def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
                     defn2_literal: bool = False) -> list[VerifyReport]:
     """Soundness and reachability of the claimed Lie-polynomial basis.
 
-    A reachability window with kmax + dmax above `MAX_WITNESS_DEGREE`
-    holds monomials whose witnesses are refused, so it raises
-    `ValueError` before any closure work.
+    A reachability window over `_check_reach` raises `ValueError` before
+    any closure work.
     """
-    if kmax + dmax > MAX_WITNESS_DEGREE:
-        raise ValueError(f"reachability window kmax + dmax = {kmax + dmax} is above "
-                         f"the budget MAX_WITNESS_DEGREE = {MAX_WITNESS_DEGREE}")
+    _check_reach(kmax, dmax)
     with VerifyReport(
         claim="closure-soundness",
         parameters={"p": ctx.p, "depth": depth, "defn2_literal": defn2_literal},
@@ -462,6 +469,14 @@ def _windows(ctx: ScalarContext, kmax: int | None, dmax: int | None) -> tuple[in
     return (default if kmax is None else kmax, default if dmax is None else dmax, 2 * ctx.p)
 
 
+# Work budget on a verify run: the most work one suite may take, as
+# `suite_costs` estimates it.  Measured as a process on a 2-core x86-64
+# host: the default window passes up to p = 8, where verify all takes
+# 11 s (lemma2 494,209 checks in 5 s), and --p 5 verify lemma2 --kmax 100
+# --dmax 3 (499,849 checks) takes 2.5 s.
+MAX_VERIFY_GRID = 500_000
+
+
 def suite_costs(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
                 pairs: int) -> dict[str, tuple[int, str, str]]:
     """(size, what it counts, the options it reads) of each selected suite's
@@ -488,9 +503,22 @@ def suite_costs(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None
 def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None, depth: int,
                reach_kmax: int, reach_dmax: int, defn2_literal: bool,
                seed: int, pairs: int) -> list[VerifyReport]:
-    """The reports of the suites `names` selects, on the windows of `_windows`."""
-    kmax, dmax, bound = _windows(ctx, kmax, dmax)
+    """The reports of the suites `names` selects, on the windows of `_windows`.
+
+    Refuses a generic context, a theorem1 reachability window over
+    `_check_reach` and any suite whose `suite_costs` estimate is over
+    `MAX_VERIFY_GRID` (`ValueError`), before the first suite runs.
+    """
+    ctx.require_torsion("run_suites")
     wanted = _selected(names)
+    if "theorem1" in wanted:
+        _check_reach(reach_kmax, reach_dmax)
+    for name, (size, unit, inputs) in suite_costs(ctx, names, kmax=kmax, dmax=dmax,
+                                                  pairs=pairs).items():
+        if size > MAX_VERIFY_GRID:
+            raise ValueError(f"verify {name} at p = {ctx.p}{inputs} would take {size} {unit}, "
+                             f"above the budget MAX_VERIFY_GRID = {MAX_VERIFY_GRID}")
+    kmax, dmax, bound = _windows(ctx, kmax, dmax)
     out: list[VerifyReport] = []
     if "lemma2" in wanted:
         out.append(verify_no_N_leakage(ctx, kmax, dmax))

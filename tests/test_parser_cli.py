@@ -13,11 +13,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qheis import heisenberg
-from qheis.cli import MAX_VERIFY_GRID, _build_parser, main
+from qheis.cli import MAX_TABLE_TERMS, _build_parser, _table_terms, main
 from qheis.exprparse import MAX_NESTING, ParseError, parse_element, parse_expression
 from qheis.heisenberg import Element, Monomial, bracket_support, commutator
 from qheis.qscalar import ScalarContext
-from qheis.verify import suite_costs
+from qheis.verify import MAX_VERIFY_GRID, suite_costs
 
 from conftest import elaborate_reference, letters, mono
 
@@ -318,9 +318,14 @@ def test_cli_parse_error_is_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
-def test_cli_torsion_required(capsys):
-    code, _, err = run_cli(capsys, "member", "A")
-    assert code == 2 and "--p" in err
+@pytest.mark.parametrize("argv", [["member", "A"], ["construct", "A"], ["closure"],
+                                  ["verify", "all"]], ids=lambda argv: argv[0])
+def test_cli_torsion_required(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--p" in lines[0]
+    assert "Traceback" not in err
 
 
 def test_cli_bad_p(capsys):
@@ -340,6 +345,19 @@ def test_cli_tables_json_is_pinned(capsys, p):
     code, out, _ = run_cli(capsys, "--p", p, "--format", "json", "tables", "--kmax", "2", "--lmax", "2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLES_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", ["generic", "3"])
+def test_tables_estimate_bounds_the_printed_terms(capsys, p):
+    for kmax, lmax in [(0, 0), (1, 2), (2, 3)]:
+        code, out, _ = run_cli(capsys, "--p", p, "--format", "json", "tables",
+                               "--kmax", str(kmax), "--lmax", str(lmax))
+        assert code == 0
+        terms = sum(len(row["product"]) for row in json.loads(out)["rows"])
+        # exact in generic mode; binomials that vanish at a root drop terms
+        assert terms == _table_terms(kmax, lmax) if p == "generic" else terms <= _table_terms(kmax, lmax)
+    # 10/10 (146,531 terms) runs, 11/11 is refused
+    assert _table_terms(10, 10) <= MAX_TABLE_TERMS < _table_terms(11, 11)
 
 
 def test_cli_tables(capsys):
@@ -449,6 +467,12 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
     # a generic sum of powers of q too far apart is refused before its dense numerator is built
     (["--format", "json", "normalize", "--", "(q^4096)^4096 + 1"], "MAX_SERIALIZED_DEGREE = 1048576"),
     (["comm", "--", "A + B", "B + (q^2048)^1024*A"], "numerator of degree 2097152"),
+    # so is a generic product whose numerator would be past the same cap
+    (["--format", "json", "normalize", "--", "(1 + (q^1024)^1000)^2"],
+     "product has a numerator of degree 2048000"),
+    # tables estimates the product terms it prints before any product
+    (["--p", "3", "tables", "--kmax", "30", "--lmax", "30"],
+     "would print 21748391 product terms, above the budget MAX_TABLE_TERMS = 150000"),
 ])
 def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     t0 = time.perf_counter()
@@ -624,12 +648,12 @@ _FUZZ_TEXT = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["normalize", "comm", "member"]),
+@given(st.sampled_from(["normalize", "comm", "member", "construct"]),
        st.sampled_from([[], ["--p", "2"], ["--p", "3"], ["--p", "5"]]),
        st.sampled_from([[], ["--format", "json"]]),
        _FUZZ_TEXT, _FUZZ_TEXT)
 def test_cli_fuzz_exits_cleanly(command, p, fmt, left, right):
     args = [left, right] if command == "comm" else [left]
     code, _, err = _call([*p, *fmt, command, "--", *args])
-    assert code in ((0, 1, 2) if command == "member" else (0, 2)), (command, args, code)
+    assert code in ((0, 1, 2) if command in ("member", "construct") else (0, 2)), (command, args, code)
     assert "Traceback" not in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qheis.heisenberg import Element, Monomial, commutator, word_product
 from qheis.qscalar import (
+    MAX_SERIALIZED_DEGREE,
     ContextMismatchError,
     CycloScalar,
     GenericScalar,
@@ -471,3 +472,18 @@ def test_power_is_the_product_of_its_factors(name, spec, n):
     for _ in range(abs(n)):
         want = want * factor
     assert x ** n == want
+
+
+def test_generic_products_past_the_serialized_degree_cap_are_refused(generic):
+    half = MAX_SERIALIZED_DEGREE // 2
+    x = generic.one() + generic.q_power(half)
+    y = generic.one() + generic.q_power(half + 1)
+    assert len((x * x).num) - 1 == MAX_SERIALIZED_DEGREE
+    with pytest.raises(ValueError, match="product has a numerator of degree 1048577"):
+        x * y
+    # denominators other than c (q-1)^b are cross-multiplied, and capped the same way
+    with pytest.raises(ValueError, match="product has a denominator of degree 1048577"):
+        x.inverse() * y.inverse()
+    # a power of q is its valuation alone, which is not capped
+    big = generic.q_power(4 * MAX_SERIALIZED_DEGREE)
+    assert big * big == generic.q_power(8 * MAX_SERIALIZED_DEGREE)

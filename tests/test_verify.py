@@ -161,3 +161,30 @@ def test_theorem1_refuses_a_window_over_the_witness_budget(monkeypatch):
     with pytest.raises(ValueError, match="MAX_WITNESS_DEGREE"):
         verify_theorem1(ScalarContext.torsion(3), depth=1, kmax=200, dmax=57)
     assert len(calls) == 0
+
+
+SUITE_FUNCTIONS = ("verify_no_N_leakage", "verify_lemma3", "verify_derived_algebra",
+                   "verify_theorem1", "verify_torsion_paths", "verify_oracle", "closure_rows")
+
+
+@pytest.mark.parametrize("ctx, window, message", [
+    (ScalarContext.torsion(3), {"kmax": 60, "dmax": 60},
+     "verify lemma2 at p = 3, kmax = 60, dmax = 60 would take 54479161 checks"),
+    (ScalarContext.torsion(3), {"reach_kmax": 200, "reach_dmax": 57},
+     "must be at most 256, got 257: the witness budget MAX_WITNESS_DEGREE = 256"),
+    (ScalarContext.torsion(3), {"pairs": 10 ** 6}, "MAX_VERIFY_GRID = 500000"),
+    (ScalarContext.generic(), {}, "run_suites needs a torsion context"),
+])
+def test_run_suites_refuses_before_any_suite_runs(monkeypatch, ctx, window, message):
+    calls = []
+    for name in SUITE_FUNCTIONS:
+        monkeypatch.setattr(verify, name, lambda *a, name=name, **k: calls.append(name) or [])
+    options = {"kmax": None, "dmax": None, "depth": 6, "reach_kmax": 4, "reach_dmax": 4,
+               "defn2_literal": False, "seed": 0, "pairs": 5, **window}
+    with pytest.raises(ValueError, match=message):
+        run_suites(ctx, ["all"], **options)
+    assert calls == []
+    # a reachability window only theorem1 reads refuses nothing else
+    if "reach_kmax" in window:
+        run_suites(ctx, ["lemma2"], **options)
+        assert calls == ["verify_no_N_leakage"]
