@@ -11,11 +11,9 @@ Grammar (whitespace insensitive, '*' mandatory between factors):
 Rationals are ``a`` or ``a/b``; 'C' is surface syntax for [A, B]; scalar
 atoms commute with everything during elaboration.  Exponents are
 nonnegative integers and are capped to keep elaboration finite; integer
-literals are capped at ``MAX_LITERAL_DIGITS`` digits, a signed rational
-literal or a power of one, inside any parentheses, raised to a power
-that surely has more digits is refused before the power is taken, and
-brackets and parentheses nest at most ``MAX_NESTING`` deep.  Digits are
-ASCII ``0-9`` only.
+literals are capped at ``MAX_LITERAL_DIGITS`` digits, and brackets and
+parentheses nest at most ``MAX_NESTING`` deep.  Digits are ASCII ``0-9``
+only.  The parser checks only the grammar.
 
 One compiled regular expression scans the text to ``(kind, value)``
 tokens.  A token carries no position: a ``ParseError`` scans the text
@@ -24,7 +22,10 @@ again to the offending token and reports its line and column.
 A product is elaborated by folding its factors directly: its scalar
 factors (rationals, q and their powers) into one scalar applied once,
 and runs of letter powers whose products are single monomials into one
-monomial.  Only the remaining factors are multiplied as elements.
+monomial.  Only the remaining factors are multiplied as elements, and
+a power (r*m)^n of one term with r rational folds r^n into the scalar.
+Every rational power is taken by :func:`_rational_power`, which checks
+its size first, whatever text the rational was written as.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 from .heisenberg import (MONO_A, MONO_B, MONO_C, MONO_I, Element, Monomial, _add_into,
                          _mono_product, commutator)
-from .qscalar import Scalar, ScalarContext
+from .qscalar import Scalar, ScalarContext, as_fraction
 
 __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
 
@@ -89,29 +90,6 @@ def _tokenize(text: str) -> list[tuple]:
                              *_position(text, i))
     tokens.append(("end", None))
     return tokens
-
-
-def _literal_power(node) -> tuple[Fraction, int] | None:
-    """(x, e) when node is a signed rational literal x, or x^e, inside any parentheses.
-
-    A sum or product of more than one term or factor is not a literal
-    power, and neither is anything else; nested exponents multiply.
-    """
-    e = 1
-    while True:
-        kind = node[0]
-        if kind == "num":
-            return node[1], e
-        if kind == "pow":
-            e *= node[2]
-            node = node[1]
-        elif kind == "neg":
-            node = node[1]
-        elif kind in ("sum", "product") and len(node[1]) == 1:
-            # a parenthesized term is a sum of one part, with sign +1
-            node = node[1][0][1] if kind == "sum" else node[1][0]
-        else:
-            return None
 
 
 class _Parser:
@@ -167,13 +145,6 @@ class _Parser:
             n = self.expect("int")
             if n > MAX_EXPONENT:
                 raise self.error(f"exponent overflow: {n} > {MAX_EXPONENT}", self.pos - 1)
-            literal = _literal_power(node)
-            if literal is not None:
-                x, e = literal
-                bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-                if n * e * (bits - 1) > _MAX_LITERAL_BITS:
-                    raise self.error(f"literal power too long to print (more than "
-                                     f"{MAX_LITERAL_DIGITS} digits)", self.pos - 1)
             node = ("pow", node, n)
         return node
 
@@ -223,11 +194,20 @@ def parse_expression(text: str):
 _ATOMS = {"A": MONO_A, "B": MONO_B, "C": MONO_C, "I": MONO_I}
 
 
+def _rational_power(x: Fraction, n: int) -> Fraction:
+    """x^n; raises ValueError first when it surely has more than
+    ``MAX_LITERAL_DIGITS`` digits."""
+    if n * (max(x.numerator.bit_length(), x.denominator.bit_length()) - 1) > _MAX_LITERAL_BITS:
+        raise ValueError(f"rational power too long to print (more than "
+                         f"{MAX_LITERAL_DIGITS} digits)")
+    return x ** n
+
+
 def _scalar_factor(node, ctx: ScalarContext) -> Scalar | None:
     """The scalar a factor node denotes, or None when it is not a scalar."""
     base, n = (node[1], node[2]) if node[0] == "pow" else (node, 1)
     if base[0] == "num":
-        return ctx.from_fraction(base[1] ** n)
+        return ctx.from_fraction(_rational_power(base[1], n))
     if base == ("atom", "q"):
         return ctx.q_power(n)
     return None
@@ -265,7 +245,15 @@ def _elaborate_product(factors, ctx: ScalarContext) -> Element:
         if m is not None:
             run = m
         elif sub[0] == "pow":
-            elements.append(elaborate(sub[1], ctx) ** sub[2])
+            base, n = elaborate(sub[1], ctx), sub[2]
+            if len(base.terms) == 1:
+                ((m, c),) = base.terms.items()
+                x = as_fraction(c)
+                if x is not None:
+                    # (r*m)^n = r^n * m^n: r is central
+                    scalar = scalar * ctx.from_fraction(_rational_power(x, n))
+                    base = Element.monomial(ctx, m)
+            elements.append(base ** n)
         else:
             elements.append(elaborate(sub, ctx))
     if run is not None or not elements:

@@ -50,6 +50,7 @@ __all__ = [
     "GenericScalar",
     "CycloScalar",
     "Scalar",
+    "as_fraction",
     "ContextMismatchError",
     "cyclotomic_poly",
     "q_int",
@@ -580,9 +581,10 @@ class GenericScalar:
     through the constructor.  No scalar changes after it is made.  A sum
     whose numerator, lifted to the lower valuation, would have degree above
     ``MAX_SERIALIZED_DEGREE`` raises ValueError before the lift, and so
-    does a product whose numerator or denominator would, before it is
-    multiplied out, so every scalar built can be read back by
-    :func:`parse_scalar`.  The valuation is not capped: q^n is one integer.
+    does a cross-multiplied sum or a product whose numerator or
+    denominator would, before it is multiplied out, so every scalar built
+    can be read back by :func:`parse_scalar`.  The valuation is not
+    capped: q^n is one integer.
     """
 
     __slots__ = ("v", "num", "den")
@@ -628,16 +630,15 @@ class GenericScalar:
         v = self.v
         if v != other.v:
             # refused before the dense lift, so every sum built can be read back
-            degree = abs(other.v - v) + len(n2 if other.v > v else n1) - 1
-            if degree > MAX_SERIALIZED_DEGREE:
-                raise ValueError(f"sum has a numerator of degree {degree}, above the cap "
-                                 f"MAX_SERIALIZED_DEGREE = {MAX_SERIALIZED_DEGREE}")
+            _check_degrees("sum", abs(other.v - v) + len(n2 if other.v > v else n1) - 1, 0)
         if other.v > v:
             n2 = (0,) * (other.v - v) + n2
         elif other.v < v:
             n1 = (0,) * (v - other.v) + n1
             v = other.v
         if not (_is_qm1_power(d1) and _is_qm1_power(d2)):
+            _check_degrees("sum", max(len(n1) + len(d2), len(n2) + len(d1)) - 2,
+                           len(d1) + len(d2) - 2)
             return _cross_cancelled(v, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
         # over lcm(c1, c2) (q-1)^b, b = max(b1, b2), each numerator lifted to it
         c1, c2, b, b2 = d1[-1], d2[-1], len(d1) - 1, len(d2) - 1
@@ -677,7 +678,7 @@ class GenericScalar:
         if n1 == P_ONE and d1 == P_ONE:
             return _generic(v, n2, d2) if self.v else other
         if not (_is_qm1_power(d1) and _is_qm1_power(d2)):
-            _check_product(len(n1) + len(n2) - 2, len(d1) + len(d2) - 2)
+            _check_degrees("product", len(n1) + len(n2) - 2, len(d1) + len(d2) - 2)
             return _cross_cancelled(v, _pmul(n1, n2), _pmul(d1, d2))
         # each side is reduced, so only a factor q - 1 of one numerator can
         # meet the other denominator
@@ -686,7 +687,7 @@ class GenericScalar:
             n1, b2 = _strip_qm1(n1, b2)
         if b1:
             n2, b1 = _strip_qm1(n2, b1)
-        _check_product(len(n1) + len(n2) - 2, b1 + b2)
+        _check_degrees("product", len(n1) + len(n2) - 2, b1 + b2)
         return _generic(v, *_drop_content(_pmul(n1, n2), d1[-1] * d2[-1], b1 + b2))
 
     def inverse(self) -> "GenericScalar":
@@ -708,12 +709,12 @@ class GenericScalar:
         return f"GenericScalar({format_scalar(self)!r})"
 
 
-def _check_product(num_degree: int, den_degree: int) -> None:
-    """Refuse a product whose numerator or denominator would have degree
-    above ``MAX_SERIALIZED_DEGREE``, before it is built."""
+def _check_degrees(what: str, num_degree: int, den_degree: int) -> None:
+    """Refuse a sum or product (`what`) whose numerator or denominator would
+    have degree above ``MAX_SERIALIZED_DEGREE``, before it is built."""
     for part, degree in (("numerator", num_degree), ("denominator", den_degree)):
         if degree > MAX_SERIALIZED_DEGREE:
-            raise ValueError(f"product has a {part} of degree {degree}, above the cap "
+            raise ValueError(f"{what} has a {part} of degree {degree}, above the cap "
                              f"MAX_SERIALIZED_DEGREE = {MAX_SERIALIZED_DEGREE}")
 
 
@@ -940,6 +941,15 @@ class CycloScalar:
 Scalar = Union[GenericScalar, CycloScalar]
 
 
+def as_fraction(s: Scalar) -> Fraction | None:
+    """The rational value of s, or None when s is not rational."""
+    if isinstance(s, GenericScalar):
+        # zero is (0, (), (1,)), so sum(num) reads it too
+        rational = not s.v and len(s.num) <= 1 and len(s.den) == 1
+        return Fraction(sum(s.num), s.den[0]) if rational else None
+    return None if any(s.num[1:]) else Fraction(s.num[0], s.den)
+
+
 # ---------------------------------------------------------------------------
 # q-combinatorics
 # ---------------------------------------------------------------------------
@@ -1023,14 +1033,30 @@ def _check_cd_args(i: int, l: int) -> None:
         raise ValueError("structure scalar index i must satisfy 0 <= i <= l")
 
 
+def _generic_row_size(l: int) -> int:
+    """Coefficients of the generic Gaussian row l over Z[q]: the sum over
+    i <= l of i(l - i) + 1, as (l i)_q has degree i(l - i)."""
+    return l * (l * l - 1) // 6 + l + 1
+
+
 def _struct_scalar(ctx: ScalarContext, i: int, l: int, e: int) -> Scalar:
     """q^e (q-1)^(-l) (-1)^(l-i) (l i)_q, the body of c_i(l), d_i(l) and their q-shifts.
 
     Fills the context's one structure-scalar memo at (i, l, e), e reduced
     mod p in torsion mode.  The one place the binomial route is chosen:
-    q-Lucas in torsion mode, the product-formula row in generic mode.
+    q-Lucas in torsion mode, the product-formula row in generic mode.  A
+    generic row l whose coefficients would number more than
+    ``MAX_SERIALIZED_DEGREE`` raises ValueError before any entry is built.
     """
-    qb = q_binomial_lucas(ctx, l, i) if ctx.is_torsion else q_binomial(ctx, l, i)
+    if ctx.is_torsion:
+        qb = q_binomial_lucas(ctx, l, i)
+    else:
+        size = _generic_row_size(l)
+        if size > MAX_SERIALIZED_DEGREE:
+            raise ValueError(f"structure scalars of letter exponent {l} need a Gaussian row "
+                             f"of {size} coefficients, above the cap "
+                             f"MAX_SERIALIZED_DEGREE = {MAX_SERIALIZED_DEGREE}")
+        qb = q_binomial(ctx, l, i)
     if not qb.is_zero():
         qb = inv_qm1_power(ctx, l) * ctx.q_power(e) * (-qb if (l - i) % 2 else qb)
     ctx._struct[(i, l, e)] = qb

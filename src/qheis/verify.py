@@ -64,6 +64,7 @@ __all__ = [
     "suite_costs",
     "SUITE_NAMES",
     "MAX_VERIFY_GRID",
+    "MAX_BINOMIAL_ROW_TERMS",
 ]
 
 MAX_RECORDED_VIOLATIONS = 20
@@ -322,15 +323,40 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
 # Simplified torsion relations versus the general path
 # ---------------------------------------------------------------------------
 
+# Work budget on the Gaussian-binomial rows over Z[q] that torsion-paths
+# builds: qbinomial-collapse reads rows up to 3p and fastpath-equivalence
+# rows up to dmax, where entry i <= l/2 of row l has i(l - i) + 1
+# coefficients.  Measured as a process on a 2-core x86-64 host: --p 3
+# verify torsion-paths --kmax 0 --dmax 120 (4.4 million coefficients)
+# takes 2.8 s; --dmax 200 (33.8 million) took 16.4 s and p = 61 (23.8
+# million) 15.3 s.
+MAX_BINOMIAL_ROW_TERMS = 5_000_000
+
+
+def _check_rows(ctx: ScalarContext, dmax: int) -> None:
+    """Refuse a torsion-paths run whose binomial rows would hold more than
+    `MAX_BINOMIAL_ROW_TERMS` coefficients, before any row is built."""
+    size = 0
+    for l in range(max(3 * ctx.p, dmax) + 1):
+        h = l // 2  # the sum over i <= h of i(l - i) + 1, in closed form
+        size += l * h * (h + 1) // 2 - h * (h + 1) * (2 * h + 1) // 6 + h + 1
+    if size > MAX_BINOMIAL_ROW_TERMS:
+        raise ValueError(f"verify torsion-paths at p = {ctx.p}, dmax = {dmax} would build "
+                         f"binomial rows of {size} coefficients, above the budget "
+                         f"MAX_BINOMIAL_ROW_TERMS = {MAX_BINOMIAL_ROW_TERMS}")
+
+
 def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[VerifyReport]:
     """Compare every documented torsion shortcut against the general engine.
 
     The simplified mixed products apply only where both letter exponents
     are at least p, so that claim pairs only the window units with
     |d| >= p; every pair of the window still counts in
-    ``fastpath-equivalence``.
+    ``fastpath-equivalence``.  Binomial rows over `_check_rows` raise
+    `ValueError` before any work.
     """
     ctx.require_torsion("verify_torsion_paths")
+    _check_rows(ctx, dmax)
     p = ctx.p
     one, q = ctx.one(), ctx.q()
 
@@ -506,8 +532,9 @@ def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
     """The reports of the suites `names` selects, on the windows of `_windows`.
 
     Refuses a generic context, a theorem1 reachability window over
-    `_check_reach` and any suite whose `suite_costs` estimate is over
-    `MAX_VERIFY_GRID` (`ValueError`), before the first suite runs.
+    `_check_reach`, any suite whose `suite_costs` estimate is over
+    `MAX_VERIFY_GRID` and torsion-paths rows over `_check_rows`
+    (`ValueError`), before the first suite runs.
     """
     ctx.require_torsion("run_suites")
     wanted = _selected(names)
@@ -519,6 +546,8 @@ def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
             raise ValueError(f"verify {name} at p = {ctx.p}{inputs} would take {size} {unit}, "
                              f"above the budget MAX_VERIFY_GRID = {MAX_VERIFY_GRID}")
     kmax, dmax, bound = _windows(ctx, kmax, dmax)
+    if "torsion-paths" in wanted:
+        _check_rows(ctx, dmax)
     out: list[VerifyReport] = []
     if "lemma2" in wanted:
         out.append(verify_no_N_leakage(ctx, kmax, dmax))

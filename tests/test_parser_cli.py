@@ -134,6 +134,14 @@ def test_elaboration_matches_full_products(expr):
         assert parse_element(text, ctx) == elaborate_reference(node, ctx), (text, ctx)
 
 
+@pytest.mark.parametrize("p", [None, 3, 7])
+@pytest.mark.parametrize("text", ["(3*C*A)^4", "(-2/3*B^2)^7", "(1/2+1/3)^5*B", "-(2*I)^3"])
+def test_powers_of_rational_monomials_match_full_products(p, text):
+    # the base's rational folds into the scalar and its monomial is powered alone
+    ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
+    assert parse_element(text, ctx) == elaborate_reference(parse_expression(text), ctx)
+
+
 def test_letter_and_scalar_factors_need_no_products(monkeypatch, generic, p5):
     calls = []
     real = heisenberg.multiply
@@ -473,6 +481,16 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
     # tables estimates the product terms it prints before any product
     (["--p", "3", "tables", "--kmax", "30", "--lmax", "30"],
      "would print 21748391 product terms, above the budget MAX_TABLE_TERMS = 150000"),
+    # a power of a base that elaborates to a rational times a monomial is refused by value
+    (["normalize", "--", "(" + "9" * 4300 + "+1)^4096"], "too long to print"),
+    (["--format", "json", "normalize", "--", "(" + "9" * 4300 + "*A)^256"], "too long to print"),
+    # a generic structure scalar's Gaussian row is estimated before any entry is built
+    (["normalize", "A^320*B^320"], "letter exponent 320 need a Gaussian row of 5461601"),
+    # torsion-paths estimates the binomial rows it builds over Z[q]
+    (["--p", "61", "verify", "torsion-paths", "--kmax", "0", "--dmax", "0"],
+     "binomial rows of 23755734 coefficients, above the budget MAX_BINOMIAL_ROW_TERMS"),
+    (["--p", "3", "verify", "torsion-paths", "--kmax", "0", "--dmax", "200"],
+     "verify torsion-paths at p = 3, dmax = 200 would build binomial rows of 33845201"),
 ])
 def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     t0 = time.perf_counter()
@@ -490,6 +508,9 @@ def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     ["normalize", "9^4096*A"],      # a coefficient of 3,909 digits
     ["normalize", "--", "((-9)^64)^64*A"],
     ["--p", "3", "normalize", "--", "(9^64)^65*A"],   # 3,970 digits
+    ["normalize", "--", "(1/2+1/3)^4096*A"],    # 5/6 to the 4096th, 3,188 digits
+    ["normalize", "--", "0*99^4096*A"],         # the zero factor is met first
+    ["normalize", "A^160*B^160"],
 ])
 def test_cli_accepts_inputs_at_a_work_budget(argv):
     code, stdout, err = _call(argv)

@@ -1,4 +1,5 @@
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from qheis.qscalar import (
     CycloScalar,
     GenericScalar,
     ScalarContext,
+    as_fraction,
     cyclotomic_poly,
     format_scalar,
     parse_scalar,
@@ -27,7 +29,7 @@ from qheis.qscalar import (
     struct_c,
     struct_d,
 )
-from qheis.qscalar import P_ONE, _pmul, _pdiv_exact, _terms_text
+from qheis.qscalar import P_ONE, _generic_row_size, _pmul, _pdiv_exact, _terms_text
 
 from conftest import CONTEXT_NAMES, CONTEXTS
 
@@ -487,3 +489,43 @@ def test_generic_products_past_the_serialized_degree_cap_are_refused(generic):
     # a power of q is its valuation alone, which is not capped
     big = generic.q_power(4 * MAX_SERIALIZED_DEGREE)
     assert big * big == generic.q_power(8 * MAX_SERIALIZED_DEGREE)
+
+
+def test_generic_sums_past_the_serialized_degree_cap_are_refused_on_the_cross_route(generic):
+    # denominators other than c (q-1)^b are cross-multiplied, and capped before the products
+    x = (generic.one() + generic.q_power(MAX_SERIALIZED_DEGREE // 2)).inverse()
+    y = (generic.one() + generic.q_power(MAX_SERIALIZED_DEGREE // 2 + 1)).inverse()
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="sum has a denominator of degree 1048577"):
+        x + y
+    assert time.perf_counter() - t0 < 1.0
+    assert x + x == x * generic.from_int(2)
+
+
+def test_generic_structure_rows_are_capped_on_their_estimate():
+    ctx = ScalarContext.generic()
+    # the estimate counts the coefficients of the whole row
+    for l in range(1, 12):
+        assert _generic_row_size(l) == sum(len(q_binomial(ctx, l, i).num) for i in range(l + 1))
+    assert _generic_row_size(160) == 682_801
+    assert _generic_row_size(184) <= MAX_SERIALIZED_DEGREE < _generic_row_size(185)
+    before = dict(ctx._qbin)
+    with pytest.raises(ValueError, match="letter exponent 185 need a Gaussian row of 1055426"):
+        struct_c(ctx, 1, 185)
+    assert ctx._qbin == before and ctx._struct == {}
+    # torsion structure scalars take q-Lucas rows below p, which are not capped
+    assert not struct_c(ScalarContext.torsion(3), 1, 185).is_zero()
+
+
+@pytest.mark.parametrize("name", CONTEXT_NAMES)
+def test_as_fraction_reads_rational_scalars_only(name):
+    ctx = CONTEXTS[name]
+    for f in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(10 ** 40, 9)):
+        assert as_fraction(ctx.from_fraction(f)) == f
+    s = ctx.q() + ctx.from_int(3)
+    assert as_fraction(s * s.inverse()) == 1
+    if ctx.p == 2:
+        # phi(2) = 1: the root is -1 and every scalar is rational
+        assert (as_fraction(ctx.q()), as_fraction(s)) == (-1, 2)
+    else:
+        assert as_fraction(ctx.q()) is None and as_fraction(s) is None

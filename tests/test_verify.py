@@ -9,7 +9,7 @@ import pytest
 from qheis import verify
 from qheis.cli import main
 from qheis.heisenberg import Monomial
-from qheis.qscalar import ScalarContext
+from qheis.qscalar import ScalarContext, q_binomial
 from qheis.verify import (run_suites, verify_derived_algebra, verify_lemma3, verify_no_N_leakage,
                           verify_oracle, verify_theorem1)
 
@@ -188,3 +188,29 @@ def test_run_suites_refuses_before_any_suite_runs(monkeypatch, ctx, window, mess
     if "reach_kmax" in window:
         run_suites(ctx, ["lemma2"], **options)
         assert calls == ["verify_no_N_leakage"]
+
+
+def test_torsion_paths_rows_are_capped_on_their_estimate(monkeypatch):
+    # rows l <= max(3p, dmax), each entry i <= l/2 a polynomial of i(l - i) + 1 coefficients
+    generic = ScalarContext.generic()
+    size = sum(len(q_binomial(generic, l, i).num) for l in range(31) for i in range(l // 2 + 1))
+    ctx = ScalarContext.torsion(3)
+    monkeypatch.setattr(verify, "MAX_BINOMIAL_ROW_TERMS", size)
+    verify._check_rows(ctx, 30)
+    monkeypatch.setattr(verify, "MAX_BINOMIAL_ROW_TERMS", size - 1)
+    with pytest.raises(ValueError, match=f"dmax = 30 would build binomial rows of {size} "):
+        verify._check_rows(ctx, 30)
+    monkeypatch.undo()
+    verify._check_rows(ctx, 123)
+    verify._check_rows(ScalarContext.torsion(41), 2 * 41 + 2)
+    for p, dmax in [(3, 124), (42, 0)]:
+        with pytest.raises(ValueError, match="MAX_BINOMIAL_ROW_TERMS = 5000000"):
+            verify._check_rows(ScalarContext.torsion(p), dmax)
+    # the suite and run_suites refuse before any row is built
+    ctx = ScalarContext.torsion(61)
+    with pytest.raises(ValueError, match="binomial rows of 23755734 coefficients"):
+        verify.verify_torsion_paths(ctx, 0, 0)
+    with pytest.raises(ValueError, match="binomial rows of 23755734 coefficients"):
+        run_suites(ctx, ["torsion-paths"], kmax=0, dmax=0, depth=6, reach_kmax=4, reach_dmax=4,
+                   defn2_literal=False, seed=0, pairs=5)
+    assert ctx._qbin == {}
