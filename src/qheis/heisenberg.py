@@ -432,18 +432,30 @@ def commutator(x: Element, y: Element) -> Element:
     the C shift folded in: through `_add_into` (a generator for the
     shift) the torsion-grid benchmark lost 4% ops/s and 10% median op
     time, in each of 4 alternating pairs of 8 s runs on a 2-core host.
+
+    ``cx * cy`` is not formed when ``cy`` *is* the context's one object,
+    nor ``cxy * coef`` when ``cxy`` is: the other factor is taken as it
+    stands.  That is an identity test only; a coefficient equal to 1 held
+    in another object still goes through ``__mul__``, which gives the
+    same value.  Each pair of the
+    ``lemma2`` grid brackets two unit elements, so on stored kernels it
+    forms no scalar product at all: in-process on the default window
+    (min of 60 warm grids, 3 alternating runs on a 2-core host), a lemma2
+    check went from 3.0-3.5 to 2.6-2.8 us at p = 3 and from 3.6-4.0 to
+    3.0-3.2 us at p = 5; ``BENCH_30.json`` has the end-to-end numbers.
     """
     ctx = x.ctx
     ctx.ensure_same(y.ctx)
+    one = ctx._one
     out: dict = {}
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
             kernel, shift = _kernel_read(ctx, mx, my)
-            cxy = cx * cy
+            cxy = cx if cy is one else cx * cy
             for mono, coef in kernel:
                 if shift:
                     mono = Monomial(mono.k + shift, mono.d)
-                term = cxy * coef
+                term = coef if cxy is one else cxy * coef
                 got = out.get(mono)
                 if got is None:
                     out[mono] = term

@@ -7,8 +7,10 @@ documented simplified identities provably fail off their true domain of
 validity, and the whole point of these suites is to show exactly where.
 
 The bracket grids differ in what they read.  ``lemma2`` takes one full
-`commutator` per pair, so it exercises the kernel read with its scalar
-products; ``lemma3`` and ``lemma4`` only ask which monomials a bracket
+`commutator` per pair, so it exercises the kernel read and builds each
+bracket as an `Element`; its pairs are unit elements, whose coefficient
+product is the context's one, so on stored kernels it forms no scalar
+product.  ``lemma3`` and ``lemma4`` only ask which monomials a bracket
 holds, and read them through `heisenberg.bracket_support`.  A check
 that fails reports its offending monomials in the canonical order.
 """
@@ -167,9 +169,11 @@ def verify_no_N_leakage(ctx: ScalarContext, kmax: int, dmax: int) -> VerifyRepor
     """Commutators of basis monomials never touch the forbidden subspace.
 
     Each pair of unit elements takes one `commutator` call, so this suite
-    exercises the full bracket; its terms are tested in place, and the
-    projection onto the forbidden subspace is built only for a violation
-    entry.
+    exercises the full bracket; both coefficients are the context's one,
+    so the bracket takes its kernel terms with no scalar product.  Its
+    terms are tested in place with a list comprehension (no generator
+    frame per check), and the projection onto the forbidden subspace is
+    built only for a violation entry.
     """
     ctx.require_torsion("verify_no_N_leakage")
     p = ctx.p
@@ -180,7 +184,7 @@ def verify_no_N_leakage(ctx: ScalarContext, kmax: int, dmax: int) -> VerifyRepor
         units = _window_units(ctx, kmax, dmax)
         for (m1, x), (m2, y) in itertools.product(units, repeat=2):
             f = commutator(x, y)
-            if not rep.check(not any(_in_forbidden_subspace(p, mono) for mono in f.terms)):
+            if not rep.check(not [mono for mono in f.terms if _in_forbidden_subspace(p, mono)]):
                 rep.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
                                            "residual": project_N(f).text()})
     return rep
@@ -533,8 +537,9 @@ def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
 
     Refuses a generic context, a theorem1 reachability window over
     `_check_reach`, any suite whose `suite_costs` estimate is over
-    `MAX_VERIFY_GRID` and torsion-paths rows over `_check_rows`
-    (`ValueError`), before the first suite runs.
+    `MAX_VERIFY_GRID`, torsion-paths rows over `_check_rows` and a
+    torsion-paths window with dmax < p, where simplified-mixed-products
+    pairs no unit (`ValueError`), before the first suite runs.
     """
     ctx.require_torsion("run_suites")
     wanted = _selected(names)
@@ -548,6 +553,9 @@ def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
     kmax, dmax, bound = _windows(ctx, kmax, dmax)
     if "torsion-paths" in wanted:
         _check_rows(ctx, dmax)
+        if dmax < ctx.p:
+            raise ValueError(f"verify torsion-paths at p = {ctx.p}, dmax = {dmax} is vacuous: "
+                             f"simplified-mixed-products has 0 checks when dmax < p")
     out: list[VerifyReport] = []
     if "lemma2" in wanted:
         out.append(verify_no_N_leakage(ctx, kmax, dmax))

@@ -457,6 +457,27 @@ def test_torsion_commutator_equals_difference_of_products(p, data):
     assert all(not c.is_zero() for c in got.terms.values())
 
 
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+def test_commutator_skips_only_the_contexts_one_object(p):
+    # commutator skips a product whose factor *is* ctx._one; a coefficient equal to 1 held in
+    # another object still goes through the product, and either way the value is xy - yx.
+    # C exponents up to 2p read shifted kernels; p None is generic
+    ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
+    ones = [ctx.one(), ctx.from_int(1), ctx.from_fraction(Fraction(3, 3))]
+    assert [c is ctx._one for c in ones] == [True, False, False]
+    assert all(c == ctx.one() for c in ones)
+    coeffs = ones + [ctx.from_int(-2), ctx.q(), ctx.from_fraction(Fraction(1, 3)) * ctx.q_power(2)]
+    n = p or 3
+    monos = [Monomial(0, -1), Monomial(1, 2), Monomial(n + 1, -2), Monomial(2 * n, 1)]
+    singles = [mono(ctx, m.k, m.d, c) for m in monos for c in coeffs]
+    # two terms, one with a unit coefficient and one without
+    sums = [mono(ctx, 0, 1) + mono(ctx, n, -1, c) for c in coeffs[2:]]
+    for x, y in itertools.product(singles + sums, repeat=2):
+        got = commutator(x, y)
+        assert got == multiply(x, y) - multiply(y, x), (x.text(), y.text())
+        assert all(not c.is_zero() for c in got.terms.values())
+
+
 def test_commutator_table_is_keyed_by_residues():
     p = 3
     ctx = ScalarContext.torsion(p)

@@ -9,7 +9,7 @@ import pytest
 from qheis import verify
 from qheis.cli import main
 from qheis.heisenberg import Monomial
-from qheis.qscalar import ScalarContext, q_binomial
+from qheis.qscalar import CycloScalar, ScalarContext, q_binomial
 from qheis.verify import (run_suites, verify_derived_algebra, verify_lemma3, verify_no_N_leakage,
                           verify_oracle, verify_theorem1)
 
@@ -113,6 +113,19 @@ def _entries(rep):
     return rep.pairs_checked, rep.violations_total, rep.violations
 
 
+def test_lemma2_forms_no_scalar_product_on_a_warm_context(monkeypatch):
+    # every lemma2 pair brackets two unit elements, so once the kernels are
+    # stored no coefficient product is formed; each pair is still one commutator
+    ctx = ScalarContext.torsion(5)
+    warm = _entries(verify_no_N_leakage(ctx, 1, 1))
+    products, brackets = [], []
+    mul, bracket = CycloScalar.__mul__, verify.commutator
+    monkeypatch.setattr(CycloScalar, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(verify, "commutator", lambda x, y: brackets.append(1) or bracket(x, y))
+    assert _entries(verify_no_N_leakage(ctx, 1, 1)) == warm == (36, 0, [])
+    assert (len(products), len(brackets)) == (0, 36)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_planted_kernels_reach_the_violation_entries(p):
     # kmax, mmax < p: each planted residue key is read by exactly one pair
@@ -174,6 +187,8 @@ SUITE_FUNCTIONS = ("verify_no_N_leakage", "verify_lemma3", "verify_derived_algeb
      "must be at most 256, got 257: the witness budget MAX_WITNESS_DEGREE = 256"),
     (ScalarContext.torsion(3), {"pairs": 10 ** 6}, "MAX_VERIFY_GRID = 500000"),
     (ScalarContext.generic(), {}, "run_suites needs a torsion context"),
+    (ScalarContext.torsion(5), {"kmax": 3, "dmax": 3},
+     "torsion-paths at p = 5, dmax = 3 is vacuous: simplified-mixed-products has 0 checks"),
 ])
 def test_run_suites_refuses_before_any_suite_runs(monkeypatch, ctx, window, message):
     calls = []
