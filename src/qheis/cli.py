@@ -59,6 +59,15 @@ class _Parser(argparse.ArgumentParser):
         """Every usage error is one ``error:`` line and exit 2."""
         raise SystemExit(_usage_error(message))
 
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        # argparse before Python 3.12 drops every '--' from a positional's
+        # values, so `comm -- A --` hands the second expression over as []
+        missing = [name for name, value in vars(ns).items() if value == []]
+        if missing:
+            self.error("the following arguments are required: " + ", ".join(missing))
+        return ns
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,9 @@ and runs of letter powers whose products are single monomials into one
 monomial.  Only the remaining factors are multiplied as elements, and
 a power (r*m)^n of one term with r rational folds r^n into the scalar.
 Every rational power is taken by :func:`_rational_power`, which checks
-its size first, whatever text the rational was written as.
+its size first, whatever text the rational was written as; a power of
+one term c*m with c not rational is checked the same way on c's
+integer parts (:func:`qscalar.power_bits`) before it is taken.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 from .heisenberg import (MONO_A, MONO_B, MONO_C, MONO_I, Element, Monomial, _add_into,
                          _mono_product, commutator)
-from .qscalar import Scalar, ScalarContext, as_fraction
+from .qscalar import Scalar, ScalarContext, as_fraction, power_bits
 
 __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
 
@@ -194,12 +196,19 @@ def parse_expression(text: str):
 _ATOMS = {"A": MONO_A, "B": MONO_B, "C": MONO_C, "I": MONO_I}
 
 
+def _check_power(what: str, bits: int, n: int) -> None:
+    """Raise ValueError when a power x^n of `what` surely has more than
+    ``MAX_LITERAL_DIGITS`` digits, x holding an integer of `bits` bits whose
+    n-th power x^n holds."""
+    if n * (bits - 1) > _MAX_LITERAL_BITS:
+        raise ValueError(f"{what} power too long to print (more than "
+                         f"{MAX_LITERAL_DIGITS} digits)")
+
+
 def _rational_power(x: Fraction, n: int) -> Fraction:
     """x^n; raises ValueError first when it surely has more than
     ``MAX_LITERAL_DIGITS`` digits."""
-    if n * (max(x.numerator.bit_length(), x.denominator.bit_length()) - 1) > _MAX_LITERAL_BITS:
-        raise ValueError(f"rational power too long to print (more than "
-                         f"{MAX_LITERAL_DIGITS} digits)")
+    _check_power("rational", max(x.numerator.bit_length(), x.denominator.bit_length()), n)
     return x ** n
 
 
@@ -253,6 +262,8 @@ def _elaborate_product(factors, ctx: ScalarContext) -> Element:
                     # (r*m)^n = r^n * m^n: r is central
                     scalar = scalar * ctx.from_fraction(_rational_power(x, n))
                     base = Element.monomial(ctx, m)
+                else:
+                    _check_power("coefficient", power_bits(c), n)
             elements.append(base ** n)
         else:
             elements.append(elaborate(sub, ctx))

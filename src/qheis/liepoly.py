@@ -22,8 +22,7 @@ discrepancy, which the verification reports do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .heisenberg import (
@@ -168,16 +167,14 @@ def is_lie_polynomial(x: Element, defn2_literal: bool = False):
 # Bracket expression trees (constructive witnesses)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     gen: str  # "A" or "B"
 
     def text(self) -> str:
         return self.gen
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     left: "BracketExpr"
     right: "BracketExpr"
 
@@ -185,8 +182,7 @@ class Bracket:
         return f"[{self.left.text()}, {self.right.text()}]"
 
 
-@dataclass(frozen=True)
-class ScaledSum:
+class ScaledSum(NamedTuple):
     items: tuple  # of (Scalar, BracketExpr)
 
     def text(self) -> str:
@@ -197,11 +193,37 @@ BracketExpr = Leaf | Bracket | ScaledSum
 
 _A = Leaf("A")
 _B = Leaf("B")
-_C = Bracket(_A, _B)
+
+# The one shared node of each pure bracket, keyed by the identities of its
+# children (hash-consing).  A pure node has only A and B as leaves and no
+# ScaledSum inside; its children are themselves shared, and the node holds
+# them, so their ids are never reused.  No tree is hashed by structure: the
+# tuple hash recurses, which would cost a chain of n nodes O(n^2).
+_NODES: dict[tuple[int, int], Bracket] = {}
+
+
+def _node(left: BracketExpr, right: BracketExpr) -> Bracket:
+    """The shared node [left, right] of two shared nodes or leaves, made on first use."""
+    key = (id(left), id(right))
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES.setdefault(key, Bracket(left, right))
+    return node
+
+
+_C = _node(_A, _B)
 
 
 def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
-    """Evaluate a witness tree inside the algebra, each node object once per call."""
+    """Evaluate a witness tree inside the algebra.
+
+    A shared node (one of the ad-chains this module builds) is evaluated
+    once per context: its value is stored in the context's ``_bracket``
+    table, keyed by the node's id, beside the node itself.  Any other node
+    -- a `ScaledSum`, a bracket holding one, a tree built by the caller --
+    is evaluated once per call and stored nowhere.
+    """
+    table = ctx._bracket
     done: dict[int, Element] = {}
 
     def value(node: BracketExpr) -> Element:
@@ -209,50 +231,67 @@ def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
         if got is None:
             if isinstance(node, Leaf):
                 got = Element.monomial(ctx, MONO_A if node.gen == "A" else MONO_B)
-            elif isinstance(node, Bracket):
-                got = commutator(value(node.left), value(node.right))
-            else:
+            elif not isinstance(node, Bracket):
                 out: dict = {}
                 for c, sub in node.items:
                     _add_into(out, value(sub).terms.items(), c)
                 got = Element(ctx, out, _clean=True)
+            elif _NODES.get((id(node.left), id(node.right))) is not node:
+                got = commutator(value(node.left), value(node.right))
+            else:
+                entry = table.get(id(node))
+                if entry is None:
+                    entry = (node, commutator(value(node.left), value(node.right)))
+                    # stored once: a racing thread reads the entry stored first
+                    entry = table.setdefault(id(node), entry)
+                got = entry[1]
             done[id(node)] = got
         return got
 
     return value(e)
 
 
-def _nest(head: BracketExpr, inner: BracketExpr, times: int) -> BracketExpr:
-    for _ in range(times):
-        inner = Bracket(head, inner)
-    return inner
-
-
 # ---------------------------------------------------------------------------
 # The ad-chains, their normalizations and the constructors built on them
 # ---------------------------------------------------------------------------
 
+@cache
+def _ad_A_B(n: int) -> BracketExpr:
+    """(ad A)^n B."""
+    return _B if n == 0 else _node(_A, _ad_A_B(n - 1))
+
+
+@cache
 def _chain_A(k: int, l: int) -> BracketExpr:
     """(ad C)^k (ad A)^(l+1) B, which evaluates to (-1)^k (q-1)^l (q^l-1)^k C^(k+1) A^l."""
     if k < 0 or l < 1:
         raise ValueError("base_A needs k >= 0 and l >= 1")
-    return _nest(_C, _nest(_A, _B, l + 1), k)
+    return _ad_A_B(l + 1) if k == 0 else _node(_C, _chain_A(k - 1, l))
 
 
+@cache
+def _ad_C_BBA(k: int) -> BracketExpr:
+    """(ad C)^k [B, [B, A]]."""
+    return _node(_B, _node(_B, _A)) if k == 0 else _node(_C, _ad_C_BBA(k - 1))
+
+
+@cache
 def _chain_B(k: int, l: int) -> BracketExpr:
     """(ad B)^(l-1) (ad C)^k [B, [B, A]], which evaluates to (q-1)^(k+1) (1-q^(k+1))^(l-1) B^l C^(k+1)."""
     if k < 0 or l < 1:
         raise ValueError("base_B needs k >= 0 and l >= 1")
-    return _nest(_B, _nest(_C, Bracket(_B, Bracket(_B, _A)), k), l - 1)
+    return _ad_C_BBA(k) if l == 1 else _node(_B, _chain_B(k, l - 1))
 
 
-def _chains_G(n: int) -> list[BracketExpr]:
-    """The grade-0 chains [B, (ad C)^k [[B, A], A]] for k < n, all extending one nest."""
-    chains, nest = [], Bracket(Bracket(_B, _A), _A)
-    for _ in range(n):
-        chains.append(Bracket(_B, nest))
-        nest = Bracket(_C, nest)
-    return chains
+@cache
+def _ad_C_BAA(k: int) -> BracketExpr:
+    """(ad C)^k [[B, A], A], the nest that the grade-0 chains extend."""
+    return _node(_node(_B, _A), _A) if k == 0 else _node(_C, _ad_C_BAA(k - 1))
+
+
+def _chain_G(k: int) -> BracketExpr:
+    """The grade-0 chain [B, (ad C)^k [[B, A], A]]."""
+    return _node(_B, _ad_C_BAA(k))
 
 
 def _norm_A(ctx: ScalarContext, k: int, l: int) -> Scalar:
@@ -269,14 +308,14 @@ def _norm_B(ctx: ScalarContext, k: int, l: int) -> Scalar:
 def _telescoped_C(ctx: ScalarContext, n: int) -> ScaledSum:
     """C^n = (C - sum_{i<n-1} q^(i+1) (q-1)^-(i+1) base_G(i)) / {n}_q.
 
-    base_G(i) is (-1)^i times the i-th of `_chains_G`.  Exact whenever {n}_q is
+    base_G(i) is (-1)^i times `_chain_G(i)`.  Exact whenever {n}_q is
     invertible, i.e. n not divisible by p.
     """
     inv_n = q_int(ctx, n).inverse()
     items = [(inv_n, _C)]
-    for i, chain in enumerate(_chains_G(n - 1)):
+    for i in range(n - 1):
         c = inv_n * ctx.q_power(i + 1) * inv_qm1_power(ctx, i + 1)
-        items.append((c if i % 2 else -c, chain))
+        items.append((c if i % 2 else -c, _chain_G(i)))
     return ScaledSum(tuple(items))
 
 
@@ -303,7 +342,7 @@ def base_G(ctx: ScalarContext, k: int) -> Element:
     """
     if k < 0:
         raise ValueError("base_G needs k >= 0")
-    v = eval_bracket_expr(ctx, _chains_G(k + 1)[-1])
+    v = eval_bracket_expr(ctx, _chain_G(k))
     return -v if k % 2 else v
 
 
@@ -416,11 +455,11 @@ def _witness_mixed(ctx: ScalarContext, k: int, d: int) -> BracketExpr:
         if l % p:
             return ScaledSum(((_norm_A(ctx, k - 1, l), _chain_A(k - 1, l)),))
         bump = (ctx.q_power(k) - one).inverse()
-        return ScaledSum(((_norm_A(ctx, k - 1, l - 1) * bump, Bracket(_A, _chain_A(k - 1, l - 1))),))
+        return ScaledSum(((_norm_A(ctx, k - 1, l - 1) * bump, _node(_A, _chain_A(k - 1, l - 1))),))
     if k % p:
         return ScaledSum(((_norm_B(ctx, k - 1, d), _chain_B(k - 1, d)),))
     bump = (ctx.q_power(d) - one).inverse()
-    return ScaledSum(((_norm_B(ctx, k - 2, d) * bump, Bracket(_C, _chain_B(k - 2, d))),))
+    return ScaledSum(((_norm_B(ctx, k - 2, d) * bump, _node(_C, _chain_B(k - 2, d))),))
 
 
 def _witness_c_pow(ctx: ScalarContext, n: int) -> BracketExpr:
@@ -544,14 +583,14 @@ class RowReducer:
         return [Element(self.ctx, out[lead], _clean=True) for lead in order]
 
 
-@dataclass(frozen=True)
 class SubspaceBasis:
     """Row-reduced exact basis of a spanned subspace, windowed."""
 
-    ctx: ScalarContext
-    kmax: int
-    dmax: int
-    rows: tuple
+    def __init__(self, ctx: ScalarContext, kmax: int, dmax: int, rows: tuple):
+        self.ctx = ctx
+        self.kmax = kmax
+        self.dmax = dmax
+        self.rows = rows
 
     @property
     def dimension(self) -> int:

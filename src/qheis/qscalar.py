@@ -51,6 +51,7 @@ __all__ = [
     "CycloScalar",
     "Scalar",
     "as_fraction",
+    "power_bits",
     "ContextMismatchError",
     "cyclotomic_poly",
     "q_int",
@@ -439,12 +440,16 @@ class ScalarContext:
     ``_word`` its straightened product per ordered pair of basis
     monomials, and ``_comm`` the cancelled commutator kernels of
     `heisenberg.commutator`, and only `heisenberg` reads them.
+    ``_bracket`` maps the id of each shared ad-chain node that
+    `liepoly.eval_bracket_expr` has evaluated to ``(node, value)``; the
+    entry holds the node, so its id is not reused while the entry exists,
+    and only `liepoly` reads it.
     """
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
         "_struct", "_qpow", "_inv_qm1", "_inv", "_galois", "_mono_nf", "_awb",
-        "_word", "_comm", "_text",
+        "_word", "_comm", "_text", "_bracket",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -493,6 +498,7 @@ class ScalarContext:
         self._awb: dict = {}
         self._word: dict = {}
         self._comm: dict = {}
+        self._bracket: dict = {}
 
     @classmethod
     def generic(cls) -> "ScalarContext":
@@ -948,6 +954,28 @@ def as_fraction(s: Scalar) -> Fraction | None:
         rational = not s.v and len(s.num) <= 1 and len(s.den) == 1
         return Fraction(sum(s.num), s.den[0]) if rational else None
     return None if any(s.num[1:]) else Fraction(s.num[0], s.den)
+
+
+def power_bits(s: Scalar) -> int:
+    """A bit length b such that s^n writes an integer of at least n*(b - 1) + 1
+    bits for every n >= 1, read from s's integer parts (0 for zero).
+
+    Generic: s^n is q^(nv) num^n / den^n, already reduced, whose end
+    coefficients are the n-th powers of those of num and den.  Torsion:
+    the numerators of s^n are multiples of c^n, c the content gcd(num)
+    (Gauss's lemma, and reduction mod the monic Phi_p keeps the content),
+    and c is prime to den, so cancelling den^n leaves c^n.  A torsion
+    rational's denominator counts too: its power is never reduced.
+    """
+    if not s:
+        return 0
+    if isinstance(s, GenericScalar):
+        parts = (s.num[0], s.num[-1], s.den[0], s.den[-1])
+    elif any(s.num[1:]):
+        parts = (math.gcd(*s.num),)
+    else:
+        parts = (s.num[0], s.den)
+    return max(abs(x).bit_length() for x in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -76,7 +75,6 @@ ORACLE_EXPMAX = 6
 ORACLE_TERMS = 4
 
 
-@dataclass
 class VerifyReport:
     """Outcome of one claim on one window.
 
@@ -86,12 +84,13 @@ class VerifyReport:
     passing check builds no entry closure.
     """
 
-    claim: str
-    parameters: dict
-    pairs_checked: int = 0
-    violations_total: int = 0
-    violations: list = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self, claim: str, parameters: dict):
+        self.claim = claim
+        self.parameters = parameters
+        self.pairs_checked = 0
+        self.violations_total = 0
+        self.violations: list = []
+        self.elapsed = 0.0
 
     @property
     def vacuous(self) -> bool:

@@ -552,19 +552,21 @@ def test_bracket_support_is_the_support_of_the_commutator(p):
 
 
 def test_independent_routes_leave_the_commutator_table_empty(monkeypatch):
-    # the structure-constant routes never fill the word table
+    # the structure-constant routes never fill the word table, and only
+    # witness evaluation fills the bracket table
     t = ScalarContext.torsion(3)
     x = mono(t, 4, -2) + mono(t, 1, 3, t.q())
     commutator(x, multiply(x, x))
     lie_closure(t, depth=5, kmax=3, dmax=3)
+    assert t._bracket == {}
     construct_basis_element(t, Monomial(4, 2))
-    assert t._word == {}
+    assert t._word == {} and t._bracket
     g = ScalarContext.generic()
     xg, yg = mono(g, 4, -2) + mono(g, 1, 3, g.q()), mono(g, 2, 1)
     difference = multiply(xg, yg) - multiply(yg, xg)
     assert g._comm == {}
     assert commutator(xg, yg) == difference
-    assert g._word == {}
+    assert g._word == {} and g._bracket == {}
 
     # the word routes never fill the commutator table, and the word table
     # holds one entry at most per ordered pair of monomials read
@@ -578,11 +580,11 @@ def test_independent_routes_leave_the_commutator_table_empty(monkeypatch):
     for ctx, pairs in ((ScalarContext.torsion(3), 20), (ScalarContext.generic(), 5)):
         read.clear()
         verify_oracle(ctx, pairs=pairs, seed=0)
-        assert ctx._comm == {}
+        assert ctx._comm == {} and ctx._bracket == {}
         assert ctx._word and set(ctx._word) <= read
         x = mono(ctx, 4, -2) + mono(ctx, 1, 3, ctx.q())
         assert normal_to_element(ctx, straighten(multiply(x, x))) == multiply(x, x)
-        assert ctx._comm == {}
+        assert ctx._comm == {} and ctx._bracket == {}
 
 
 def test_oracle_catches_a_planted_structure_constant_fault(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -307,6 +308,78 @@ def test_telescoped_witness_evaluates_shared_chains_once(p3, monkeypatch):
     assert construct_basis_element(p3, Monomial(n, 0)).value == mono(p3, n, 0)
     # the chains extend one nest: 2n distinct brackets, not about n^2 / 2
     assert len(calls) == 2 * n
+
+
+def _window_witnesses(ctx):
+    """(monomial, witness text, value JSON) for every Lie monomial of the 2p + 2 window."""
+    w = 2 * ctx.p + 2
+    out = []
+    for k in range(w + 1):
+        for d in range(-w, w + 1):
+            m = Monomial(k, d)
+            if classify_monomial(ctx, m).is_lie:
+                got = construct_basis_element(ctx, m)
+                out.append((m, got.expr.text(), got.value.to_json_obj()))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_warm_witnesses_equal_fresh_ones(p):
+    # a context warmed by every witness of the window builds each one again,
+    # by text and by value, as a context that has built nothing
+    warm = ScalarContext.torsion(p)
+    _window_witnesses(warm)
+    for m, text, value in _window_witnesses(warm):
+        fresh = construct_basis_element(ScalarContext.torsion(p), m)
+        assert (fresh.expr.text(), fresh.value.to_json_obj()) == (text, value), m
+
+
+def test_second_pass_of_witnesses_reads_the_bracket_table(p5, monkeypatch):
+    first = _window_witnesses(p5)
+    stored = len(p5._bracket)
+    assert stored and all(node is not None for node, _ in p5._bracket.values())
+    calls = []
+    real = liepoly.commutator
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(liepoly, "commutator", counting)
+    # every witness but the central-power brackets of C^n, n = 1 (mod p), is
+    # a chain or a sum of chains, and reads its chains from the table
+    for m, text, value in first:
+        calls.clear()
+        got = construct_basis_element(p5, m)
+        assert (got.expr.text(), got.value.to_json_obj()) == (text, value)
+        central = m.d == 0 and m.k > 1 and m.k % 5 == 1
+        assert len(calls) == (1 if central else 0), m
+    assert len(p5._bracket) == stored
+    # a tree built by hand is evaluated in full and stores nothing, even when
+    # it has the structure of a stored chain
+    calls.clear()
+    by_hand = Bracket(Leaf("A"), Bracket(Leaf("A"), Leaf("B")))
+    assert eval_bracket_expr(p5, by_hand) == mono(p5, 1, -1, p5.q() - p5.one())
+    assert len(calls) == 2 and len(p5._bracket) == stored
+
+
+def test_equal_chains_are_one_node():
+    # the [A, .] bump of the k = 0 chain is the next chain, and C is (ad A) B
+    assert liepoly._node(liepoly._A, liepoly._chain_A(0, 3)) is liepoly._chain_A(0, 4)
+    assert liepoly._ad_A_B(1) is liepoly._C
+    assert liepoly._chain_B(2, 3) is liepoly._node(liepoly._B, liepoly._chain_B(2, 2))
+    assert liepoly._chain_G(4).right is liepoly._node(liepoly._C, liepoly._chain_G(3).right)
+
+
+def test_threads_building_witnesses_read_what_one_thread_reads():
+    # bracket-table entries are stored once and never changed, so two threads
+    # building the same witnesses on one context read what one thread reads
+    expected = _window_witnesses(ScalarContext.torsion(7))
+    for _ in range(2):
+        ctx = ScalarContext.torsion(7)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(_window_witnesses, ctx) for _ in range(2)]
+            assert [f.result(timeout=120) for f in futures] == [expected, expected]
 
 
 # ---------------------------------------------------------------------------

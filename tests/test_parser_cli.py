@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qheis import heisenberg, verify
 from qheis.cli import MAX_TABLE_TERMS, _build_parser, _table_terms, main
@@ -494,6 +494,11 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
      "binomial rows of 23755734 coefficients, above the budget MAX_BINOMIAL_ROW_TERMS"),
     (["--p", "3", "verify", "torsion-paths", "--kmax", "0", "--dmax", "200"],
      "verify torsion-paths at p = 3, dmax = 200 would build binomial rows of 33845201"),
+    # so is a power of one term whose coefficient is not rational, on its integer parts
+    (["normalize", "--", "(" + "9" * 4300 + "*q*A)^256"], "coefficient power too long to print"),
+    (["--p", "3", "normalize", "--", "(" + "9" * 4300 + "*q)^256"],
+     "coefficient power too long to print"),
+    (["normalize", "--", "((" + "9" * 4300 + "+q)*A)^256"], "coefficient power too long to print"),
 ])
 def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     t0 = time.perf_counter()
@@ -514,6 +519,8 @@ def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     ["normalize", "--", "(1/2+1/3)^4096*A"],    # 5/6 to the 4096th, 3,188 digits
     ["normalize", "--", "0*99^4096*A"],         # the zero factor is met first
     ["normalize", "A^160*B^160"],
+    ["normalize", "--", "(9^64*q*A)^60"],         # (9^64*q)^60: 3,435 digits
+    ["--p", "3", "normalize", "--", "(9^64*q*B)^60"],
 ])
 def test_cli_accepts_inputs_at_a_work_budget(argv):
     code, stdout, err = _call(argv)
@@ -671,7 +678,26 @@ _FUZZ_TEXT = st.one_of(
 )
 
 
+@pytest.mark.parametrize("argv", [
+    ["comm", "--", "A", "--"],
+    ["comm", "A", "--", "--"],
+    ["--p", "3", "--format", "json", "comm", "--", "--", "--"],
+    ["normalize", "--", "--"],
+    ["--p", "5", "construct", "--", "--"],
+])
+def test_cli_a_lone_double_dash_is_a_usage_error(argv):
+    # argparse before Python 3.12 hands `comm -- A --`'s second expression
+    # over as []; from 3.12 it is the text '--', a parse error
+    code, stdout, err = _call(argv)
+    assert (code, stdout) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @settings(max_examples=200, deadline=None)
+@example("comm", [], [], "A", "--")
+@example("comm", ["--p", "3"], ["--format", "json"], "--", "--")
+@example("normalize", ["--p", "2"], [], "--", "A")
 @given(st.sampled_from(["normalize", "comm", "member", "construct"]),
        st.sampled_from([[], ["--p", "2"], ["--p", "3"], ["--p", "5"]]),
        st.sampled_from([[], ["--format", "json"]]),

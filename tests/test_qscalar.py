@@ -18,6 +18,7 @@ from qheis.qscalar import (
     format_scalar,
     parse_scalar,
     poly_from_str,
+    power_bits,
     poly_to_str,
     q_binomial,
     q_binomial_lucas,
@@ -474,6 +475,45 @@ def test_power_is_the_product_of_its_factors(name, spec, n):
     for _ in range(abs(n)):
         want = want * factor
     assert x ** n == want
+
+
+def _largest_bits(x) -> int:
+    """The largest bit length among the integers of x's canonical form."""
+    den = x.den if isinstance(x, GenericScalar) else (x.den,)
+    return max(abs(c).bit_length() for c in (*x.num, *den))
+
+
+# a scalar m (sum of a_i q^i) / b / (c + q)^j with large integer parts
+SIZED_SCALAR = st.tuples(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+                         st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
+                         st.integers(1, 9), st.integers(0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONTEXT_NAMES), SIZED_SCALAR, st.integers(1, 6))
+def test_power_bits_bound_the_integers_of_every_power(name, spec, n):
+    # the rule that refuses a coefficient power before it is taken may refuse
+    # only powers that really write an integer of n*(b - 1) + 1 bits or more
+    ctx = CONTEXTS[name]
+    coeffs, m, b, c, j = spec
+    x = ctx.zero()
+    for i, a in enumerate(coeffs):
+        x = x + ctx.from_int(a) * ctx.q_power(i)
+    x = x * ctx.from_fraction(Fraction(m, b))
+    if j and not (ctx.q() + ctx.from_int(c)).is_zero():
+        x = x * (ctx.q() + ctx.from_int(c)).inverse()
+    if not x:
+        assert power_bits(x) == 0
+        return
+    assert _largest_bits(x ** n) >= n * (power_bits(x) - 1) + 1
+
+
+def test_power_bits_of_a_torsion_scalar_leave_its_denominator_out(p3):
+    # ((1 - q)/3)^2 = -q/3 at p = 3: the denominator of a power can shrink
+    x = (p3.one() - p3.q()) * p3.from_fraction(Fraction(1, 3))
+    assert x * x == -p3.q() * p3.from_fraction(Fraction(1, 3))
+    assert power_bits(x) == 1
+    assert power_bits(p3.from_fraction(Fraction(2, 9))) == 4
 
 
 def test_generic_products_past_the_serialized_degree_cap_are_refused(generic):
