@@ -250,10 +250,10 @@ def _run(args, ctx: ScalarContext) -> int:
 
     if args.command == "closure":
         basis = lie_closure(ctx, args.depth, args.kmax, args.dmax)
+        header = (f"dimension {basis.dimension} "
+                  f"(depth {args.depth}, k <= {args.kmax}, |d| <= {args.dmax})")
         _emit(args,
-              lambda: (f"dimension {basis.dimension} "
-                       f"(depth {args.depth}, k <= {args.kmax}, |d| <= {args.dmax})\n"
-                       + basis.text()),
+              lambda: f"{header}\n{basis.text()}" if basis.rows else header,
               lambda: {
                   "depth": args.depth,
                   "kmax": args.kmax,

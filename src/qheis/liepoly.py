@@ -103,39 +103,63 @@ def _in_forbidden_subspace(p: int, m: Monomial) -> bool:
     return m.k >= 1 and m.d != 0 and m.k % p == 0 and m.d % p == 0
 
 
+def _is_lie(p: int, m: Monomial, defn2_literal: bool) -> bool:
+    """Whether the basis monomial m (k >= 0) is a Lie polynomial: the classification rule.
+
+    The grade-0 column holds C^n for n not divisible by p (with
+    `defn2_literal`, C and the C^n with n - 1 not divisible by p); the
+    identity is not Lie.  A pure letter power is Lie only as a
+    generator, and a mixed monomial unless it lies in the forbidden
+    subspace.
+    """
+    k, d = m
+    if d == 0:
+        if defn2_literal:
+            return k == 1 or (k >= 2 and (k - 1) % p != 0)
+        return k % p != 0
+    if k == 0:
+        return d == 1 or d == -1
+    return not _in_forbidden_subspace(p, m)
+
+
+# The rows of the classification, each verdict as `_is_lie` gives it
+_IDENTITY = MonomialClass(False, False, "the identity monomial")
+_LIE_C = MonomialClass(True, False, "C power with exponent not divisible by p")
+_NOT_LIE_C = MonomialClass(False, False,
+                           "C power with exponent divisible by p (never generated by brackets)")
+_LIE_C_LITERAL = MonomialClass(True, False, "C power in the literal spanning set")
+_NOT_LIE_C_LITERAL = MonomialClass(
+    False, False, "C power excluded by the literal spanning set (k-1 divisible by p)")
+_GENERATOR = MonomialClass(True, False, "a generator")
+_LIE_MIXED = MonomialClass(True, False, "mixed monomial with an exponent not divisible by p")
+_FORBIDDEN = MonomialClass(False, True, "forbidden subspace: both exponents divisible by p")
+
+
 def classify_monomial(ctx: ScalarContext, m: Monomial, defn2_literal: bool = False) -> MonomialClass:
     """Decide whether a basis monomial is a Lie polynomial in A, B.
 
     With `defn2_literal` the grade-0 column follows the literal
     spanning-set reading (C^n excluded when n >= 2 and n-1 ≡ 0 mod p)
-    instead of the closure-backed default (C^n excluded iff p | n).
+    instead of the closure-backed default (C^n excluded iff p | n).  The
+    verdict is `_is_lie`'s, the rule `is_lie_polynomial` reads too; this
+    function only picks the row, which carries the reason.
     """
     ctx.require_torsion("classify_monomial")
     p = ctx.p
     k, d = m
     if k < 0:
         raise ValueError("negative C exponent")
+    if _is_lie(p, m, defn2_literal):
+        if d == 0:
+            return _LIE_C_LITERAL if defn2_literal else _LIE_C
+        return _GENERATOR if k == 0 else _LIE_MIXED
     if d == 0:
         if k == 0:
-            return MonomialClass(False, False, "the identity monomial")
-        if defn2_literal:
-            if k >= 2 and (k - 1) % p == 0:
-                return MonomialClass(False, False,
-                                     "C power excluded by the literal spanning set (k-1 divisible by p)")
-            return MonomialClass(True, False, "C power in the literal spanning set")
-        if k % p == 0:
-            return MonomialClass(False, False,
-                                 "C power with exponent divisible by p (never generated by brackets)")
-        return MonomialClass(True, False, "C power with exponent not divisible by p")
-    l = abs(d)
+            return _IDENTITY
+        return _NOT_LIE_C_LITERAL if defn2_literal else _NOT_LIE_C
     if k == 0:
-        if l == 1:
-            return MonomialClass(True, False, "a generator")
-        return MonomialClass(False, False, f"pure letter power with exponent {l} >= 2")
-    if _in_forbidden_subspace(p, m):
-        return MonomialClass(False, True,
-                             "forbidden subspace: both exponents divisible by p")
-    return MonomialClass(True, False, "mixed monomial with an exponent not divisible by p")
+        return MonomialClass(False, False, f"pure letter power with exponent {abs(d)} >= 2")
+    return _FORBIDDEN
 
 
 def project_N(x: Element) -> Element:
@@ -151,16 +175,15 @@ def is_lie_polynomial(x: Element, defn2_literal: bool = False):
 
     An element is a Lie polynomial exactly when its coordinates on the
     non-member basis monomials all vanish, because the claimed basis
-    monomials are linearly independent.
+    monomials are linearly independent.  Each term is decided by
+    `_is_lie`, the rule behind `classify_monomial`, with no reason text
+    written.
     """
-    x.ctx.require_torsion("is_lie_polynomial")
-    residual_terms = {
-        m: c
-        for m, c in x.terms.items()
-        if not classify_monomial(x.ctx, m, defn2_literal).is_lie
-    }
-    residual = Element(x.ctx, residual_terms, _clean=True)
-    return residual.is_zero(), residual
+    ctx = x.ctx
+    ctx.require_torsion("is_lie_polynomial")
+    p = ctx.p
+    residual = {m: c for m, c in x.terms.items() if not _is_lie(p, m, defn2_literal)}
+    return not residual, Element(ctx, residual, _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -518,43 +541,62 @@ def construct_basis_element(ctx: ScalarContext, m: Monomial, defn2_literal: bool
 # Exact row reduction and the bracket-closure oracle
 # ---------------------------------------------------------------------------
 
+def _tail(terms: dict, lead: Monomial):
+    """The (monomial, coefficient) pairs of a row's terms but its lead."""
+    tail = dict(terms)
+    del tail[lead]
+    return tail.items()
+
+
 class RowReducer:
     """Incremental exact Gaussian elimination over the scalar field.
 
     Rows are elements with pairwise distinct leading monomials in the
-    canonical order (grade, then C exponent); each stored row is
-    normalized to leading coefficient one.
+    canonical order (grade, then C exponent); each stored row is monic,
+    normalized to leading coefficient one, and its tail (the terms after
+    the lead) is kept beside it.  An elimination step therefore pops the
+    lead coefficient c from the remainder and subtracts c times the
+    row's tail: the lead cancels exactly, with no product c * 1 formed.
     """
 
     def __init__(self, ctx: ScalarContext):
         self.ctx = ctx
         self.rows: dict[Monomial, Element] = {}
+        self._tails: dict = {}
 
     @staticmethod
     def _lead(x: Element) -> Monomial:
         return min(x.terms, key=_mono_key)
 
+    def _eliminate(self, terms: dict) -> Monomial | None:
+        """Reduce a terms dict in place; returns the lead no row holds, or None at zero."""
+        tails = self._tails
+        while terms:
+            lead = min(terms, key=_mono_key)
+            tail = tails.get(lead)
+            if tail is None:
+                return lead
+            _add_into(terms, tail, terms.pop(lead), subtract=True)
+        return None
+
     def reduce(self, x: Element) -> Element:
         """Remainder of x against the current rows."""
         self.ctx.ensure_same(x.ctx)
         terms = dict(x.terms)
-        while terms:
-            lead = min(terms, key=_mono_key)
-            row = self.rows.get(lead)
-            if row is None:
-                break
-            _add_into(terms, row.terms.items(), terms[lead], subtract=True)
+        self._eliminate(terms)
         return Element(self.ctx, terms, _clean=True)
 
     def insert(self, x: Element) -> Element | None:
         """Insert x; returns the normalized new row, or None if dependent."""
-        rem = self.reduce(x)
-        if rem.is_zero():
+        self.ctx.ensure_same(x.ctx)
+        terms = dict(x.terms)
+        lead = self._eliminate(terms)
+        if lead is None:
             return None
-        lead = self._lead(rem)
-        rem = rem.scale(rem.terms[lead].inverse())
-        self.rows[lead] = rem
-        return rem
+        row = Element(self.ctx, terms, _clean=True).scale(terms[lead].inverse())
+        self.rows[lead] = row
+        self._tails[lead] = _tail(row.terms, lead)
+        return row
 
     def contains(self, x: Element) -> bool:
         return self.reduce(x).is_zero()
@@ -566,7 +608,9 @@ class RowReducer:
         below its pivot, so by the time a pivot is cleared its row holds
         no other pivot, and subtracting it adds only non-pivot monomials.
         The rows holding each pivot therefore never change before it is
-        cleared, and are indexed once.
+        cleared, and are indexed once.  As in `reduce`, a holder's
+        coefficient at the pivot is popped and the monic row's tail
+        subtracted.
         """
         order = sorted(self.rows, key=_mono_key)
         out = {lead: dict(self.rows[lead].terms) for lead in order}
@@ -576,15 +620,22 @@ class RowReducer:
                 if mono != lead and mono in holders:
                     holders[mono].append(lead)
         for lead in reversed(order):
-            row = out[lead]
-            for other_lead in holders[lead]:
-                other = out[other_lead]
-                _add_into(other, row.items(), other[lead], subtract=True)
+            if holders[lead]:
+                tail = _tail(out[lead], lead)
+                for other_lead in holders[lead]:
+                    other = out[other_lead]
+                    _add_into(other, tail, other.pop(lead), subtract=True)
         return [Element(self.ctx, out[lead], _clean=True) for lead in order]
 
 
 class SubspaceBasis:
-    """Row-reduced exact basis of a spanned subspace, windowed."""
+    """Row-reduced exact basis of a spanned subspace, windowed.
+
+    The rows are in reduced echelon form and monic: each row's leading
+    monomial (its pivot) has coefficient one, and no row holds another
+    row's pivot.  `lie_closure` builds them so; a caller building a basis
+    by hand must keep both invariants, which `contains` relies on.
+    """
 
     def __init__(self, ctx: ScalarContext, kmax: int, dmax: int, rows: tuple):
         self.ctx = ctx
@@ -597,22 +648,37 @@ class SubspaceBasis:
         return len(self.rows)
 
     @cached_property
-    def _index(self) -> RowReducer:
-        """The rows as a reducer keyed by leading monomial, built on first use.
-
-        The rows are in reduced echelon form, so inserting them one by one
-        would leave each unchanged; they are indexed as they are.
-        """
-        index = RowReducer(self.ctx)
-        index.rows = {RowReducer._lead(r): r for r in self.rows}
-        return index
+    def _tails(self) -> dict:
+        """Each row's tail (its terms but the pivot), keyed by pivot; built on first use."""
+        tails = {}
+        for row in self.rows:
+            lead = RowReducer._lead(row)
+            tails[lead] = _tail(row.terms, lead)
+        return tails
 
     def contains(self, x: Element) -> bool:
-        """Whether x lies in the span; raises for an element of another context."""
-        return self._index.contains(x)
+        """Whether x lies in the span; raises for an element of another context.
+
+        A span element is the sum of x_l times row l over the pivots l,
+        x_l its coordinate at l, since no row holds another's pivot.  So
+        x is in the span exactly when x minus that sum is zero, and each
+        monic row's lead cancels x_l exactly: the residual is x's terms
+        off the pivots minus x_l times each tail, summed in one pass over
+        x's terms.
+        """
+        self.ctx.ensure_same(x.ctx)
+        tails = self._tails
+        residual: dict = {}
+        for m, c in x.terms.items():
+            tail = tails.get(m)
+            if tail is None:
+                _add_into(residual, ((m, c),))
+            else:
+                _add_into(residual, tail, c, subtract=True)
+        return not residual
 
     def leading_monomials(self) -> list[Monomial]:
-        return [RowReducer._lead(r) for r in self.rows]
+        return list(self._tails)
 
     def text(self) -> str:
         return "\n".join(r.text() for r in self.rows)

@@ -966,13 +966,24 @@ def power_bits(s: Scalar) -> int:
     (Gauss's lemma, and reduction mod the monic Phi_p keeps the content),
     and c is prime to den, so cancelling den^n leaves c^n.  A torsion
     rational's denominator counts too: its power is never reduced.
+
+    A torsion denominator is read through the norm N, since a power can
+    cancel part of it (((1 - q)/3)^2 = -q/3 at p = 3).  For s = a/den,
+    N(a) is an integer of at most |a|_1^phi (no conjugate of a exceeds
+    |a|_1 = sum |a_i|), so N(s) has a denominator of at least
+    (den/|a|_1)^phi.  N(s^n) = N(s)^n, and its denominator divides D^phi,
+    D the reduced denominator of s^n, so D >= (den/|a|_1)^n.  D is the
+    lcm of the phi denominators written, one per coordinate in lowest
+    terms, so one of them is at least D^(1/phi).
     """
     if not s:
         return 0
     if isinstance(s, GenericScalar):
         parts = (s.num[0], s.num[-1], s.den[0], s.den[-1])
     elif any(s.num[1:]):
-        parts = (math.gcd(*s.num),)
+        # den/|a|_1 > 2^(bits(den) - 1 - bits(|a|_1)), taken to the power n/phi
+        norm_bits = (s.den.bit_length() - 1 - sum(map(abs, s.num)).bit_length()) // s.ctx.phi
+        return max(math.gcd(*s.num).bit_length(), norm_bits + 1)
     else:
         parts = (s.num[0], s.den)
     return max(abs(x).bit_length() for x in parts)

@@ -15,6 +15,7 @@ from qheis.liepoly import (
     NotLiePolynomialError,
     RowReducer,
     ScaledSum,
+    SubspaceBasis,
     base_A,
     base_B,
     base_G,
@@ -31,7 +32,7 @@ from qheis.liepoly import (
     special_A,
     special_B,
 )
-from qheis.qscalar import ContextMismatchError, ScalarContext, q_int
+from qheis.qscalar import ContextMismatchError, CycloScalar, ScalarContext, q_int
 
 from conftest import closure_rows_reference, mono
 
@@ -86,6 +87,26 @@ def test_membership_examples(p3):
     x = mono(p3, 3, -3) + mono(p3, 1, -1)
     ok, res = is_lie_polynomial(x)
     assert not ok and res == mono(p3, 3, -3)
+
+
+@pytest.mark.parametrize("defn2_literal", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_membership_reads_the_classification_termwise(p, defn2_literal):
+    # is_lie_polynomial and classify_monomial read one rule; neither may drift
+    ctx = ScalarContext.torsion(p)
+    w = 2 * p + 2
+    grid = [Monomial(k, d) for k in range(w + 1) for d in range(-w, w + 1)]
+    lie = {m: classify_monomial(ctx, m, defn2_literal).is_lie for m in grid}
+    assert any(lie.values()) and not all(lie.values())
+    for m in grid:
+        ok, res = is_lie_polynomial(mono(ctx, m.k, m.d), defn2_literal)
+        assert (ok, res) == (lie[m], Element.zero(ctx) if lie[m] else mono(ctx, m.k, m.d))
+    x = Element.zero(ctx)
+    for i, m in enumerate(grid):
+        x = x + mono(ctx, m.k, m.d, ctx.from_int(i + 1))
+    ok, res = is_lie_polynomial(x, defn2_literal)
+    assert not ok
+    assert res.terms == {m: c for m, c in x.terms.items() if not lie[m]}
 
 
 def test_project_N(p3):
@@ -404,6 +425,29 @@ def test_row_reducer_rref(p3):
         for j, other in enumerate(rref):
             if i != j:
                 assert leads[i] not in other.terms
+
+
+def test_warm_membership_reads_form_no_scalar_product(monkeypatch):
+    # the depth-16, window-8 closure at p = 5 is the benchmark's read basis; a
+    # read sums x's terms against the row tails once, with no elimination step
+    ctx = ScalarContext.torsion(5)
+    basis = lie_closure(ctx, 16, 8, 8)
+    q, half = ctx.q(), ctx.from_int(2).inverse()
+    reads = [mono(ctx, 1, -1, q) + mono(ctx, 3, 2, half),        # two Lie monomials
+             mono(ctx, 5, -5, q) + mono(ctx, 2, 0),              # C^5 A^5 lies in N
+             mono(ctx, 5, 0, half), Element.identity(ctx),       # never generated
+             mono(ctx, 9, 1), mono(ctx, 0, 3) + mono(ctx, 1, 1),  # outside the window
+             Element.zero(ctx)]
+    want = [True, False, False, False, False, False, True]
+    assert [basis.contains(x) for x in reads] == want
+    fresh = SubspaceBasis(ctx, 8, 8, basis.rows)     # its first read indexes the rows
+    products, reduces = [], []
+    mul, reduce = CycloScalar.__mul__, RowReducer.reduce
+    monkeypatch.setattr(CycloScalar, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(RowReducer, "reduce", lambda self, x: reduces.append(1) or reduce(self, x))
+    assert [basis.contains(x) for x in reads] == want
+    assert [fresh.contains(x) for x in reads] == want
+    assert (products, reduces) == ([], [])
 
 
 def test_closure_small_windows(p2):

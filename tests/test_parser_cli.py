@@ -262,6 +262,15 @@ def test_cli_closure(capsys):
     assert code == 0 and out.splitlines()[0].startswith("dimension 5")
 
 
+def test_cli_empty_closure_prints_its_header_alone(capsys):
+    code, out, _ = run_cli(capsys, "--p", "5", "closure", "--depth", "1",
+                           "--kmax", "0", "--dmax", "0")
+    assert (code, out) == (0, "dimension 0 (depth 1, k <= 0, |d| <= 0)\n")
+    code, out, _ = run_cli(capsys, "--p", "2", "closure", "--depth", "1",
+                           "--kmax", "1", "--dmax", "1")
+    assert (code, out) == (0, "dimension 2 (depth 1, k <= 1, |d| <= 1)\n(1)*A\n(1)*B\n")
+
+
 def test_cli_verify_green_suite(capsys):
     code, out, _ = run_cli(capsys, "--p", "2", "verify", "lemma3")
     assert code == 0 and "ok" in out
@@ -499,6 +508,11 @@ def test_cli_rejects_numbers_past_the_digit_limit(tmp_path, argv, message):
     (["--p", "3", "normalize", "--", "(" + "9" * 4300 + "*q)^256"],
      "coefficient power too long to print"),
     (["normalize", "--", "((" + "9" * 4300 + "+q)*A)^256"], "coefficient power too long to print"),
+    # and on its torsion denominator, through the norm
+    (["--p", "5", "normalize", "--", "(1/" + "9" * 4300 + "*q*B)^256"],
+     "coefficient power too long to print"),
+    (["--p", "5", "normalize", "--", "(1/" + "9" * 4300 + "*q)^256"],
+     "coefficient power too long to print"),
 ])
 def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     t0 = time.perf_counter()
@@ -521,6 +535,8 @@ def test_cli_rejects_inputs_over_a_work_budget(argv, message):
     ["normalize", "A^160*B^160"],
     ["normalize", "--", "(9^64*q*A)^60"],         # (9^64*q)^60: 3,435 digits
     ["--p", "3", "normalize", "--", "(9^64*q*B)^60"],
+    # ((1 - q)/3)^40 = q^20/3^20: its denominator meets the norm bound D^2 >= 3^40 exactly
+    ["--p", "3", "normalize", "--", "((1/3 - 1/3*q)*B)^40"],
 ])
 def test_cli_accepts_inputs_at_a_work_budget(argv):
     code, stdout, err = _call(argv)

@@ -477,10 +477,14 @@ def test_power_is_the_product_of_its_factors(name, spec, n):
     assert x ** n == want
 
 
-def _largest_bits(x) -> int:
-    """The largest bit length among the integers of x's canonical form."""
-    den = x.den if isinstance(x, GenericScalar) else (x.den,)
-    return max(abs(c).bit_length() for c in (*x.num, *den))
+def _largest_written_bits(x) -> int:
+    """The largest bit length among the integers x's text and JSON write."""
+    if isinstance(x, GenericScalar):
+        ints = (*x.num, *x.den)     # written as stored
+    else:
+        # each coordinate in lowest terms, so not the common denominator itself
+        ints = [v for c in format_scalar(x) for v in (Fraction(c).numerator, Fraction(c).denominator)]
+    return max(abs(c).bit_length() for c in ints)
 
 
 # a scalar m (sum of a_i q^i) / b / (c + q)^j with large integer parts
@@ -505,15 +509,30 @@ def test_power_bits_bound_the_integers_of_every_power(name, spec, n):
     if not x:
         assert power_bits(x) == 0
         return
-    assert _largest_bits(x ** n) >= n * (power_bits(x) - 1) + 1
+    assert _largest_written_bits(x ** n) >= n * (power_bits(x) - 1) + 1
 
 
 def test_power_bits_of_a_torsion_scalar_leave_its_denominator_out(p3):
-    # ((1 - q)/3)^2 = -q/3 at p = 3: the denominator of a power can shrink
+    # ((1 - q)/3)^2 = -q/3 at p = 3: the denominator of a power can shrink,
+    # and |a|_1 = 2 leaves no bit of den = 3 to the norm rule
     x = (p3.one() - p3.q()) * p3.from_fraction(Fraction(1, 3))
     assert x * x == -p3.q() * p3.from_fraction(Fraction(1, 3))
     assert power_bits(x) == 1
     assert power_bits(p3.from_fraction(Fraction(2, 9))) == 4
+
+
+def test_power_bits_read_a_torsion_denominator_through_the_norm(p3, p5):
+    # N(x) = x * sigma_2(x) = 1/3 for x = (1 - q)/3 at p = 3, and
+    # x^40 = q^20/3^20 meets D^phi >= den(N(x))^40 exactly
+    x = (p3.one() - p3.q()) * p3.from_fraction(Fraction(1, 3))
+    assert x * ((p3.one() - p3.q_power(2)) * p3.from_fraction(Fraction(1, 3))) == \
+        p3.from_fraction(Fraction(1, 3))
+    assert (x ** 40).den ** p3.phi == 3 ** 40
+    # q/(10^6 - 1) at p = 5: (bits(den) - 1 - bits(|a|_1)) // phi = (20 - 1 - 1) // 4
+    y = p5.q() * p5.from_fraction(Fraction(1, 10 ** 6 - 1))
+    assert power_bits(y) == 5
+    for n in range(1, 9):
+        assert _largest_written_bits(y ** n) >= n * (power_bits(y) - 1) + 1
 
 
 def test_generic_products_past_the_serialized_degree_cap_are_refused(generic):
