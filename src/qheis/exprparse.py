@@ -23,11 +23,10 @@ A product is elaborated by folding its factors directly: its scalar
 factors (rationals, q and their powers) into one scalar applied once,
 and runs of letter powers whose products are single monomials into one
 monomial.  Only the remaining factors are multiplied as elements, and
-a power (r*m)^n of one term with r rational folds r^n into the scalar.
-Every rational power is taken by :func:`_rational_power`, which checks
-its size first, whatever text the rational was written as; a power of
-one term c*m with c not rational is checked the same way on c's
-integer parts (:func:`qscalar.power_bits`) before it is taken.
+a power (c*m)^n of one term folds c^n into the scalar, as every scalar
+is central.  Every scalar power, a literal's or a coefficient's, is
+taken by :func:`_scalar_power`, which first checks its size on c's
+integer parts (:func:`qscalar.power_bits`).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from fractions import Fraction
 
 from .heisenberg import (MONO_A, MONO_B, MONO_C, MONO_I, Element, Monomial, _add_into,
                          _mono_product, commutator)
-from .qscalar import Scalar, ScalarContext, as_fraction, power_bits
+from .qscalar import Scalar, ScalarContext, power_bits
 
 __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
 
@@ -55,8 +54,7 @@ MAX_NESTING = 100
 # str.isspace and str.isalnum (plus '_'); str.isdigit would also accept
 # other scripts' digits and superscripts.
 _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(\w+)|([-+*^\[\](),/])|(\S))")
-# x^n has at least n*(b - 1)*log10(2) digits when b is the larger bit length
-# of x's numerator and denominator
+# c^n writes an integer of at least n*(b - 1)*log10(2) digits, b = power_bits(c)
 _MAX_LITERAL_BITS = int(MAX_LITERAL_DIGITS * math.log2(10))
 
 
@@ -196,27 +194,20 @@ def parse_expression(text: str):
 _ATOMS = {"A": MONO_A, "B": MONO_B, "C": MONO_C, "I": MONO_I}
 
 
-def _check_power(what: str, bits: int, n: int) -> None:
-    """Raise ValueError when a power x^n of `what` surely has more than
-    ``MAX_LITERAL_DIGITS`` digits, x holding an integer of `bits` bits whose
-    n-th power x^n holds."""
-    if n * (bits - 1) > _MAX_LITERAL_BITS:
-        raise ValueError(f"{what} power too long to print (more than "
-                         f"{MAX_LITERAL_DIGITS} digits)")
-
-
-def _rational_power(x: Fraction, n: int) -> Fraction:
-    """x^n; raises ValueError first when it surely has more than
+def _scalar_power(c: Scalar, n: int) -> Scalar:
+    """c^n; raises ValueError first when it surely has more than
     ``MAX_LITERAL_DIGITS`` digits."""
-    _check_power("rational", max(x.numerator.bit_length(), x.denominator.bit_length()), n)
-    return x ** n
+    if n * (power_bits(c) - 1) > _MAX_LITERAL_BITS:
+        raise ValueError(f"coefficient power too long to print (more than "
+                         f"{MAX_LITERAL_DIGITS} digits)")
+    return c ** n
 
 
 def _scalar_factor(node, ctx: ScalarContext) -> Scalar | None:
     """The scalar a factor node denotes, or None when it is not a scalar."""
     base, n = (node[1], node[2]) if node[0] == "pow" else (node, 1)
     if base[0] == "num":
-        return ctx.from_fraction(_rational_power(base[1], n))
+        return _scalar_power(ctx.from_fraction(base[1]), n)
     if base == ("atom", "q"):
         return ctx.q_power(n)
     return None
@@ -257,13 +248,9 @@ def _elaborate_product(factors, ctx: ScalarContext) -> Element:
             base, n = elaborate(sub[1], ctx), sub[2]
             if len(base.terms) == 1:
                 ((m, c),) = base.terms.items()
-                x = as_fraction(c)
-                if x is not None:
-                    # (r*m)^n = r^n * m^n: r is central
-                    scalar = scalar * ctx.from_fraction(_rational_power(x, n))
-                    base = Element.monomial(ctx, m)
-                else:
-                    _check_power("coefficient", power_bits(c), n)
+                # (c*m)^n = c^n * m^n: c is central
+                scalar = scalar * _scalar_power(c, n)
+                base = Element.monomial(ctx, m)
             elements.append(base ** n)
         else:
             elements.append(elaborate(sub, ctx))

@@ -220,8 +220,10 @@ _B = Leaf("B")
 # The one shared node of each pure bracket, keyed by the identities of its
 # children (hash-consing).  A pure node has only A and B as leaves and no
 # ScaledSum inside; its children are themselves shared, and the node holds
-# them, so their ids are never reused.  No tree is hashed by structure: the
-# tuple hash recurses, which would cost a chain of n nodes O(n^2).
+# them, so their ids are never reused.  No node is ever dropped, so a
+# context's ``_bracket`` table keys on the node's id alone.  No tree is
+# hashed by structure: the tuple hash recurses, which would cost a chain
+# of n nodes O(n^2).
 _NODES: dict[tuple[int, int], Bracket] = {}
 
 
@@ -242,7 +244,7 @@ def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
 
     A shared node (one of the ad-chains this module builds) is evaluated
     once per context: its value is stored in the context's ``_bracket``
-    table, keyed by the node's id, beside the node itself.  Any other node
+    table, keyed by the node's id.  Any other node
     -- a `ScaledSum`, a bracket holding one, a tree built by the caller --
     is evaluated once per call and stored nowhere.
     """
@@ -262,12 +264,11 @@ def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
             elif _NODES.get((id(node.left), id(node.right))) is not node:
                 got = commutator(value(node.left), value(node.right))
             else:
-                entry = table.get(id(node))
-                if entry is None:
-                    entry = (node, commutator(value(node.left), value(node.right)))
-                    # stored once: a racing thread reads the entry stored first
-                    entry = table.setdefault(id(node), entry)
-                got = entry[1]
+                got = table.get(id(node))
+                if got is None:
+                    # stored once: a racing thread reads the value stored first
+                    got = table.setdefault(id(node), commutator(value(node.left),
+                                                                value(node.right)))
             done[id(node)] = got
         return got
 

@@ -50,7 +50,6 @@ __all__ = [
     "GenericScalar",
     "CycloScalar",
     "Scalar",
-    "as_fraction",
     "power_bits",
     "ContextMismatchError",
     "cyclotomic_poly",
@@ -441,9 +440,8 @@ class ScalarContext:
     monomials, and ``_comm`` the cancelled commutator kernels of
     `heisenberg.commutator`, and only `heisenberg` reads them.
     ``_bracket`` maps the id of each shared ad-chain node that
-    `liepoly.eval_bracket_expr` has evaluated to ``(node, value)``; the
-    entry holds the node, so its id is not reused while the entry exists,
-    and only `liepoly` reads it.
+    `liepoly.eval_bracket_expr` has evaluated to its value, and only
+    `liepoly` reads it.
     """
 
     __slots__ = (
@@ -947,25 +945,18 @@ class CycloScalar:
 Scalar = Union[GenericScalar, CycloScalar]
 
 
-def as_fraction(s: Scalar) -> Fraction | None:
-    """The rational value of s, or None when s is not rational."""
-    if isinstance(s, GenericScalar):
-        # zero is (0, (), (1,)), so sum(num) reads it too
-        rational = not s.v and len(s.num) <= 1 and len(s.den) == 1
-        return Fraction(sum(s.num), s.den[0]) if rational else None
-    return None if any(s.num[1:]) else Fraction(s.num[0], s.den)
-
-
 def power_bits(s: Scalar) -> int:
     """A bit length b such that s^n writes an integer of at least n*(b - 1) + 1
-    bits for every n >= 1, read from s's integer parts (0 for zero).
+    bits for every n >= 1, read from s's integer parts (0 for zero).  It is
+    the one size rule on a scalar power that `exprparse` takes.
 
+    A rational a/b in lowest terms gives, in either mode, the larger bit
+    length of a and b, exactly: its n-th power writes a^n and b^n.
     Generic: s^n is q^(nv) num^n / den^n, already reduced, whose end
     coefficients are the n-th powers of those of num and den.  Torsion:
     the numerators of s^n are multiples of c^n, c the content gcd(num)
     (Gauss's lemma, and reduction mod the monic Phi_p keeps the content),
-    and c is prime to den, so cancelling den^n leaves c^n.  A torsion
-    rational's denominator counts too: its power is never reduced.
+    and c is prime to den, so cancelling den^n leaves c^n.
 
     A torsion denominator is read through the norm N, since a power can
     cancel part of it (((1 - q)/3)^2 = -q/3 at p = 3).  For s = a/den,

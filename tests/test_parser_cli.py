@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qheis import heisenberg, verify
+from qheis import heisenberg, qscalar, verify
 from qheis.cli import MAX_TABLE_TERMS, _build_parser, _table_terms, main
 from qheis.exprparse import MAX_NESTING, ParseError, parse_element, parse_expression
 from qheis.heisenberg import Element, Monomial, bracket_support, commutator
@@ -154,6 +154,21 @@ def test_letter_and_scalar_factors_need_no_products(monkeypatch, generic, p5):
     # a mixed pair of letter powers is still one element product
     parse_element("A^2*B^3", generic)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, m, n", [
+    ("((1+q)*B)^4096", Monomial(0, 1), 4096),
+    ("((1+q)*C)^512", Monomial(1, 0), 512),
+])
+def test_a_one_term_power_takes_its_coefficient_by_squaring(monkeypatch, p5, text, m, n):
+    # (c*m)^n = c^n * m^n for any central c: c^n takes O(log n) scalar
+    # products, where n element products would take n - 1
+    calls = []
+    real = qscalar._cyclo_mul
+    monkeypatch.setattr(qscalar, "_cyclo_mul", lambda *args: calls.append(1) or real(*args))
+    got = parse_element(text, p5)
+    assert 0 < len(calls) <= 2 * n.bit_length()
+    assert got == Element.monomial(p5, m, p5.one() + p5.q()) ** n
 
 
 def test_print_parse_round_trip_torsion(p2, p3):
