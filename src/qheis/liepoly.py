@@ -512,6 +512,12 @@ def construct_basis_element(ctx: ScalarContext, m: Monomial, defn2_literal: bool
     grade-0 bump otherwise).  Raises for monomials that are not Lie
     polynomials, naming the classification row, and raises ValueError
     above the work budget `MAX_WITNESS_DEGREE` on k + |d|.
+
+    The expression depends on (p, m) alone, so past those checks it is
+    built once per context and stored in the context's ``_witness``
+    table; either reading may store it, since classification runs first
+    on every call.  Every call evaluates the expression and raises
+    ConstructionError unless its value is exactly m.
     """
     cls = classify_monomial(ctx, m, defn2_literal)
     if not cls.is_lie:
@@ -526,10 +532,12 @@ def construct_basis_element(ctx: ScalarContext, m: Monomial, defn2_literal: bool
         expr = _B
     elif m == MONO_C:
         expr = _C
-    elif d == 0:
-        expr = _witness_c_pow(ctx, k)
     else:
-        expr = _witness_mixed(ctx, k, d)
+        expr = ctx._witness.get(m)
+        if expr is None:
+            # stored once: a racing thread reads the expression stored first
+            expr = ctx._witness.setdefault(
+                m, _witness_c_pow(ctx, k) if d == 0 else _witness_mixed(ctx, k, d))
     value = eval_bracket_expr(ctx, expr)
     if value != Element.monomial(ctx, m):
         raise ConstructionError(

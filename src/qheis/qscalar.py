@@ -440,14 +440,16 @@ class ScalarContext:
     monomials, and ``_comm`` the cancelled commutator kernels of
     `heisenberg.commutator`, and only `heisenberg` reads them.
     ``_bracket`` maps the id of each shared ad-chain node that
-    `liepoly.eval_bracket_expr` has evaluated to its value, and only
-    `liepoly` reads it.
+    `liepoly.eval_bracket_expr` has evaluated to its value, and
+    ``_witness`` each basis monomial other than A, B and C to the bracket
+    expression `liepoly.construct_basis_element` built for it, stored
+    once with ``setdefault``; only `liepoly` reads them.
     """
 
     __slots__ = (
         "mode", "p", "modulus", "phi", "_red", "_zero", "_one", "_qbin",
         "_struct", "_qpow", "_inv_qm1", "_inv", "_galois", "_mono_nf", "_awb",
-        "_word", "_comm", "_text", "_bracket",
+        "_word", "_comm", "_text", "_bracket", "_witness",
     )
 
     def __init__(self, mode: str, p: int | None = None):
@@ -497,6 +499,7 @@ class ScalarContext:
         self._word: dict = {}
         self._comm: dict = {}
         self._bracket: dict = {}
+        self._witness: dict = {}
 
     @classmethod
     def generic(cls) -> "ScalarContext":

@@ -535,15 +535,26 @@ def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
     """The reports of the suites `names` selects, on the windows of `_windows`.
 
     Refuses a generic context, a theorem1 reachability window over
-    `_check_reach`, any suite whose `suite_costs` estimate is over
-    `MAX_VERIFY_GRID`, torsion-paths rows over `_check_rows` and a
-    torsion-paths window with dmax < p, where simplified-mixed-products
-    pairs no unit (`ValueError`), before the first suite runs.
+    `_check_reach`, a theorem1 depth below 2 (grade0-window-facts reads
+    C^j for 1 <= j <= depth // 2) or reachability window with no Lie
+    monomial (kmax = dmax = 0 holds the identity alone), any suite whose
+    `suite_costs` estimate is over `MAX_VERIFY_GRID`, torsion-paths rows
+    over `_check_rows` and a torsion-paths window with dmax < p, where
+    simplified-mixed-products pairs no unit (`ValueError`), before the
+    first suite runs.
     """
     ctx.require_torsion("run_suites")
     wanted = _selected(names)
     if "theorem1" in wanted:
         _check_reach(reach_kmax, reach_dmax)
+        if depth < 2:
+            raise ValueError(f"verify theorem1 at depth = {depth} is vacuous: "
+                             "grade0-window-facts has 0 checks when depth < 2")
+        # A and B are Lie under both readings, and so is C
+        if min(reach_kmax, reach_dmax) < 0 or reach_kmax + reach_dmax == 0:
+            raise ValueError(f"verify theorem1 at reach_kmax = {reach_kmax}, "
+                             f"reach_dmax = {reach_dmax} is vacuous: constructive-reachability "
+                             "has 0 checks in a window with no Lie monomial")
     for name, (size, unit, inputs) in suite_costs(ctx, names, kmax=kmax, dmax=dmax,
                                                   pairs=pairs).items():
         if size > MAX_VERIFY_GRID:

@@ -385,6 +385,61 @@ def test_second_pass_of_witnesses_reads_the_bracket_table(p5, monkeypatch):
     assert len(calls) == 2 and len(p5._bracket) == stored
 
 
+def test_warm_witnesses_reuse_their_stored_expressions(p5, monkeypatch):
+    # a witness's expression depends on (p, monomial) alone, so the second
+    # pass reads it from the context's witness table: no normalizer is
+    # rebuilt, and a mixed witness forms only normalizer x chain coefficient
+    first = _window_witnesses(p5)
+    calls = {"__mul__": 0, "inverse": 0, "__pow__": 0}
+    for name in calls:
+        def counting(*args, real=getattr(CycloScalar, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(CycloScalar, name, counting)
+    for m, text, value in first:
+        calls.update(dict.fromkeys(calls, 0))
+        got = construct_basis_element(p5, m)
+        assert (got.expr.text(), got.value.to_json_obj()) == (text, value)
+        assert calls["inverse"] == calls["__pow__"] == 0, m
+        if m.k and m.d:
+            assert calls["__mul__"] == 1, m
+        if m not in (Monomial(0, -1), Monomial(0, 1), Monomial(1, 0)):
+            assert got.expr is p5._witness[m], m
+
+
+def test_warm_witness_still_checks_its_value():
+    # the stored expression is evaluated on every call: a wrong chain value in
+    # the bracket table is caught by the warm witness too
+    ctx = ScalarContext.torsion(5)
+    m = Monomial(2, -3)
+    expr = construct_basis_element(ctx, m).expr
+    (_, chain), = expr.items
+    ctx._bracket[id(chain)] = ctx._bracket[id(chain)] + mono(ctx, 1, 0)
+    with pytest.raises(ConstructionError, match=r"witness for C\^2\*A\^3 evaluated to"):
+        construct_basis_element(ctx, m)
+    assert ctx._witness[m] is expr
+
+
+def test_witnesses_switch_readings_on_one_warm_context(p5):
+    # the witness table is keyed by the monomial alone: classification runs
+    # first on every call, so the literal reading still refuses its C powers
+    first = _window_witnesses(p5)
+    stored = dict(p5._witness)
+    for n in (6, 11):
+        with pytest.raises(NotLiePolynomialError):
+            construct_basis_element(p5, Monomial(n, 0), defn2_literal=True)
+    for n in (5, 10):
+        with pytest.raises(ConstructionError, match=f"no bracket combination reaches C\\^{n}"):
+            construct_basis_element(p5, Monomial(n, 0), defn2_literal=True)
+    both = 0
+    for m, text, value in first:
+        if classify_monomial(p5, m, defn2_literal=True).is_lie:
+            got = construct_basis_element(p5, m, defn2_literal=True)
+            assert (got.expr.text(), got.value.to_json_obj()) == (text, value), m
+            both += 1
+    assert both == len(first) - 2 and p5._witness == stored
+
+
 def test_equal_chains_are_one_node():
     # the [A, .] bump of the k = 0 chain is the next chain, and C is (ad A) B
     assert liepoly._node(liepoly._A, liepoly._chain_A(0, 3)) is liepoly._chain_A(0, 4)
@@ -402,6 +457,12 @@ def test_threads_building_witnesses_read_what_one_thread_reads():
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [pool.submit(_window_witnesses, ctx) for _ in range(2)]
             assert [f.result(timeout=120) for f in futures] == [expected, expected]
+        # both threads read one stored expression per witness but A, B and C
+        witnesses = [m for m, _, _ in expected]
+        assert set(ctx._witness) == set(witnesses) - {Monomial(0, -1), Monomial(0, 1),
+                                                        Monomial(1, 0)}
+        for m in ctx._witness:
+            assert construct_basis_element(ctx, m).expr is ctx._witness[m], m
 
 
 # ---------------------------------------------------------------------------

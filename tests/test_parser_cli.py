@@ -316,6 +316,30 @@ def test_cli_verify_vacuous_claim_is_usage_error(capsys, monkeypatch):
         assert f"p = {p}, dmax = {dmax} is vacuous: simplified-mixed-products" in lines[0]
 
 
+def test_cli_vacuous_theorem1_window_is_refused_before_any_suite(capsys, monkeypatch):
+    # depth 1 gives grade0-window-facts no C power to read, and a reach window
+    # of kmax = dmax = 0 holds the identity alone; either window refuses `all`
+    # before the first suite runs
+    calls = []
+    for name in ("verify_no_N_leakage", "verify_lemma3", "verify_derived_algebra",
+                 "verify_theorem1", "verify_torsion_paths", "verify_oracle"):
+        monkeypatch.setattr(verify, name, lambda *a, name=name, **k: calls.append(name) or [])
+    for window, message in [
+            (("--depth", "1"), "theorem1 at depth = 1 is vacuous: grade0-window-facts"),
+            (("--reach-kmax", "0", "--reach-dmax", "0"),
+             "theorem1 at reach_kmax = 0, reach_dmax = 0 is vacuous: constructive-reachability")]:
+        code, out, err = run_cli(capsys, "--p", "7", "verify", "all", *window)
+        assert (code, out, calls) == (2, "", [])
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    # the smallest windows that are not vacuous still run
+    for window in (("--depth", "2"), ("--reach-kmax", "0", "--reach-dmax", "1"),
+                   ("--reach-kmax", "1", "--reach-dmax", "0")):
+        calls.clear()
+        run_cli(capsys, "--p", "7", "verify", "theorem1", *window)
+        assert calls == ["verify_theorem1"]
+
+
 def test_cli_verify_json_payload_is_stable(capsys, tmp_path):
     def payload():
         code, out, _ = run_cli(capsys, "--p", "2", "--format", "json",

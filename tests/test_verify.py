@@ -189,6 +189,10 @@ SUITE_FUNCTIONS = ("verify_no_N_leakage", "verify_lemma3", "verify_derived_algeb
     (ScalarContext.generic(), {}, "run_suites needs a torsion context"),
     (ScalarContext.torsion(5), {"kmax": 3, "dmax": 3},
      "torsion-paths at p = 5, dmax = 3 is vacuous: simplified-mixed-products has 0 checks"),
+    (ScalarContext.torsion(3), {"depth": 1},
+     "theorem1 at depth = 1 is vacuous: grade0-window-facts has 0 checks when depth < 2"),
+    (ScalarContext.torsion(3), {"reach_kmax": 0, "reach_dmax": 0},
+     "theorem1 at reach_kmax = 0, reach_dmax = 0 is vacuous: constructive-reachability"),
 ])
 def test_run_suites_refuses_before_any_suite_runs(monkeypatch, ctx, window, message):
     calls = []
