@@ -22,7 +22,7 @@ discrepancy, which the verification reports do.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 from .heisenberg import (
@@ -244,32 +244,27 @@ def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
 
     A shared node (one of the ad-chains this module builds) is evaluated
     once per context: its value is stored in the context's ``_bracket``
-    table, keyed by the node's id.  Any other node
-    -- a `ScaledSum`, a bracket holding one, a tree built by the caller --
-    is evaluated once per call and stored nowhere.
+    table, keyed by the node's id, and read from there on every later
+    occurrence.  Any other node -- a `ScaledSum`, a bracket holding one,
+    a tree built by the caller -- is evaluated where it occurs and
+    stored nowhere.
     """
     table = ctx._bracket
-    done: dict[int, Element] = {}
 
     def value(node: BracketExpr) -> Element:
-        got = done.get(id(node))
+        if isinstance(node, Leaf):
+            return Element.monomial(ctx, MONO_A if node.gen == "A" else MONO_B)
+        if not isinstance(node, Bracket):
+            out: dict = {}
+            for c, sub in node.items:
+                _add_into(out, value(sub).terms.items(), c)
+            return Element(ctx, out, _clean=True)
+        if _NODES.get((id(node.left), id(node.right))) is not node:
+            return commutator(value(node.left), value(node.right))
+        got = table.get(id(node))
         if got is None:
-            if isinstance(node, Leaf):
-                got = Element.monomial(ctx, MONO_A if node.gen == "A" else MONO_B)
-            elif not isinstance(node, Bracket):
-                out: dict = {}
-                for c, sub in node.items:
-                    _add_into(out, value(sub).terms.items(), c)
-                got = Element(ctx, out, _clean=True)
-            elif _NODES.get((id(node.left), id(node.right))) is not node:
-                got = commutator(value(node.left), value(node.right))
-            else:
-                got = table.get(id(node))
-                if got is None:
-                    # stored once: a racing thread reads the value stored first
-                    got = table.setdefault(id(node), commutator(value(node.left),
-                                                                value(node.right)))
-            done[id(node)] = got
+            # stored once: a racing thread reads the value stored first
+            got = table.setdefault(id(node), commutator(value(node.left), value(node.right)))
         return got
 
     return value(e)
@@ -279,43 +274,30 @@ def eval_bracket_expr(ctx: ScalarContext, e: BracketExpr) -> Element:
 # The ad-chains, their normalizations and the constructors built on them
 # ---------------------------------------------------------------------------
 
-@cache
-def _ad_A_B(n: int) -> BracketExpr:
-    """(ad A)^n B."""
-    return _B if n == 0 else _node(_A, _ad_A_B(n - 1))
+def _ad(g: BracketExpr, n: int, node: BracketExpr) -> BracketExpr:
+    """(ad g)^n node, one shared node per step."""
+    for _ in range(n):
+        node = _node(g, node)
+    return node
 
 
-@cache
 def _chain_A(k: int, l: int) -> BracketExpr:
     """(ad C)^k (ad A)^(l+1) B, which evaluates to (-1)^k (q-1)^l (q^l-1)^k C^(k+1) A^l."""
     if k < 0 or l < 1:
         raise ValueError("base_A needs k >= 0 and l >= 1")
-    return _ad_A_B(l + 1) if k == 0 else _node(_C, _chain_A(k - 1, l))
+    return _ad(_C, k, _ad(_A, l + 1, _B))
 
 
-@cache
-def _ad_C_BBA(k: int) -> BracketExpr:
-    """(ad C)^k [B, [B, A]]."""
-    return _node(_B, _node(_B, _A)) if k == 0 else _node(_C, _ad_C_BBA(k - 1))
-
-
-@cache
 def _chain_B(k: int, l: int) -> BracketExpr:
     """(ad B)^(l-1) (ad C)^k [B, [B, A]], which evaluates to (q-1)^(k+1) (1-q^(k+1))^(l-1) B^l C^(k+1)."""
     if k < 0 or l < 1:
         raise ValueError("base_B needs k >= 0 and l >= 1")
-    return _ad_C_BBA(k) if l == 1 else _node(_B, _chain_B(k, l - 1))
-
-
-@cache
-def _ad_C_BAA(k: int) -> BracketExpr:
-    """(ad C)^k [[B, A], A], the nest that the grade-0 chains extend."""
-    return _node(_node(_B, _A), _A) if k == 0 else _node(_C, _ad_C_BAA(k - 1))
+    return _ad(_B, l - 1, _ad(_C, k, _node(_B, _node(_B, _A))))
 
 
 def _chain_G(k: int) -> BracketExpr:
     """The grade-0 chain [B, (ad C)^k [[B, A], A]]."""
-    return _node(_B, _ad_C_BAA(k))
+    return _node(_B, _ad(_C, k, _node(_node(_B, _A), _A)))
 
 
 def _norm_A(ctx: ScalarContext, k: int, l: int) -> Scalar:
@@ -333,13 +315,16 @@ def _telescoped_C(ctx: ScalarContext, n: int) -> ScaledSum:
     """C^n = (C - sum_{i<n-1} q^(i+1) (q-1)^-(i+1) base_G(i)) / {n}_q.
 
     base_G(i) is (-1)^i times `_chain_G(i)`.  Exact whenever {n}_q is
-    invertible, i.e. n not divisible by p.
+    invertible, i.e. n not divisible by p.  The chains extend one nest
+    (ad C)^i [[B, A], A], one node per step.
     """
     inv_n = q_int(ctx, n).inverse()
     items = [(inv_n, _C)]
+    nest = _node(_node(_B, _A), _A)
     for i in range(n - 1):
         c = inv_n * ctx.q_power(i + 1) * inv_qm1_power(ctx, i + 1)
-        items.append((c if i % 2 else -c, _chain_G(i)))
+        items.append((c if i % 2 else -c, _node(_B, nest)))
+        nest = _node(_C, nest)
     return ScaledSum(tuple(items))
 
 

@@ -293,13 +293,14 @@ def verify_theorem1(ctx: ScalarContext, depth: int, kmax: int, dmax: int,
                     "defn2_literal": defn2_literal},
     ) as reach:
         for m in _window_monomials(kmax, dmax):
-            if not classify_monomial(ctx, m, defn2_literal).is_lie:
-                continue
-            # a witness that does not evaluate to m raises ConstructionError
+            # a non-member is skipped; a witness that does not evaluate to m
+            # raises ConstructionError
             try:
                 construct_basis_element(ctx, m, defn2_literal)
                 error = None
-            except (NotLiePolynomialError, ConstructionError) as exc:
+            except NotLiePolynomialError:
+                continue
+            except ConstructionError as exc:
                 error = str(exc)
             if not reach.check(error is None):
                 reach.add_violation(lambda: {"monomial": m.text(), "error": error})
@@ -538,7 +539,9 @@ def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
     `_check_reach`, a theorem1 depth below 2 (grade0-window-facts reads
     C^j for 1 <= j <= depth // 2) or reachability window with no Lie
     monomial (kmax = dmax = 0 holds the identity alone), any suite whose
-    `suite_costs` estimate is over `MAX_VERIFY_GRID`, torsion-paths rows
+    `suite_costs` estimate is over `MAX_VERIFY_GRID`, a lemma4 window with
+    fewer than two Lie monomials, where derived-algebra-closure pairs none
+    (counted after the estimates bound the window), torsion-paths rows
     over `_check_rows` and a torsion-paths window with dmax < p, where
     simplified-mixed-products pairs no unit (`ValueError`), before the
     first suite runs.
@@ -561,6 +564,13 @@ def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
             raise ValueError(f"verify {name} at p = {ctx.p}{inputs} would take {size} {unit}, "
                              f"above the budget MAX_VERIFY_GRID = {MAX_VERIFY_GRID}")
     kmax, dmax, bound = _windows(ctx, kmax, dmax)
+    if "lemma4" in wanted:
+        lie = (m for m in _window_monomials(kmax, dmax)
+               if classify_monomial(ctx, m, defn2_literal).is_lie)
+        if len(list(itertools.islice(lie, 2))) < 2:
+            raise ValueError(f"verify lemma4 at p = {ctx.p}, kmax = {kmax}, dmax = {dmax} is "
+                             "vacuous: derived-algebra-closure has 0 checks in a window "
+                             "with fewer than two Lie monomials")
     if "torsion-paths" in wanted:
         _check_rows(ctx, dmax)
         if dmax < ctx.p:

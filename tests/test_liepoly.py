@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from qheis import cli, liepoly, verify
+from qheis.exprparse import parse_element
 from qheis.heisenberg import Element, Monomial, commutator
 from qheis.liepoly import (
     MAX_WITNESS_DEGREE,
@@ -310,6 +311,20 @@ def test_witness_texts_on_the_verify_windows_are_pinned():
     assert digest == "62fc70c54bcd04133a28780183141d0badd3e0075ea973664fc2a61375cf3b38"
 
 
+def test_witness_texts_parse_back_to_their_monomials():
+    # an independent route: the parser rebuilds each witness text through
+    # `commutator` alone, on a context whose node, bracket and witness
+    # tables are never read
+    count = 0
+    for p in (2, 3, 5, 7):
+        fresh = ScalarContext.torsion(p)
+        for m, text, _ in _window_witnesses(ScalarContext.torsion(p)):
+            assert parse_element(text, fresh) == Element.monomial(fresh, m), (p, m)
+            count += 1
+        assert fresh._bracket == {} and fresh._witness == {}
+    assert count == 999
+
+
 def test_witness_degree_budget(p3):
     # C A^255 (an [A, .] bump at p = 3) is at the budget, C A^256 past it
     w = construct_basis_element(p3, Monomial(1, -(MAX_WITNESS_DEGREE - 1)))
@@ -443,7 +458,7 @@ def test_witnesses_switch_readings_on_one_warm_context(p5):
 def test_equal_chains_are_one_node():
     # the [A, .] bump of the k = 0 chain is the next chain, and C is (ad A) B
     assert liepoly._node(liepoly._A, liepoly._chain_A(0, 3)) is liepoly._chain_A(0, 4)
-    assert liepoly._ad_A_B(1) is liepoly._C
+    assert liepoly._ad(liepoly._A, 1, liepoly._B) is liepoly._C
     assert liepoly._chain_B(2, 3) is liepoly._node(liepoly._B, liepoly._chain_B(2, 2))
     assert liepoly._chain_G(4).right is liepoly._node(liepoly._C, liepoly._chain_G(3).right)
 

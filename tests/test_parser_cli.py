@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qheis import heisenberg, qscalar, verify
+from qheis import cli, heisenberg, qscalar, verify
 from qheis.cli import MAX_TABLE_TERMS, _build_parser, _table_terms, main
 from qheis.exprparse import MAX_NESTING, ParseError, parse_element, parse_expression
 from qheis.heisenberg import Element, Monomial, bracket_support, commutator
@@ -338,6 +338,48 @@ def test_cli_vacuous_theorem1_window_is_refused_before_any_suite(capsys, monkeyp
         calls.clear()
         run_cli(capsys, "--p", "7", "verify", "theorem1", *window)
         assert calls == ["verify_theorem1"]
+
+
+def test_cli_vacuous_lemma4_window_is_refused_before_any_suite(capsys, monkeypatch):
+    # a window whose only Lie monomial is C gives derived-algebra-closure no
+    # pair; it refuses the whole run before the first suite, whatever else
+    # the run would cost
+    calls = []
+    for name in ("verify_no_N_leakage", "verify_lemma3", "verify_derived_algebra",
+                 "verify_theorem1", "verify_torsion_paths", "verify_oracle", "closure_rows"):
+        monkeypatch.setattr(verify, name, lambda *a, name=name, **k: calls.append(name) or [])
+    code, out, err = run_cli(capsys, "--p", "8", "verify", "lemma3", "lemma4", "theorem1",
+                             "oracle", "--kmax", "1", "--dmax", "0", "--depth", "300",
+                             "--pairs", "2200")
+    assert (code, out, calls) == (2, "", [])
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0] == (
+        "error: verify lemma4 at p = 8, kmax = 1, dmax = 0 is vacuous: derived-algebra-closure "
+        "has 0 checks in a window with fewer than two Lie monomials")
+    monkeypatch.undo()
+    # the smallest windows with a check still run: A and B, C and C^2, and at
+    # p = 2 C and C^2 under the literal reading, where C^2 is Lie
+    for argv in (("--p", "5", "verify", "lemma4", "--kmax", "0", "--dmax", "1"),
+                 ("--p", "3", "verify", "lemma4", "--kmax", "2", "--dmax", "0"),
+                 ("--p", "2", "--defn2-literal", "verify", "lemma4", "--kmax", "2", "--dmax", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("derived-algebra-closure: ok [1 checks, "), argv
+
+
+def test_cli_verify_exits_2_after_reporting_a_vacuous_claim(capsys, monkeypatch):
+    # a vacuous report that no up-front refusal caught is printed with the
+    # others, then exits 2, which takes precedence over a violation's 1
+    failed = verify.VerifyReport("failing-claim", {})
+    failed.check(False)
+    failed.add_violation(dict)
+    reports = [failed, verify.VerifyReport("empty-claim", {})]
+    monkeypatch.setattr(cli, "run_suites", lambda *a, **k: reports)
+    code, out, err = run_cli(capsys, "--p", "3", "verify", "lemma2")
+    assert code == 2
+    assert out == ("failing-claim: FAILED (1 violations) [1 checks, 0.00s]\n"
+                   "empty-claim: vacuous [0 checks, 0.00s]\n")
+    assert err == "error: vacuous, 0 checks in this window: empty-claim\n"
 
 
 def test_cli_verify_json_payload_is_stable(capsys, tmp_path):

@@ -176,6 +176,19 @@ def test_theorem1_refuses_a_window_over_the_witness_budget(monkeypatch):
     assert len(calls) == 0
 
 
+def test_grade0_facts_report_a_c_power_divisible_by_p_in_the_span(monkeypatch):
+    # a span that holds everything holds C^2 at p = 2; C^3 = C^(p+1) is not missing
+    class Everything:
+        def contains(self, x):
+            return True
+
+    monkeypatch.setattr(verify, "_window_span", lambda *a, **k: Everything())
+    grade0 = verify_theorem1(ScalarContext.torsion(2), depth=6, kmax=1, dmax=1)[2]
+    assert grade0.claim == "grade0-window-facts"
+    assert (grade0.pairs_checked, grade0.violations_total, grade0.violations) == (3, 1, [
+        {"monomial": "C^2", "detail": "power of C divisible by p entered the span"}])
+
+
 SUITE_FUNCTIONS = ("verify_no_N_leakage", "verify_lemma3", "verify_derived_algebra",
                    "verify_theorem1", "verify_torsion_paths", "verify_oracle", "closure_rows")
 
@@ -193,6 +206,12 @@ SUITE_FUNCTIONS = ("verify_no_N_leakage", "verify_lemma3", "verify_derived_algeb
      "theorem1 at depth = 1 is vacuous: grade0-window-facts has 0 checks when depth < 2"),
     (ScalarContext.torsion(3), {"reach_kmax": 0, "reach_dmax": 0},
      "theorem1 at reach_kmax = 0, reach_dmax = 0 is vacuous: constructive-reachability"),
+    # I and C: one Lie monomial, so derived-algebra-closure pairs none
+    (ScalarContext.torsion(8), {"kmax": 1, "dmax": 0},
+     "lemma4 at p = 8, kmax = 1, dmax = 0 is vacuous: derived-algebra-closure has 0 checks"),
+    (ScalarContext.torsion(3), {"kmax": 0, "dmax": 0}, "lemma4 at p = 3, kmax = 0, dmax = 0"),
+    # C^2 is Lie at p = 2 under the literal reading only
+    (ScalarContext.torsion(2), {"kmax": 2, "dmax": 0}, "lemma4 at p = 2, kmax = 2, dmax = 0"),
 ])
 def test_run_suites_refuses_before_any_suite_runs(monkeypatch, ctx, window, message):
     calls = []
