@@ -40,6 +40,7 @@ from .heisenberg import (
 from .liepoly import (
     MAX_WITNESS_DEGREE,
     _in_forbidden_subspace,
+    _is_lie,
     _window_span,
     classify_monomial,
     closure_rows,
@@ -62,7 +63,7 @@ __all__ = [
     "verify_torsion_paths",
     "verify_oracle",
     "run_suites",
-    "suite_costs",
+    "plan",
     "SUITE_NAMES",
     "MAX_VERIFY_GRID",
     "MAX_BINOMIAL_ROW_TERMS",
@@ -262,8 +263,8 @@ def _check_reach(kmax: int, dmax: int) -> None:
     """Refuse a reachability window with kmax + dmax above `MAX_WITNESS_DEGREE`:
     it holds monomials whose witnesses `construct_basis_element` refuses."""
     if kmax + dmax > MAX_WITNESS_DEGREE:
-        raise ValueError(f"reachability window kmax + dmax must be at most {MAX_WITNESS_DEGREE}, "
-                         f"got {kmax + dmax}: the witness budget "
+        raise ValueError(f"verify theorem1 reachability window kmax + dmax must be at most "
+                         f"{MAX_WITNESS_DEGREE}, got {kmax + dmax}: the witness budget "
                          f"MAX_WITNESS_DEGREE = {MAX_WITNESS_DEGREE}")
 
 
@@ -450,8 +451,11 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
     the memoized letter fold, and the result is converted back through
     the equal-power expansion.  That product is kept per pair in the
     context's ``_word`` table, and x * y is summed from it term pair by
-    term pair.  Nothing on that route touches the structure-constant
-    product or the commutator table.
+    term pair.  That route takes neither `multiply` nor the commutator
+    table, but it is not independent of `multiply`'s scalars: its last
+    step, `normal_to_element` through `ba_to_cbasis`, reads `struct_d`
+    from the same ``ctx._struct`` memo that `multiply` reads, so a wrong
+    structure scalar can pass on both routes alike (ROADMAP item 9).
     """
     rng = random.Random(seed)
 
@@ -487,106 +491,104 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
 SUITE_NAMES = ("lemma2", "lemma3", "lemma4", "theorem1", "torsion-paths", "oracle", "all")
 
 
-def _selected(names) -> set[str]:
-    """The suites `names` selects, "all" standing for every one."""
-    return set(SUITE_NAMES) - {"all"} if "all" in names else set(names)
+def _selected(names) -> list[str]:
+    """The suites `names` selects, in output order, "all" standing for every one."""
+    return [name for name in SUITE_NAMES[:-1] if "all" in names or name in names]
 
 
-def _windows(ctx: ScalarContext, kmax: int | None, dmax: int | None) -> tuple[int, int, int]:
-    """(kmax, dmax) of the window suites, 2p + 2 where not given, and
-    lemma3's bound 2p on C and letter exponents, set by p alone."""
-    default = 2 * ctx.p + 2
-    return (default if kmax is None else kmax, default if dmax is None else dmax, 2 * ctx.p)
-
-
-# Work budget on a verify run: the most work one suite may take, as
-# `suite_costs` estimates it.  Measured as a process on a 2-core x86-64
-# host: the default window passes up to p = 8, where verify all takes
-# 11 s (lemma2 494,209 checks in 5 s), and --p 5 verify lemma2 --kmax 100
-# --dmax 3 (499,849 checks) takes 2.5 s.
+# Work budget on a verify run: the most work one suite may take, as `plan`
+# estimates it.  Measured as a process on a 2-core x86-64 host: the default
+# window passes up to p = 8, where verify all takes 11 s (lemma2 494,209
+# checks in 5 s), and --p 5 verify lemma2 --kmax 100 --dmax 3 (499,849
+# checks) takes 2.5 s.
 MAX_VERIFY_GRID = 500_000
 
 
-def suite_costs(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None,
-                pairs: int) -> dict[str, tuple[int, str, str]]:
-    """(size, what it counts, the options it reads) of each selected suite's
-    work, theorem1's aside, estimated before any work from what `run_suites`
-    passes on a torsion context.  lemma3 reads about min(n, s) + 1 terms of
-    each [C^m A^n, B^s C^r] with m, n, r, s <= N = 2p; the oracle forms at most
-    terms^2 term-pair products of at most expmax + 1 terms per pair and route."""
-    kmax, dmax, n = _windows(ctx, kmax, dmax)
+def plan(ctx: ScalarContext, names, *, kmax: int, dmax: int, depth: int, reach_kmax: int,
+         reach_dmax: int, defn2_literal: bool, pairs: int) -> list[tuple[str, int]]:
+    """(claim, checks) of each report the suites `names` make, in output order,
+    from the windows alone; exact but for closure-soundness's floor of 2 (A and
+    B), as only a closure run gives its rows.  Raises `ValueError` at the first
+    suite over its budget, checked before its monomials are classified, or
+    claim planned at 0 checks."""
+    ctx.require_torsion("plan")
+    p, n = ctx.p, 2 * ctx.p
     w = (kmax + 1) * (2 * dmax + 1)
+    u = (kmax + 1) * max(0, dmax - p + 1)  # the units with d >= p; as many have d <= -p
+
+    def lie(kmax, dmax):
+        return sum(_is_lie(p, m, defn2_literal) for m in _window_monomials(kmax, dmax))
+
+    def claims(name):
+        if name == "lemma2":
+            yield "commutators-avoid-forbidden-subspace", w * w
+        elif name == "lemma3":
+            yield "equal-grade-commutators-positive-C", n ** 4
+        elif name == "lemma4":
+            basis = lie(kmax, dmax)
+            yield "derived-algebra-closure", basis * (basis - 1) // 2
+        elif name == "theorem1":
+            _check_reach(reach_kmax, reach_dmax)
+            yield "closure-soundness", 2
+            yield "constructive-reachability", lie(reach_kmax, reach_dmax)
+            yield "grade0-window-facts", depth // 2
+        elif name == "torsion-paths":
+            _check_rows(ctx, dmax)
+            yield from [("simplified-power-product", p + 1), ("simplified-mixed-products", 2 * u * u),
+                        ("fastpath-equivalence", w * w),
+                        ("qbinomial-collapse", sum(l + 1 for l in range(1, 3 * p + 1))),
+                        ("structure-scalar-endpoints", 2 * p + 1)]
+        else:
+            yield "multiply-matches-word-oracle", pairs
+
     window = f", kmax = {kmax}, dmax = {dmax}"
-    costs = {
-        "lemma2": (w * w, "checks", window),
-        # N^2 * sum over n, s <= N of (min(n, s) + 1)
-        "lemma3": (n * n * (n * n + n * (n + 1) * (2 * n + 1) // 6), "bracket terms", ""),
-        "lemma4": (w * (w - 1) // 2, "checks", window),
-        "torsion-paths": (w * w, "checks", window),
-        "oracle": (2 * pairs * ORACLE_TERMS ** 2 * (ORACLE_EXPMAX + 1), "product terms",
-                   f", pairs = {pairs}"),
-    }
-    wanted = _selected(names)
-    return {name: cost for name, cost in costs.items() if name in wanted}
+    # suite: (the options it reads, its work as MAX_VERIFY_GRID counts it, what that counts);
+    # lemma3 reads about min(n, s) + 1 terms of each [C^m A^n, B^s C^r] with m, n, r, s <= N,
+    # the oracle forms at most terms^2 term-pair products of expmax + 1 terms per pair and route
+    work = {"lemma2": (window, w * w, "checks"),
+            "lemma3": ("", n * n * (n * n + n * (n + 1) * (2 * n + 1) // 6), "bracket terms"),
+            "lemma4": (window, w * (w - 1) // 2, "checks"),
+            "theorem1": (f", depth = {depth}, reach_kmax = {reach_kmax}, "
+                         f"reach_dmax = {reach_dmax}", 0, ""),
+            "torsion-paths": (window, w * w, "checks"),
+            "oracle": (f", pairs = {pairs}", 2 * pairs * ORACLE_TERMS ** 2 * (ORACLE_EXPMAX + 1),
+                       "product terms")}
+    out = []
+    for name in _selected(names):
+        inputs, size, unit = work[name]
+        if size > MAX_VERIFY_GRID:
+            raise ValueError(f"verify {name} at p = {p}{inputs} would take {size} {unit}, "
+                             f"above the budget MAX_VERIFY_GRID = {MAX_VERIFY_GRID}")
+        for claim, checks in claims(name):
+            if checks == 0:
+                raise ValueError(f"verify {name} at p = {p}{inputs} is vacuous: "
+                                 f"{claim} has 0 checks")
+            out.append((claim, checks))
+    return out
 
 
 def run_suites(ctx: ScalarContext, names, *, kmax: int | None, dmax: int | None, depth: int,
                reach_kmax: int, reach_dmax: int, defn2_literal: bool,
                seed: int, pairs: int) -> list[VerifyReport]:
-    """The reports of the suites `names` selects, on the windows of `_windows`.
-
-    Refuses a generic context, a theorem1 reachability window over
-    `_check_reach`, a theorem1 depth below 2 (grade0-window-facts reads
-    C^j for 1 <= j <= depth // 2) or reachability window with no Lie
-    monomial (kmax = dmax = 0 holds the identity alone), any suite whose
-    `suite_costs` estimate is over `MAX_VERIFY_GRID`, a lemma4 window with
-    fewer than two Lie monomials, where derived-algebra-closure pairs none
-    (counted after the estimates bound the window), torsion-paths rows
-    over `_check_rows` and a torsion-paths window with dmax < p, where
-    simplified-mixed-products pairs no unit (`ValueError`), before the
-    first suite runs.
-    """
+    """The reports of the suites `names` selects, kmax and dmax 2p + 2 where not
+    given.  A generic context and whatever `plan` refuses raise `ValueError`
+    before any suite runs; a report off its plan is a fault (`RuntimeError`)."""
     ctx.require_torsion("run_suites")
-    wanted = _selected(names)
-    if "theorem1" in wanted:
-        _check_reach(reach_kmax, reach_dmax)
-        if depth < 2:
-            raise ValueError(f"verify theorem1 at depth = {depth} is vacuous: "
-                             "grade0-window-facts has 0 checks when depth < 2")
-        # A and B are Lie under both readings, and so is C
-        if min(reach_kmax, reach_dmax) < 0 or reach_kmax + reach_dmax == 0:
-            raise ValueError(f"verify theorem1 at reach_kmax = {reach_kmax}, "
-                             f"reach_dmax = {reach_dmax} is vacuous: constructive-reachability "
-                             "has 0 checks in a window with no Lie monomial")
-    for name, (size, unit, inputs) in suite_costs(ctx, names, kmax=kmax, dmax=dmax,
-                                                  pairs=pairs).items():
-        if size > MAX_VERIFY_GRID:
-            raise ValueError(f"verify {name} at p = {ctx.p}{inputs} would take {size} {unit}, "
-                             f"above the budget MAX_VERIFY_GRID = {MAX_VERIFY_GRID}")
-    kmax, dmax, bound = _windows(ctx, kmax, dmax)
-    if "lemma4" in wanted:
-        lie = (m for m in _window_monomials(kmax, dmax)
-               if classify_monomial(ctx, m, defn2_literal).is_lie)
-        if len(list(itertools.islice(lie, 2))) < 2:
-            raise ValueError(f"verify lemma4 at p = {ctx.p}, kmax = {kmax}, dmax = {dmax} is "
-                             "vacuous: derived-algebra-closure has 0 checks in a window "
-                             "with fewer than two Lie monomials")
-    if "torsion-paths" in wanted:
-        _check_rows(ctx, dmax)
-        if dmax < ctx.p:
-            raise ValueError(f"verify torsion-paths at p = {ctx.p}, dmax = {dmax} is vacuous: "
-                             f"simplified-mixed-products has 0 checks when dmax < p")
-    out: list[VerifyReport] = []
-    if "lemma2" in wanted:
-        out.append(verify_no_N_leakage(ctx, kmax, dmax))
-    if "lemma3" in wanted:
-        out.append(verify_lemma3(ctx, mmax=bound, nmax=bound))
-    if "lemma4" in wanted:
-        out.append(verify_derived_algebra(ctx, kmax, dmax, defn2_literal))
-    if "theorem1" in wanted:
-        out.extend(verify_theorem1(ctx, depth, reach_kmax, reach_dmax, defn2_literal))
-    if "torsion-paths" in wanted:
-        out.extend(verify_torsion_paths(ctx, kmax, dmax))
-    if "oracle" in wanted:
-        out.append(verify_oracle(ctx, pairs=pairs, seed=seed))
-    return out
+    kmax, dmax = (2 * ctx.p + 2 if x is None else x for x in (kmax, dmax))
+    planned = plan(ctx, names, kmax=kmax, dmax=dmax, depth=depth, reach_kmax=reach_kmax,
+                   reach_dmax=reach_dmax, defn2_literal=defn2_literal, pairs=pairs)
+    runs = {
+        "lemma2": lambda: [verify_no_N_leakage(ctx, kmax, dmax)],
+        "lemma3": lambda: [verify_lemma3(ctx, mmax=2 * ctx.p, nmax=2 * ctx.p)],
+        "lemma4": lambda: [verify_derived_algebra(ctx, kmax, dmax, defn2_literal)],
+        "theorem1": lambda: verify_theorem1(ctx, depth, reach_kmax, reach_dmax, defn2_literal),
+        "torsion-paths": lambda: verify_torsion_paths(ctx, kmax, dmax),
+        "oracle": lambda: [verify_oracle(ctx, pairs=pairs, seed=seed)],
+    }
+    reports = [rep for name in _selected(names) for rep in runs[name]()]
+    made = [(rep.claim, rep.pairs_checked) for rep in reports]
+    for (claim, checks), (got, count) in itertools.zip_longest(planned, made, fillvalue=(None, 0)):
+        if got != claim or count < checks or count > checks and claim != "closure-soundness":
+            raise RuntimeError(f"verify planned {claim} at {checks} checks, "
+                               f"but the suites reported {got} at {count}")
+    return reports

@@ -12,12 +12,12 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qheis import cli, heisenberg, qscalar, verify
+from qheis import heisenberg, qscalar, verify
 from qheis.cli import MAX_TABLE_TERMS, _build_parser, _table_terms, main
 from qheis.exprparse import MAX_NESTING, ParseError, parse_element, parse_expression
 from qheis.heisenberg import Element, Monomial, bracket_support, commutator
 from qheis.qscalar import ScalarContext
-from qheis.verify import MAX_VERIFY_GRID, suite_costs
+from qheis.verify import plan
 
 from conftest import elaborate_reference, letters, mono
 
@@ -313,7 +313,8 @@ def test_cli_verify_vacuous_claim_is_usage_error(capsys, monkeypatch):
         assert (code, out, calls) == (2, "", [])
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert f"p = {p}, dmax = {dmax} is vacuous: simplified-mixed-products" in lines[0]
+        assert (f"p = {p}, kmax = {kmax}, dmax = {dmax} is vacuous: simplified-mixed-products "
+                "has 0 checks") in lines[0]
 
 
 def test_cli_vacuous_theorem1_window_is_refused_before_any_suite(capsys, monkeypatch):
@@ -325,19 +326,23 @@ def test_cli_vacuous_theorem1_window_is_refused_before_any_suite(capsys, monkeyp
                  "verify_theorem1", "verify_torsion_paths", "verify_oracle"):
         monkeypatch.setattr(verify, name, lambda *a, name=name, **k: calls.append(name) or [])
     for window, message in [
-            (("--depth", "1"), "theorem1 at depth = 1 is vacuous: grade0-window-facts"),
-            (("--reach-kmax", "0", "--reach-dmax", "0"),
-             "theorem1 at reach_kmax = 0, reach_dmax = 0 is vacuous: constructive-reachability")]:
+            (("--depth", "1"), "theorem1 at p = 7, depth = 1, reach_kmax = 4, reach_dmax = 4 "
+             "is vacuous: grade0-window-facts has 0 checks"),
+            (("--reach-kmax", "0", "--reach-dmax", "0"), "theorem1 at p = 7, depth = 6, "
+             "reach_kmax = 0, reach_dmax = 0 is vacuous: constructive-reachability has 0 checks")]:
         code, out, err = run_cli(capsys, "--p", "7", "verify", "all", *window)
         assert (code, out, calls) == (2, "", [])
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
-    # the smallest windows that are not vacuous still run
-    for window in (("--depth", "2"), ("--reach-kmax", "0", "--reach-dmax", "1"),
-                   ("--reach-kmax", "1", "--reach-dmax", "0")):
-        calls.clear()
-        run_cli(capsys, "--p", "7", "verify", "theorem1", *window)
-        assert calls == ["verify_theorem1"]
+    monkeypatch.undo()
+    # the smallest windows that are not vacuous still run: C^1, then B or C
+    for window, checks in ((("--depth", "2"), (3, 38, 1)),
+                           (("--reach-kmax", "0", "--reach-dmax", "1"), (17, 2, 3)),
+                           (("--reach-kmax", "1", "--reach-dmax", "0"), (17, 1, 3))):
+        code, out, err = run_cli(capsys, "--p", "7", "--format", "json", "verify", "theorem1",
+                                 *window)
+        assert (code, err) == (0, "")
+        assert [r["pairs_checked"] for r in json.loads(out)["reports"]] == list(checks)
 
 
 def test_cli_vacuous_lemma4_window_is_refused_before_any_suite(capsys, monkeypatch):
@@ -355,7 +360,7 @@ def test_cli_vacuous_lemma4_window_is_refused_before_any_suite(capsys, monkeypat
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0] == (
         "error: verify lemma4 at p = 8, kmax = 1, dmax = 0 is vacuous: derived-algebra-closure "
-        "has 0 checks in a window with fewer than two Lie monomials")
+        "has 0 checks")
     monkeypatch.undo()
     # the smallest windows with a check still run: A and B, C and C^2, and at
     # p = 2 C and C^2 under the literal reading, where C^2 is Lie
@@ -365,21 +370,6 @@ def test_cli_vacuous_lemma4_window_is_refused_before_any_suite(capsys, monkeypat
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out.startswith("derived-algebra-closure: ok [1 checks, "), argv
-
-
-def test_cli_verify_exits_2_after_reporting_a_vacuous_claim(capsys, monkeypatch):
-    # a vacuous report that no up-front refusal caught is printed with the
-    # others, then exits 2, which takes precedence over a violation's 1
-    failed = verify.VerifyReport("failing-claim", {})
-    failed.check(False)
-    failed.add_violation(dict)
-    reports = [failed, verify.VerifyReport("empty-claim", {})]
-    monkeypatch.setattr(cli, "run_suites", lambda *a, **k: reports)
-    code, out, err = run_cli(capsys, "--p", "3", "verify", "lemma2")
-    assert code == 2
-    assert out == ("failing-claim: FAILED (1 violations) [1 checks, 0.00s]\n"
-                   "empty-claim: vacuous [0 checks, 0.00s]\n")
-    assert err == "error: vacuous, 0 checks in this window: empty-claim\n"
 
 
 def test_cli_verify_json_payload_is_stable(capsys, tmp_path):
@@ -624,39 +614,56 @@ def test_cli_accepts_inputs_at_a_work_budget(argv):
     assert code == 0 and stdout and err == ""
 
 
-def test_verify_grid_estimates_count_the_suites_checks():
+def test_verify_grid_estimates_count_the_suites_checks(monkeypatch):
     p, kmax, dmax, pairs = 3, 1, 3, 50
     w = (kmax + 1) * (2 * dmax + 1)
     code, stdout, _ = _call(["--p", str(p), "--format", "json", "verify", "lemma2", "lemma3",
                              "lemma4", "torsion-paths", "--kmax", str(kmax), "--dmax", str(dmax)])
     assert code == 1
-    checks = {r["claim"]: r["pairs_checked"] for r in json.loads(stdout)["reports"]}
+    checks = [(r["claim"], r["pairs_checked"]) for r in json.loads(stdout)["reports"]]
     ctx = ScalarContext.torsion(p)
-    sizes = {name: size
-             for name, (size, _, _) in suite_costs(ctx, ["all"], kmax=kmax, dmax=dmax,
-                                                   pairs=pairs).items()}
-    assert sizes["lemma2"] == checks["commutators-avoid-forbidden-subspace"] == w * w
-    assert sizes["torsion-paths"] == checks["fastpath-equivalence"]
+    window = {"kmax": kmax, "dmax": dmax, "depth": 6, "reach_kmax": 4, "reach_dmax": 4,
+              "defn2_literal": False, "pairs": pairs}
+    assert plan(ctx, ["lemma2", "lemma3", "lemma4", "torsion-paths"], **window) == checks
+    assert checks[0] == ("commutators-avoid-forbidden-subspace", w * w)
+    assert checks[1] == ("equal-grade-commutators-positive-C", (2 * p) ** 4)
+    assert checks[5] == ("fastpath-equivalence", w * w)
+
+    # a budget of 0 refuses every suite and names its work estimate
+    monkeypatch.setattr(verify, "MAX_VERIFY_GRID", 0)
+
+    def estimate(suite):
+        with pytest.raises(ValueError, match="MAX_VERIFY_GRID = 0") as refused:
+            plan(ctx, [suite], **window)
+        return int(re.search(r"would take (\d+) ", str(refused.value)).group(1))
+
+    assert estimate("lemma2") == estimate("torsion-paths") == w * w
     # lemma4 pairs only the claimed basis monomials of the window
-    assert checks["derived-algebra-closure"] <= sizes["lemma4"] == w * (w - 1) // 2
+    assert checks[2][1] <= estimate("lemma4") == w * (w - 1) // 2
     # lemma3 counts the terms of the brackets it reads, not its (2p)^4 checks
     n = 2 * p
     terms = sum(len(bracket_support(ctx, Monomial(m, -a), Monomial(r, b)))
                 for m, a, r, b in itertools.product(range(1, n + 1), repeat=4))
-    assert checks["equal-grade-commutators-positive-C"] == n ** 4 < terms <= sizes["lemma3"]
+    assert n ** 4 < terms <= estimate("lemma3")
     # the oracle forms at most 4 x 4 term-pair products per random pair on each of its
     # two routes, each of at most 6 + 1 terms
-    assert sizes["oracle"] == 2 * pairs * 4 * 4 * 7
-    assert "theorem1" not in sizes
+    assert estimate("oracle") == 2 * pairs * 4 * 4 * 7
+    # theorem1's budget is its reachability window alone
+    assert len(plan(ctx, ["theorem1"], **window)) == 3
+    monkeypatch.undo()
 
-    def largest(p, suites):
-        costs = suite_costs(ScalarContext.torsion(p), suites, kmax=2 * p + 2, dmax=2 * p + 2,
-                            pairs=pairs)
-        return max(size for size, _, _ in costs.values())
+    def passes(p, suites):
+        try:
+            plan(ScalarContext.torsion(p), suites, **{**window, "kmax": 2 * p + 2,
+                                                       "dmax": 2 * p + 2})
+        except ValueError as exc:
+            assert "MAX_VERIFY_GRID" in str(exc)
+            return False
+        return True
 
     # the default window kmax = dmax = 2p + 2 passes up to p = 8, and so does lemma3 alone
-    assert largest(8, ["all"]) <= MAX_VERIFY_GRID < largest(9, ["all"])
-    assert largest(8, ["lemma3"]) <= MAX_VERIFY_GRID < largest(9, ["lemma3"])
+    assert passes(8, ["all"]) and not passes(9, ["all"])
+    assert passes(8, ["lemma3"]) and not passes(9, ["lemma3"])
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,13 +5,14 @@ import json
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qheis import verify
 from qheis.cli import main
 from qheis.heisenberg import Monomial
 from qheis.qscalar import CycloScalar, ScalarContext, q_binomial
-from qheis.verify import (run_suites, verify_derived_algebra, verify_lemma3, verify_no_N_leakage,
-                          verify_oracle, verify_theorem1)
+from qheis.verify import (plan, run_suites, verify_derived_algebra, verify_lemma3,
+                          verify_no_N_leakage, verify_oracle, verify_theorem1)
 
 # sha256 of the theorem1 reports (depth 6, reachability window 4 x 4) and the
 # derived-algebra report (window 2p+2 x 2p+2), without "elapsed".  The literal
@@ -201,11 +202,11 @@ SUITE_FUNCTIONS = ("verify_no_N_leakage", "verify_lemma3", "verify_derived_algeb
     (ScalarContext.torsion(3), {"pairs": 10 ** 6}, "MAX_VERIFY_GRID = 500000"),
     (ScalarContext.generic(), {}, "run_suites needs a torsion context"),
     (ScalarContext.torsion(5), {"kmax": 3, "dmax": 3},
-     "torsion-paths at p = 5, dmax = 3 is vacuous: simplified-mixed-products has 0 checks"),
-    (ScalarContext.torsion(3), {"depth": 1},
-     "theorem1 at depth = 1 is vacuous: grade0-window-facts has 0 checks when depth < 2"),
-    (ScalarContext.torsion(3), {"reach_kmax": 0, "reach_dmax": 0},
-     "theorem1 at reach_kmax = 0, reach_dmax = 0 is vacuous: constructive-reachability"),
+     "torsion-paths at p = 5, kmax = 3, dmax = 3 is vacuous: simplified-mixed-products has 0 checks"),
+    (ScalarContext.torsion(3), {"depth": 1}, "theorem1 at p = 3, depth = 1, reach_kmax = 4, "
+     "reach_dmax = 4 is vacuous: grade0-window-facts has 0 checks"),
+    (ScalarContext.torsion(3), {"reach_kmax": 0, "reach_dmax": 0}, "theorem1 at p = 3, depth = 6, "
+     "reach_kmax = 0, reach_dmax = 0 is vacuous: constructive-reachability has 0 checks"),
     # I and C: one Lie monomial, so derived-algebra-closure pairs none
     (ScalarContext.torsion(8), {"kmax": 1, "dmax": 0},
      "lemma4 at p = 8, kmax = 1, dmax = 0 is vacuous: derived-algebra-closure has 0 checks"),
@@ -224,8 +225,9 @@ def test_run_suites_refuses_before_any_suite_runs(monkeypatch, ctx, window, mess
     assert calls == []
     # a reachability window only theorem1 reads refuses nothing else
     if "reach_kmax" in window:
-        run_suites(ctx, ["lemma2"], **options)
-        assert calls == ["verify_no_N_leakage"]
+        del options["seed"]
+        assert plan(ctx, ["lemma2"], **{**options, "kmax": 8, "dmax": 8}) == [
+            ("commutators-avoid-forbidden-subspace", (9 * 17) ** 2)]
 
 
 def test_torsion_paths_rows_are_capped_on_their_estimate(monkeypatch):
@@ -252,3 +254,66 @@ def test_torsion_paths_rows_are_capped_on_their_estimate(monkeypatch):
         run_suites(ctx, ["torsion-paths"], kmax=0, dmax=0, depth=6, reach_kmax=4, reach_dmax=4,
                    defn2_literal=False, seed=0, pairs=5)
     assert ctx._qbin == {}
+
+
+def _assert_planned(planned, reports):
+    # every count is exact but closure-soundness's, a floor of 2 (A and B)
+    assert [claim for claim, _ in planned] == [rep.claim for rep in reports]
+    for (claim, checks), rep in zip(planned, reports):
+        if claim == "closure-soundness":
+            assert checks == 2 <= rep.pairs_checked
+        else:
+            assert rep.pairs_checked == checks, claim
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_plan_counts_every_reports_checks_at_the_default_windows(p, literal):
+    ctx = ScalarContext.torsion(p)
+    window = {"depth": 6, "reach_kmax": 4, "reach_dmax": 4, "defn2_literal": literal, "pairs": 50}
+    reports = run_suites(ctx, ["all"], kmax=None, dmax=None, seed=0, **window)
+    planned = plan(ctx, ["all"], kmax=2 * p + 2, dmax=2 * p + 2, **window)
+    assert len(planned) == 12
+    _assert_planned(planned, reports)
+    assert plan(ctx, ["oracle", "lemma3"], kmax=0, dmax=0, **window) == [
+        ("equal-grade-commutators-positive-C", (2 * p) ** 4), ("multiply-matches-word-oracle", 50)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.booleans(), st.integers(0, 4), st.integers(0, 5),
+       st.integers(2, 8), st.integers(0, 3), st.integers(0, 3), st.integers(1, 5))
+def test_the_plan_counts_every_reports_checks_on_small_windows(p, literal, kmax, dmax, depth,
+                                                               reach_kmax, reach_dmax, pairs):
+    assume(dmax >= p and reach_kmax + reach_dmax > 0)
+    ctx = ScalarContext.torsion(p)
+    window = {"kmax": kmax, "dmax": dmax, "depth": depth, "reach_kmax": reach_kmax,
+              "reach_dmax": reach_dmax, "defn2_literal": literal, "pairs": pairs}
+    # the window holds A and B, so no claim is vacuous
+    _assert_planned(plan(ctx, ["all"], **window), run_suites(ctx, ["all"], seed=0, **window))
+
+
+def test_a_suite_that_skips_a_check_is_caught(monkeypatch, capsys):
+    real = verify.verify_lemma3
+
+    def skipping(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.pairs_checked -= 1
+        return rep
+
+    monkeypatch.setattr(verify, "verify_lemma3", skipping)
+    options = {"kmax": 1, "dmax": 2, "depth": 6, "reach_kmax": 4, "reach_dmax": 4,
+               "defn2_literal": False, "seed": 0, "pairs": 5}
+    with pytest.raises(RuntimeError, match="verify planned equal-grade-commutators-positive-C at "
+                       "256 checks, but the suites reported equal-grade-commutators-positive-C "
+                       "at 255"):
+        run_suites(ScalarContext.torsion(2), ["lemma2", "lemma3"], **options)
+    # a mismatch is a program fault, not bad input: the CLI does not map it to an exit code
+    with pytest.raises(RuntimeError, match="equal-grade-commutators-positive-C"):
+        main(["--p", "2", "verify", "lemma3"])
+    assert capsys.readouterr().err == ""
+    # so is a suite that drops a report
+    theorem1 = verify.verify_theorem1
+    monkeypatch.setattr(verify, "verify_theorem1", lambda *a, **k: theorem1(*a, **k)[:2])
+    with pytest.raises(RuntimeError, match="planned grade0-window-facts at 3 checks, "
+                       "but the suites reported None at 0"):
+        run_suites(ScalarContext.torsion(2), ["theorem1"], **options)
