@@ -19,14 +19,13 @@ One compiled regular expression scans the text to ``(kind, value)``
 tokens.  A token carries no position: a ``ParseError`` scans the text
 again to the offending token and reports its line and column.
 
-A product is elaborated by folding its factors directly: its scalar
-factors (rationals, q and their powers) into one scalar applied once,
-and runs of letter powers whose products are single monomials into one
-monomial.  Only the remaining factors are multiplied as elements, and
-a power (c*m)^n of one term folds c^n into the scalar, as every scalar
-is central.  Every scalar power, a literal's or a coefficient's, is
-taken by :func:`_scalar_power`, which first checks its size on c's
-integer parts (:func:`qscalar.power_bits`).
+A product is elaborated by folding its scalar factors (rationals, q and
+their powers) into one scalar applied once.  Every other factor is
+multiplied as an element: a letter power is built directly as a basis
+monomial, and a power (c*m)^n of one term folds c^n into the scalar, as
+every scalar is central.  Every scalar power, a literal's or a
+coefficient's, is taken by :func:`_scalar_power`, which first checks its
+size on c's integer parts (:func:`qscalar.power_bits`).
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ import math
 import re
 from fractions import Fraction
 
-from .heisenberg import (MONO_A, MONO_B, MONO_C, MONO_I, Element, Monomial, _add_into,
-                         _mono_product, commutator)
+from .heisenberg import MONO_A, MONO_B, MONO_C, MONO_I, Element, Monomial, _add_into, commutator
 from .qscalar import Scalar, ScalarContext, power_bits
 
 __all__ = ["ParseError", "parse_expression", "elaborate", "parse_element"]
@@ -224,8 +222,7 @@ def _letter_power(node) -> Monomial | None:
 
 def _elaborate_product(factors, ctx: ScalarContext) -> Element:
     scalar = ctx.one()
-    elements = []       # the factors left to multiply as elements, in order
-    run = None          # trailing run of letter powers, as one monomial
+    elements = []       # the non-scalar factors, in order
     for sub in factors:
         s = _scalar_factor(sub, ctx)
         if s is not None:
@@ -234,16 +231,8 @@ def _elaborate_product(factors, ctx: ScalarContext) -> Element:
             scalar = scalar * s
             continue
         m = _letter_power(sub)
-        if m is not None and run is not None and run.d * m.d >= 0:
-            # the seven unmixed monomial products are single monomials
-            ((run, c),) = _mono_product(ctx, run, m)
-            scalar = scalar * c
-            continue
-        if run is not None:
-            elements.append(Element.monomial(ctx, run))
-            run = None
         if m is not None:
-            run = m
+            elements.append(Element.monomial(ctx, m))
         elif sub[0] == "pow":
             base, n = elaborate(sub[1], ctx), sub[2]
             if len(base.terms) == 1:
@@ -254,9 +243,7 @@ def _elaborate_product(factors, ctx: ScalarContext) -> Element:
             elements.append(base ** n)
         else:
             elements.append(elaborate(sub, ctx))
-    if run is not None or not elements:
-        elements.append(Element.monomial(ctx, MONO_I if run is None else run))
-    out = elements[0]
+    out = elements[0] if elements else Element.monomial(ctx, MONO_I)
     for x in elements[1:]:
         out = out * x
     return out.scale(scalar)

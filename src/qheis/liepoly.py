@@ -328,10 +328,6 @@ def _telescoped_C(ctx: ScalarContext, n: int) -> ScaledSum:
     return ScaledSum(tuple(items))
 
 
-def _elem(ctx: ScalarContext, k: int, d: int, coeff: Scalar | None = None) -> Element:
-    return Element.monomial(ctx, Monomial(k, d), coeff)
-
-
 def base_A(ctx: ScalarContext, k: int, l: int) -> Element:
     """((-ad C)^k o (-ad A)^(l+1))(B); equals -(1-q)^l (q^l-1)^k C^(k+1) A^l."""
     v = eval_bracket_expr(ctx, _chain_A(k, l))
@@ -363,9 +359,8 @@ def base_G_documented(ctx: ScalarContext, k: int) -> Element:
     """
     q = ctx.q()
     pref = ctx.q_power(-k) * (q - ctx.one()) ** (k + 1)
-    return (
-        _elem(ctx, k + 1, 0, q * q_int(ctx, k)) - _elem(ctx, k + 2, 0, q_int(ctx, k + 1))
-    ).scale(pref)
+    return (Element.monomial(ctx, Monomial(k + 1, 0), q * q_int(ctx, k))
+            - Element.monomial(ctx, Monomial(k + 2, 0), q_int(ctx, k + 1))).scale(pref)
 
 
 def obase_A(ctx: ScalarContext, k: int, l: int) -> Element:

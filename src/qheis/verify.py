@@ -17,9 +17,7 @@ that fails reports its offending monomials in the canonical order.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import json
 import random
 import time
 from fractions import Fraction
@@ -42,7 +40,6 @@ from .liepoly import (
     _in_forbidden_subspace,
     _is_lie,
     _window_span,
-    classify_monomial,
     closure_rows,
     construct_basis_element,
     is_lie_polynomial,
@@ -134,9 +131,6 @@ class VerifyReport:
             "violations": self.violations,
             "elapsed": round(self.elapsed, 3),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
     def summary_line(self) -> str:
         if self.violations_total:
@@ -237,17 +231,16 @@ def verify_derived_algebra(ctx: ScalarContext, kmax: int, dmax: int,
     `bracket_support`; a failed check reports its offending monomials in
     the canonical order.
     """
+    ctx.require_torsion("verify_derived_algebra")
+    p = ctx.p
     with VerifyReport(
         claim="derived-algebra-closure",
-        parameters={"p": ctx.p, "kmax": kmax, "dmax": dmax,
-                    "defn2_literal": defn2_literal},
+        parameters={"p": p, "kmax": kmax, "dmax": dmax, "defn2_literal": defn2_literal},
     ) as rep:
-        # brackets repeat few monomials: classify each once per run
-        is_lie = functools.cache(lambda m: classify_monomial(ctx, m, defn2_literal).is_lie)
-        basis = [m for m in _window_monomials(kmax, dmax) if is_lie(m)]
+        basis = [m for m in _window_monomials(kmax, dmax) if _is_lie(p, m, defn2_literal)]
         for m1, m2 in itertools.combinations(basis, 2):
             bad = [mono for mono in bracket_support(ctx, m1, m2)
-                   if mono in (MONO_A, MONO_B) or not is_lie(mono)]
+                   if mono in (MONO_A, MONO_B) or not _is_lie(p, mono, defn2_literal)]
             if not rep.check(not bad):
                 for mono in sorted(bad, key=_mono_key):
                     rep.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
@@ -492,7 +485,12 @@ SUITE_NAMES = ("lemma2", "lemma3", "lemma4", "theorem1", "torsion-paths", "oracl
 
 
 def _selected(names) -> list[str]:
-    """The suites `names` selects, in output order, "all" standing for every one."""
+    """The suites `names` selects, in output order, "all" standing for every one;
+    raises `ValueError` on a name in `names` that is no suite."""
+    for name in names:
+        if name not in SUITE_NAMES:
+            raise ValueError(f"unknown verify suite {name!r} in {names!r}; "
+                             f"the suites are {', '.join(SUITE_NAMES)}")
     return [name for name in SUITE_NAMES[:-1] if "all" in names or name in names]
 
 

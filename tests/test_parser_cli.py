@@ -142,18 +142,23 @@ def test_powers_of_rational_monomials_match_full_products(p, text):
     assert parse_element(text, ctx) == elaborate_reference(parse_expression(text), ctx)
 
 
-def test_letter_and_scalar_factors_need_no_products(monkeypatch, generic, p5):
+def test_scalar_factors_fold_and_letter_powers_are_monomials(monkeypatch, generic, p5):
+    # a letter power is one basis monomial, and scalar factors fold into one
+    # scalar; only the non-scalar factors are multiplied as elements
     calls = []
     real = heisenberg.multiply
     monkeypatch.setattr(heisenberg, "multiply", lambda x, y: calls.append(1) or real(x, y))
     for ctx in (generic, p5):
         assert parse_element("A^4096", ctx) == mono(ctx, 0, -4096)
+        assert parse_element("2*q^4096*q^3", ctx) == mono(
+            ctx, 0, 0, ctx.from_int(2) * ctx.q_power(4099))
+        assert calls == []
         assert parse_element("2*q^4096*C^3*A^2", ctx) == mono(
             ctx, 3, -2, ctx.from_int(2) * ctx.q_power(4096))
-    assert calls == []
-    # a mixed pair of letter powers is still one element product
-    parse_element("A^2*B^3", generic)
-    assert len(calls) == 1
+        assert len(calls) == 1
+        parse_element("A^2*B^3", ctx)
+        assert len(calls) == 2
+        calls.clear()
 
 
 @pytest.mark.parametrize("text, m, n", [

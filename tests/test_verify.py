@@ -230,6 +230,26 @@ def test_run_suites_refuses_before_any_suite_runs(monkeypatch, ctx, window, mess
             ("commutators-avoid-forbidden-subspace", (9 * 17) ** 2)]
 
 
+@pytest.mark.parametrize("names, unknown", [
+    (["lemma5"], "'lemma5'"),
+    (["lemma2", "Lemma3"], "'Lemma3'"),
+    # a string is no list of names, not a substring match
+    ("lemma2", "'l' in 'lemma2'"),
+])
+def test_run_suites_refuses_an_unknown_suite_before_any_suite_runs(monkeypatch, names, unknown):
+    calls = []
+    for name in SUITE_FUNCTIONS:
+        monkeypatch.setattr(verify, name, lambda *a, name=name, **k: calls.append(name) or [])
+    options = {"kmax": 2, "dmax": 2, "depth": 6, "reach_kmax": 4, "reach_dmax": 4,
+               "defn2_literal": False, "pairs": 5}
+    ctx = ScalarContext.torsion(3)
+    with pytest.raises(ValueError, match=f"unknown verify suite {unknown}"):
+        run_suites(ctx, names, seed=0, **options)
+    with pytest.raises(ValueError, match=f"unknown verify suite {unknown}"):
+        plan(ctx, names, **options)
+    assert calls == []
+
+
 def test_torsion_paths_rows_are_capped_on_their_estimate(monkeypatch):
     # rows l <= max(3p, dmax), each entry i <= l/2 a polynomial of i(l - i) + 1 coefficients
     generic = ScalarContext.generic()
