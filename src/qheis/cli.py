@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable
 
@@ -172,7 +173,10 @@ def _emit(args, text: Callable[[], str], json_obj: Callable[[], dict]) -> None:
                 fh.write(payload + "\n")
         except OSError as exc:
             raise ValueError(f"cannot write --out: {exc}") from None
-    print(shown)
+    try:
+        print(shown, flush=True)
+    except BrokenPipeError:  # the reader left; as the Python docs advise, stdout goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _single_monomial(x: Element) -> Monomial | None:

@@ -33,11 +33,11 @@ independent checks of it.
 An independent oracle is provided by free words in A, B: `reduce_word`
 straightens a word polynomial into the B^a A^b normal form using only
 the defining relation, and `ba_to_cbasis` converts normal words into the
-C basis.  `straighten` takes an element to its normal form through
-`cbasis_to_free`, and `normal_to_element` brings a normal form back, so
-round trips tie the two routes together.  `word_product` multiplies
-elements on that route, one straightened product per ordered pair of
-basis monomials, read from its own per-context table ``ctx._word``.
+C basis.  `straighten` takes an element to its normal form, folding
+C = (q - 1) BA + I in by the oracle's product `normal_word_product`, and
+`normal_to_element` brings a normal form back, so round trips tie the
+routes together.  `word_product` multiplies elements on that route, one
+product per ordered pair of basis monomials, kept in ``ctx._word``.
 
 Every sparse sum of the package -- element and word-polynomial sums,
 the products of `multiply`, the straightening folds, row elimination in
@@ -613,15 +613,24 @@ def cbasis_to_free(m: Monomial, ctx: ScalarContext) -> FreePoly:
 
 
 def _mono_normal_form(ctx: ScalarContext, m: Monomial) -> dict:
-    """Normal form of one basis monomial: `cbasis_to_free`, then `reduce_word`, once per context."""
+    """Normal form of one basis monomial, once per context: C = (q - 1) BA + I
+    folded in k times by `normal_word_product`, then B^d put on the left or
+    A^(-d) on the right.  The 2^k free words of `cbasis_to_free` are never formed."""
     nf = ctx._mono_nf.get(m)
     if nf is None:
-        nf = ctx._mono_nf[m] = reduce_word(cbasis_to_free(m, ctx))
+        one = ctx.one()
+        nf, c_nf = {(0, 0): one}, {(1, 1): ctx.q_power(1) - one, (0, 0): one}
+        for _ in range(m.k):
+            nf = normal_word_product(ctx, nf, c_nf)
+        if m.d:
+            nf = (normal_word_product(ctx, {(m.d, 0): one}, nf) if m.d > 0
+                  else normal_word_product(ctx, nf, {(0, -m.d): one}))
+        ctx._mono_nf[m] = nf
     return nf
 
 
 def straighten(x: Element) -> dict:
-    """Normal form of an element through free words: pairs (a, b) to coefficients.
+    """Normal form of an element in the words B^a A^b: pairs (a, b) to coefficients.
 
     The memoized normal forms of the basis monomials are combined with
     the coefficients of x.

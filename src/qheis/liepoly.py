@@ -355,7 +355,7 @@ def base_G_documented(ctx: ScalarContext, k: int) -> Element:
     """The documented closed form q^-k (q-1)^(k+1) (q {k}_q C^(k+1) - {k+1}_q C^(k+2)).
 
     Does not agree with the bracket evaluation `base_G`; kept so the
-    verification suite can exhibit the mismatch.
+    acceptance and corrected-identity tests can exhibit the mismatch.
     """
     q = ctx.q()
     pref = ctx.q_power(-k) * (q - ctx.one()) ** (k + 1)
@@ -410,7 +410,7 @@ def obase_G_documented(ctx: ScalarContext, k: int) -> Element:
     """The documented normalization (q^k / (1-q^(k+1))) sum (q-1)^-i base_G(i).
 
     Evaluates the stated formula verbatim (needs k+1 not divisible by
-    p).  The verification suite compares it with C^(k+2).
+    p).  The acceptance and corrected-identity tests compare it with C^(k+2).
     """
     ctx.require_torsion("obase_G_documented")
     if (k + 1) % ctx.p == 0:

@@ -438,9 +438,9 @@ def verify_oracle(ctx: ScalarContext, pairs: int, seed: int,
                   expmax: int = ORACLE_EXPMAX, terms: int = ORACLE_TERMS) -> VerifyReport:
     """Random products via structure constants match the word-rewrite path.
 
-    The word route is `heisenberg.word_product`: each ordered pair of
-    basis monomials is expanded into free words and straightened with the
-    defining relation only, the straightened factors are multiplied by
+    The word route is `heisenberg.word_product`: each basis monomial is
+    straightened with the defining relation only, C = (q - 1) BA + I
+    folded in once per C power, the straightened factors are multiplied by
     the memoized letter fold, and the result is converted back through
     the equal-power expansion.  That product is kept per pair in the
     context's ``_word`` table, and x * y is summed from it term pair by
@@ -486,7 +486,9 @@ SUITE_NAMES = ("lemma2", "lemma3", "lemma4", "theorem1", "torsion-paths", "oracl
 
 def _selected(names) -> list[str]:
     """The suites `names` selects, in output order, "all" standing for every one;
-    raises `ValueError` on a name in `names` that is no suite."""
+    raises `ValueError` on an empty `names` or on a name in it that is no suite."""
+    if not names:
+        raise ValueError(f"no verify suite selected; the suites are {', '.join(SUITE_NAMES)}")
     for name in names:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown verify suite {name!r} in {names!r}; "

@@ -12,6 +12,7 @@ from qheis.qscalar import (
     ContextMismatchError,
     ScalarContext,
     _cyclo_canonical,
+    _cyclo_eval,
     _cyclo_mul,
     cyclotomic_poly,
     format_scalar,
@@ -60,6 +61,47 @@ def test_operations_return_canonical_form(p):
         assert all(s == kernel_product(x, one) == x for s in units)
         if x:
             assert_canonical(x.inverse())
+
+
+def coords(s):
+    """The rational coordinates of s in the power basis."""
+    return [Fraction(x, s.den) for x in s.num]
+
+
+@pytest.mark.parametrize("p", [*ORDERS, 128])
+def test_equal_denominator_sums_are_canonical_and_coordinate_wise(p):
+    ctx = ScalarContext.torsion(p)
+    rng = random.Random(600 + p)
+    half, third = ctx.from_fraction(Fraction(1, 2)), ctx.from_fraction(Fraction(1, 3))
+    # sums whose denominator cancels: 1/2 + 1/2 and (1 + q)/3 + (2 - q)/3
+    pairs = [(half, half), ((ctx.one() + ctx.q()) * third, (ctx.from_int(2) - ctx.q()) * third)]
+    for den in (1, 2, 3, 6, 12):
+        while sum(x.den == den for x, _ in pairs) < 8:
+            x, y = (_cyclo_canonical(ctx, [rng.randint(-9, 9) for _ in range(ctx.phi)], den)
+                    for _ in range(2))
+            if x.den == y.den == den:
+                pairs.append((x, y))
+    for x, y in pairs:
+        for s, want in ((x + y, map(sum, zip(coords(x), coords(y)))),
+                        (x - y, (a - b for a, b in zip(coords(x), coords(y))))):
+            assert_canonical(s)
+            assert coords(s) == list(want)
+    assert half + half == ctx.one() == pairs[1][0] + pairs[1][1]
+
+
+@pytest.mark.parametrize("p", [*ORDERS, 128])
+def test_products_of_integer_scalars_are_canonical(p):
+    ctx = ScalarContext.torsion(p)
+    rng = random.Random(700 + p)
+    for _ in range(10):
+        # a common content, which a product over denominator 1 must keep
+        x, y = (ctx.from_int(c) * _cyclo_canonical(ctx, [rng.randint(-5, 5) for _ in range(ctx.phi)], 1)
+                for c in (2, 3))
+        s = x * y
+        assert_canonical(s)
+        assert s.den == 1
+        assert list(s.num) == _cyclo_eval(((i + j, a * b) for i, a in enumerate(x.num)
+                                           for j, b in enumerate(y.num)), ctx)
 
 
 def test_unit_product_still_checks_contexts():

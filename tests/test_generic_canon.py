@@ -23,6 +23,7 @@ from qheis import qscalar
 from qheis.cli import main
 from qheis.exprparse import parse_element
 from qheis.qscalar import (
+    MAX_SERIALIZED_DEGREE,
     GenericScalar,
     ScalarContext,
     _cross_cancelled,
@@ -285,6 +286,33 @@ def test_lcm_sum_and_cross_cancelling_product_match_prs_reference(x, y):
     assert x - x == x + (-x) == ScalarContext.generic().zero()
     if x:
         assert x * x.inverse() == ScalarContext.generic().one()
+
+
+# 2 (q - 1)^2 takes the lcm sum, 1 + q the cross-multiplied one
+@pytest.mark.parametrize("den", [product(2, 0, 2, (1,)), (1, 1)])
+def test_sums_across_valuations_are_symmetric_and_canonical(den):
+    generic = ScalarContext.generic()
+    for v in range(-3, 4):
+        for w in range(-3, 4):
+            x = GenericScalar(product(3, 0, 1, (1, 1, 1)), den) * generic.q_power(v)
+            y = GenericScalar((-5, 0, 1), den) * generic.q_power(w)
+            for s, t in ((x + y, y + x), (x - y, -(y - x))):
+                assert s == t
+                assert_canonical(s)
+            assert dense(x + y) == prs_canonical(*cross_multiplied(x, y, "+"))
+
+
+def test_a_sum_too_far_apart_is_refused_alike_in_both_orders():
+    generic = ScalarContext.generic()
+    x = GenericScalar((1, 1), (1,))
+    y = GenericScalar((1, 1, 1), (1,)) * generic.q_power(MAX_SERIALIZED_DEGREE - 1)
+    refusals = []
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match="sum has a numerator of degree") as exc:
+            a + b
+        refusals.append(str(exc.value))
+    assert refusals[0] == refusals[1]
+    assert f"degree {MAX_SERIALIZED_DEGREE + 1}," in refusals[0]
 
 
 @settings(max_examples=200, deadline=None)

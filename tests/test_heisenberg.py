@@ -262,6 +262,14 @@ def test_round_trip_through_free_words(mode):
             assert free_to_element(cbasis_to_free(m, ctx)) == Element.monomial(ctx, m), m
 
 
+@pytest.mark.parametrize("p", [3, 8, None], ids=["p3", "p8", "generic"])
+@pytest.mark.parametrize("m", [Monomial(8, -2), Monomial(8, 3), Monomial(10, 0)], ids=str)
+def test_folded_normal_forms_match_the_free_word_expansion(p, m):
+    # the normal form of C^k is folded from C = (q - 1) BA + I, not expanded into 2^k words
+    ctx = ScalarContext.generic() if p is None else ScalarContext.torsion(p)
+    assert straighten(Element.monomial(ctx, m)) == reduce_word(cbasis_to_free(m, ctx))
+
+
 def test_equal_power_conversion_against_pure_rewriting(generic):
     # sum_i d_i(l) * (free expansion of C^i) must straighten to B^l A^l
     for l in range(1, 6):

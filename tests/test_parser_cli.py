@@ -219,6 +219,22 @@ def test_python_dash_m_runs_the_cli():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(1)*I\n", "")
 
 
+def test_a_closed_output_pipe_leaves_no_traceback():
+    # 414,743 bytes of text, past a pipe's 64 KiB buffer, so the writer is
+    # still printing when the reader closes after the first line
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "qheis", "--p", "3", "tables", "--kmax", "6",
+                             "--lmax", "6"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+    assert proc.stdout.readline() == "A^6 . A^6 = (1)*A^12\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, "")
+
+
 def test_cli_normalize(capsys):
     code, out, _ = run_cli(capsys, "--p", "3", "normalize", "A*B - q*B*A")
     assert code == 0 and out.strip() == "(1)*I"

@@ -250,6 +250,21 @@ def test_run_suites_refuses_an_unknown_suite_before_any_suite_runs(monkeypatch, 
     assert calls == []
 
 
+def test_run_suites_refuses_an_empty_selection_before_any_suite_runs(monkeypatch):
+    calls = []
+    for name in SUITE_FUNCTIONS:
+        monkeypatch.setattr(verify, name, lambda *a, name=name, **k: calls.append(name) or [])
+    options = {"kmax": 2, "dmax": 2, "depth": 6, "reach_kmax": 4, "reach_dmax": 4,
+               "defn2_literal": False, "pairs": 5}
+    ctx = ScalarContext.torsion(3)
+    for names in ([], ()):
+        with pytest.raises(ValueError, match="no verify suite selected; the suites are lemma2, "):
+            run_suites(ctx, names, seed=0, **options)
+        with pytest.raises(ValueError, match="no verify suite selected"):
+            plan(ctx, names, **options)
+    assert calls == []
+
+
 def test_torsion_paths_rows_are_capped_on_their_estimate(monkeypatch):
     # rows l <= max(3p, dmax), each entry i <= l/2 a polynomial of i(l - i) + 1 coefficients
     generic = ScalarContext.generic()
