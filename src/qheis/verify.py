@@ -7,12 +7,20 @@ documented simplified identities provably fail off their true domain of
 validity, and the whole point of these suites is to show exactly where.
 
 The bracket grids differ in what they read.  ``lemma2`` takes one full
-`commutator` per pair, so it exercises the kernel read and builds each
-bracket as an `Element`; its pairs are unit elements, whose coefficient
-product is the context's one, so on stored kernels it forms no scalar
-product.  ``lemma3`` and ``lemma4`` only ask which monomials a bracket
-holds, and read them through `heisenberg.bracket_support`.  A check
-that fails reports its offending monomials in the canonical order.
+`commutator` per residue key, and one more C^p higher, so it exercises
+the kernel read and its C shift and builds each bracket as an `Element`;
+its pairs are unit elements, whose coefficient product is the context's
+one, so on stored kernels it forms no scalar product.  ``lemma3`` and
+``lemma4`` only ask which monomials a bracket holds, and read them
+through `heisenberg.bracket_support`.  A check that fails reports its
+offending monomials in the canonical order.
+
+In torsion mode C^p is central, so a claim whose verdict does not change
+when both sides are multiplied by C^p is decided once per residue key
+(r1, d1, r2, d2), r = k mod p, on the least units C^r x of the window;
+the key counts every pair of its two residue classes, and the entries
+are still the failing pairs' in window order.  ``lemma2`` and
+``simplified-mixed-products`` are decided this way.
 """
 
 from __future__ import annotations
@@ -79,7 +87,9 @@ class VerifyReport:
     Suites open a report as ``with VerifyReport(...) as rep:`` so that
     ``elapsed`` times the block, and count each check through `check`:
     ``if not rep.check(ok): rep.add_violation(lambda: {...})``, so a
-    passing check builds no entry closure.
+    passing check builds no entry closure.  A claim decided per residue
+    key adds each key's pairs to ``pairs_checked`` and ``violations_total``
+    at once, and appends its entries up to ``MAX_RECORDED_VIOLATIONS``.
     """
 
     def __init__(self, claim: str, parameters: dict):
@@ -150,9 +160,23 @@ def _mono(ctx, k, d):
     return Element.monomial(ctx, Monomial(k, d))
 
 
-def _window_units(ctx: ScalarContext, kmax: int, dmax: int) -> list[tuple[Monomial, Element]]:
-    """(monomial, unit element) for every monomial of the window, built once."""
-    return [(m, Element.monomial(ctx, m)) for m in _window_monomials(kmax, dmax)]
+def _raised(x: Element, s: int) -> Element:
+    """C^s x for a multiple s of p: every C exponent raised by s, the
+    coefficients kept, as C^p is central."""
+    return Element(x.ctx, {Monomial(m.k + s, m.d): c for m, c in x.terms.items()}, _clean=True)
+
+
+def _class_size(p: int, r: int, kmax: int) -> int:
+    """How many C exponents k <= kmax are congruent to r mod p (0 <= r <= kmax)."""
+    return (kmax - r) // p + 1
+
+
+def _key_index(p: int, cols: list) -> Callable[[Monomial, Monomial], int]:
+    """The function giving, for two window monomials, the index of their
+    residue key in ``itertools.product(cols, repeat=2)`` order; each column
+    of `cols` starts with its residue monomial (k mod p, d)."""
+    col = {c[0]: i for i, c in enumerate(cols)}
+    return lambda m1, m2: col[m1.k % p, m1.d] * len(cols) + col[m2.k % p, m2.d]
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +186,19 @@ def _window_units(ctx: ScalarContext, kmax: int, dmax: int) -> list[tuple[Monomi
 def verify_no_N_leakage(ctx: ScalarContext, kmax: int, dmax: int) -> VerifyReport:
     """Commutators of basis monomials never touch the forbidden subspace.
 
-    Each pair of unit elements takes one `commutator` call, so this suite
-    exercises the full bracket; both coefficients are the context's one,
-    so the bracket takes its kernel terms with no scalar product.  Its
-    terms are tested in place with a list comprehension (no generator
-    frame per check), and the projection onto the forbidden subspace is
-    built only for a violation entry.
+    C^p is central, so [C^k1 x, C^k2 y] is C^s times the bracket at the
+    residue key (r1, d1, r2, d2), r = k mod p and s = k1 - r1 + k2 - r2.
+    The forbidden subspace (k >= 1 and p dividing k and d) keeps a term
+    C^s C^k x in it or out of it for every s > 0 alike, and takes a term
+    with k = 0 only when s > 0.  So each key is decided by two `commutator`
+    calls on unit elements: one at s = 0, and one at s > 0 when the window
+    holds a unit C^p higher on either side.  Both verdicts read the
+    bracket's terms, tested in place with a list comprehension (no
+    generator frame per check); both coefficients are the context's one,
+    so a stored kernel is read with no scalar product.  Every window pair
+    counts as one check; a failing key counts each of its pairs as a
+    violation, and the entries are the failing pairs' in window order,
+    with the projection onto the forbidden subspace of that pair's bracket.
     """
     ctx.require_torsion("verify_no_N_leakage")
     p = ctx.p
@@ -175,11 +206,31 @@ def verify_no_N_leakage(ctx: ScalarContext, kmax: int, dmax: int) -> VerifyRepor
         claim="commutators-avoid-forbidden-subspace",
         parameters={"p": p, "kmax": kmax, "dmax": dmax},
     ) as rep:
-        units = _window_units(ctx, kmax, dmax)
-        for (m1, x), (m2, y) in itertools.product(units, repeat=2):
-            f = commutator(x, y)
-            if not rep.check(not [mono for mono in f.terms if _in_forbidden_subspace(p, mono)]):
-                rep.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
+        # one column per residue key (r, d): the least unit C^r x, the unit
+        # C^(r+p) x when the window has it (else None), and the class size
+        cols = [(Monomial(r, d), _mono(ctx, r, d), _mono(ctx, r + p, d) if r + p <= kmax else None,
+                 _class_size(p, r, kmax))
+                for d in range(-dmax, dmax + 1) for r in range(min(p, kmax + 1))]
+        bad = bytearray(len(cols) ** 2)
+        for i, ((m1, x, x_up, n1), (m2, y, y_up, n2)) in enumerate(itertools.product(cols, repeat=2)):
+            if [mono for mono in commutator(x, y).terms if _in_forbidden_subspace(p, mono)]:
+                bad[i] = 1
+                rep.violations_total += 1
+            if x_up is None and y_up is None:
+                continue
+            f = commutator(x if x_up is None else x_up, y if y_up is None else y_up)
+            if [mono for mono in f.terms if _in_forbidden_subspace(p, mono)]:
+                bad[i] |= 2
+                rep.violations_total += n1 * n2 - 1
+        rep.pairs_checked += ((kmax + 1) * (2 * dmax + 1)) ** 2
+        if rep.violations_total:
+            key = _key_index(p, cols)
+            for m1, m2 in itertools.product(_window_monomials(kmax, dmax), repeat=2):
+                if len(rep.violations) >= MAX_RECORDED_VIOLATIONS:
+                    break
+                if bad[key(m1, m2)] & (2 if m1.k >= p or m2.k >= p else 1):
+                    f = commutator(_mono(ctx, *m1), _mono(ctx, *m2))
+                    rep.violations.append({"left": m1.text(), "right": m2.text(),
                                            "residual": project_N(f).text()})
     return rep
 
@@ -349,9 +400,10 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
 
     The simplified mixed products apply only where both letter exponents
     are at least p, so that claim pairs only the window units with
-    |d| >= p; every pair of the window still counts in
-    ``fastpath-equivalence``.  Binomial rows over `_check_rows` raise
-    `ValueError` before any work.
+    |d| >= p, and decides each residue key of them once.  Every pair of
+    the window still counts in ``fastpath-equivalence``, whose rows are
+    compared once each; its pairs are walked only when a row fails.
+    Binomial rows over `_check_rows` raise `ValueError` before any work.
     """
     ctx.require_torsion("verify_torsion_paths")
     _check_rows(ctx, dmax)
@@ -372,19 +424,50 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
                     "general_BlAl": ba.text(),
                 })
 
-    # j = min(|d1|, |d2|) >= p is needed; `mixed_product_simplified` decides each pair
-    monos = list(_window_monomials(kmax, dmax))
+    # j = min(|d1|, |d2|) >= p is needed; `mixed_product_simplified` decides each key.
+    # Both sides are C^p-equivariant: moving m or k by p moves the literal
+    # formula's q exponents by multiples of p, and C^p is central.  So each
+    # residue key (r1, d1, r2, d2) is decided once, on its least units, and
+    # counts every pair of its two classes.  The entries come first: the
+    # window's pairs are read in order, each key decided when first met, until
+    # the entries are full; a failing key keeps its two sides for the entries
+    # C^s higher.  Then the keys no entry met are decided.
     with VerifyReport(claim="simplified-mixed-products",
                       parameters={"p": p, "kmax": kmax, "dmax": dmax}) as mixed:
-        units = [(m, Element.monomial(ctx, m)) for m in monos if abs(m.d) >= p]
-        for (m1, x), (m2, y) in itertools.product(units, repeat=2):
+        cols = [(Monomial(r, d), _mono(ctx, r, d), _class_size(p, r, kmax))
+                for d in range(-dmax, dmax + 1) if abs(d) >= p for r in range(min(p, kmax + 1))]
+        verdict = bytearray(len(cols) ** 2)  # per key: 0 not decided, 1 no claim, 2 holds, 3 fails
+        sides: dict = {}  # the (claimed, general) sides of each failing key an entry renders
+
+        def decide(i: int) -> tuple:
+            (m1, x, _), (m2, y, _) = cols[i // len(cols)], cols[i % len(cols)]
             lit = mixed_product_simplified(ctx, m1, m2)
-            if lit is None:
-                continue
-            gen = multiply(x, y)
-            if not mixed.check(lit == gen):
-                mixed.add_violation(lambda: {"left": m1.text(), "right": m2.text(),
-                                             "claimed": lit.text(), "general": gen.text()})
+            gen = None if lit is None else multiply(x, y)
+            verdict[i] = 1 if lit is None else 2 if lit == gen else 3
+            return lit, gen
+
+        key = _key_index(p, cols)
+        units = [m for m in _window_monomials(kmax, dmax) if abs(m.d) >= p]
+        for m1, m2 in itertools.product(units, repeat=2):
+            if len(mixed.violations) >= MAX_RECORDED_VIOLATIONS:
+                break
+            i = key(m1, m2)
+            if not verdict[i]:
+                got = decide(i)
+                if verdict[i] == 3:
+                    sides[i] = got
+            if verdict[i] == 3:
+                claimed, general = (_raised(side, m1.k - m1.k % p + m2.k - m2.k % p)
+                                    for side in sides[i])
+                mixed.violations.append({"left": m1.text(), "right": m2.text(),
+                                         "claimed": claimed.text(), "general": general.text()})
+        for i, ((_, _, n1), (_, _, n2)) in enumerate(itertools.product(cols, repeat=2)):
+            if not verdict[i]:
+                decide(i)
+            if verdict[i] > 1:
+                mixed.pairs_checked += n1 * n2
+            if verdict[i] == 3:
+                mixed.violations_total += n1 * n2
 
     # The torsion product takes its binomials through q-Lucas; a pair with
     # letter exponents of opposite signs expands through c_i(j) or d_i(j),
@@ -395,10 +478,14 @@ def verify_torsion_paths(ctx: ScalarContext, kmax: int, dmax: int) -> list[Verif
                       parameters={"p": p, "kmax": kmax, "dmax": dmax}) as fast:
         row_agrees = {j: all(q_binomial_lucas(ctx, j, i) == q_binomial(ctx, j, i) for i in range(j + 1))
                       for j in range(dmax + 1)}
-        for m1, m2 in itertools.product(monos, repeat=2):
-            j = min(abs(m1.d), abs(m2.d)) if m1.d * m2.d < 0 else 0
-            if not fast.check(row_agrees[j]):
-                fast.add_violation(lambda: {"left": m1.text(), "right": m2.text()})
+        monos = list(_window_monomials(kmax, dmax))
+        if all(row_agrees.values()):
+            fast.pairs_checked += len(monos) ** 2
+        else:
+            for m1, m2 in itertools.product(monos, repeat=2):
+                j = min(abs(m1.d), abs(m2.d)) if m1.d * m2.d < 0 else 0
+                if not fast.check(row_agrees[j]):
+                    fast.add_violation(lambda: {"left": m1.text(), "right": m2.text()})
 
     with VerifyReport(claim="qbinomial-collapse",
                       parameters={"p": p, "lmax": 3 * p}) as collapse:

@@ -1,6 +1,7 @@
 """The claim suites' reports: pinned JSON and self-timing."""
 
 import hashlib
+import itertools
 import json
 import time
 
@@ -9,8 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qheis import verify
 from qheis.cli import main
-from qheis.heisenberg import Monomial
+from qheis.heisenberg import Element, Monomial, commutator, multiply
+from qheis.liepoly import project_N
 from qheis.qscalar import CycloScalar, ScalarContext, q_binomial
+from qheis.torsion import mixed_product_simplified
 from qheis.verify import (plan, run_suites, verify_derived_algebra, verify_lemma3,
                           verify_no_N_leakage, verify_oracle, verify_theorem1)
 
@@ -69,13 +72,15 @@ def test_oracle_reports_are_pinned(capsys, p, seed):
 
 
 # sha256 of the `--p N --format json verify lemma2 lemma3 torsion-paths` payload
-# without "elapsed", computed while lemma3 read whole commutators and the mixed
-# products loop paired every unit of the window; torsion-paths records red
-# mixed-product violations, so this fixes their order too
+# without "elapsed", computed while lemma3 read whole commutators and lemma2 and
+# the mixed products decided every pair of the window on its own; torsion-paths
+# records red mixed-product violations, so this fixes their order too.  At
+# p = 7 the default window (kmax = 16) holds classes of 3 C exponents per residue.
 GRID_SUITE_DIGESTS = {
     "2": "70b3e69567f891b7e06e47d4bf1b0697ba2e49139d8739c72e91f35f1a83cf8b",
     "3": "e933a0d77860966e1be72cf6a67e9db1028c9576a17eb923ed27fdbb6f1a2b31",
     "5": "90e8dd64115490e8d13e0a3450bf8cbd2674be608711aaf6ed49d9c5316899ec",
+    "7": "f65a8c5d96952e36618d987e94cd2a734e84bacc849a2be77359bfdc2ac544f6",
 }
 
 
@@ -89,6 +94,8 @@ LEMMA4_DIGESTS = {
     ("3", True): "fa2196ce894987a01a02ccc76d1e0d6f5e1ef14e41b6622bba80c44ea373ddd2",
     ("5", False): "61f581967f999e0617b53dcb9030f53af23bd71a624b60f3c5a09cde81ec22e7",
     ("5", True): "8834ee77ea8f80adc598cf4f05551329554e1b48b289c222c8cb1b1ef040e713",
+    ("7", False): "129b475add70da94d0d35ae60d879ab4a2cd4cdf33f98a5039ad1b2e2eccad06",
+    ("7", True): "efad33e4f460b9e48fbb29fcf9c24cf8efd45eb61b335dff06d506a39ef3b4f0",
 }
 
 
@@ -155,6 +162,75 @@ def test_planted_kernels_reach_the_violation_entries(p):
     assert (rep.violations_total, rep.violations) == (2, [
         {"left": "A", "right": "B", "term": "I"},
         {"left": "A", "right": "B", "term": "B"}])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_kernel_term_with_no_c_power_is_forbidden_only_c_p_higher(p):
+    # [A, B C] planted as B^p: outside N, but C^s B^p with s > 0 lies in N.  So of
+    # the key (0, -1, 1, 1) and of its twin (1, 1, 0, -1), read as the planted kernel
+    # negated, exactly the pairs whose C exponents lie above their residues fail
+    ctx = ScalarContext.torsion(p)
+    ctx._comm[0, -1, 1, 1] = ((Monomial(0, p), ctx.one()),)
+    kmax = p + 1  # the classes {0, p} and {1, p + 1}
+    window = [Monomial(k, d) for d in (-1, 0, 1) for k in range(kmax + 1)]
+    A, CpA, BC, BCp = Monomial(0, -1), Monomial(p, -1), Monomial(1, 1), Monomial(p + 1, 1)
+    expected = [{"left": x.text(), "right": y.text(), "residual": f"({sign})*B^{p}*C^{s}"}
+                for x, y, sign, s in [(A, BCp, 1, p), (CpA, BC, 1, p), (CpA, BCp, 1, 2 * p),
+                                      (BC, CpA, -1, p), (BCp, A, -1, p), (BCp, CpA, -1, 2 * p)]]
+    assert _entries(verify_no_N_leakage(ctx, kmax, 1)) == (len(window) ** 2, 6, expected)
+
+
+def _lemma2_by_pairs(ctx, kmax, dmax):
+    # every pair of the window bracketed and tested on its own
+    checks, entries = 0, []
+    for m1, m2 in itertools.product(verify._window_monomials(kmax, dmax), repeat=2):
+        residual = project_N(commutator(Element.monomial(ctx, m1), Element.monomial(ctx, m2)))
+        checks += 1
+        if residual:
+            entries.append({"left": m1.text(), "right": m2.text(), "residual": residual.text()})
+    return checks, len(entries), entries
+
+
+def _mixed_products_by_pairs(ctx, kmax, dmax):
+    # every pair of window units with |d| >= p compared on its own
+    units = [m for m in verify._window_monomials(kmax, dmax) if abs(m.d) >= ctx.p]
+    checks, entries = 0, []
+    for m1, m2 in itertools.product(units, repeat=2):
+        lit = mixed_product_simplified(ctx, m1, m2)
+        if lit is None:
+            continue
+        gen = multiply(Element.monomial(ctx, m1), Element.monomial(ctx, m2))
+        checks += 1
+        if lit != gen:
+            entries.append({"left": m1.text(), "right": m2.text(),
+                            "claimed": lit.text(), "general": gen.text()})
+    return checks, len(entries), entries
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_residue_keys_decide_as_every_pair_does(monkeypatch, p):
+    # kmax = 2p + 1 gives classes of 3 C exponents (r <= 1) and of 2; every entry is kept,
+    # so each failing pair's rendering, C^s above its key's, is compared
+    monkeypatch.setattr(verify, "MAX_RECORDED_VIOLATIONS", 10 ** 6)
+    kmax = 2 * p + 1
+    ctx = ScalarContext.torsion(p)
+    assert _entries(verify_no_N_leakage(ctx, kmax, 2)) == _lemma2_by_pairs(ctx, kmax, 2) == (
+        (kmax + 1) ** 2 * 25, 0, [])
+    mixed = verify.verify_torsion_paths(ctx, kmax, p + 1)[1]
+    assert mixed.claim == "simplified-mixed-products"
+    want = _mixed_products_by_pairs(ctx, kmax, p + 1)
+    assert _entries(mixed) == want and want[1] > 0
+
+    # planted kernels: in N at every s, in N only at s > 0, in N nowhere, and an
+    # offending term in a kernel of another grade than d1 + d2
+    ctx = ScalarContext.torsion(p)
+    one, q = ctx.one(), ctx.q()
+    ctx._comm[1, 1, 1, 1] = ((Monomial(p, p), q), (Monomial(1, 0), one))
+    ctx._comm[0, -2, 1, 0] = ((Monomial(0, -p), one), (Monomial(1, -2), q))
+    ctx._comm[p - 1, 2, 0, 1] = ((Monomial(1, 0), one),)
+    ctx._comm[1, 0, 0, 0] = ((Monomial(2 * p, 2 * p), one),)
+    got, want = _entries(verify_no_N_leakage(ctx, kmax, 2)), _lemma2_by_pairs(ctx, kmax, 2)
+    assert got == want and want[1] > 0
 
 
 def test_every_report_times_its_own_block():
